@@ -21,6 +21,7 @@ from .decompose import (
 )
 from .errors import (
     AmbiguousOrMissingChainError,
+    CertificateError,
     DegreeSequenceError,
     DomainError,
     NoSolutionError,
@@ -30,7 +31,7 @@ from .errors import (
     ParseError,
     ZeroIdealError,
 )
-from .linalg import matrix_rank, solve_exact
+from .linalg import matrix_rank
 from .monomial import (
     MAX_VARIABLES,
     Monomial,

@@ -2,7 +2,8 @@
 
 Subcommands: betti, decompose, chains, stabilize, verify. Exit codes: 0 on
 success, 2 for usage and parse errors, 3 for mathematical domain errors, 4
-when a family does not stabilize, 5 when verification finds a mismatch.
+when a family does not stabilize, 5 when verification finds a mismatch, 6 when
+an internal certificate check fails.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .decompose import (
     greedy_decompose,
     reconstruction_mismatch,
 )
-from .errors import DomainError, NotStabilizedError, ParseError
+from .errors import CertificateError, DomainError, NotStabilizedError, ParseError
 from .monomial import MonomialIdeal, betti_table, ideal_from_json, power
 from .stabilize import StabilizationReport, detect_stabilization, report_json_text
 from .tables import BettiTable, Window, parse_btt_text, table_to_json, to_btt_text
@@ -30,6 +31,7 @@ EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_NOT_STABILIZED = 4
 EXIT_VERIFICATION = 5
+EXIT_CERTIFICATE = 6
 
 
 def _positive_int(text: str) -> int:
@@ -278,6 +280,9 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    except CertificateError as exc:
+        print(f"error: certificate check failed: {exc}", file=sys.stderr)
+        return EXIT_CERTIFICATE
 
 
 def console_main() -> None:

@@ -3,8 +3,9 @@
 The greedy algorithm peels off the pure diagram of the minimal-degree support
 in each column with the largest coefficient keeping the remainder nonnegative;
 for a genuine Betti table this terminates with the unique decomposition whose
-coefficients are all positive. Arbitrary maximal chains in a window give a
-square exact linear system instead, with coefficients of either sign.
+coefficients are all positive. Along an arbitrary maximal chain of a window
+the pure diagrams are triangular in chain order, so any table supported there
+expands uniquely by forward substitution, with coefficients of either sign.
 """
 
 from __future__ import annotations
@@ -19,12 +20,12 @@ from .errors import (
     NotDecomposableError,
     ParseError,
 )
-from .linalg import solve_exact
 from .tables import (
     BettiTable,
     Comparison,
     DegreeSequence,
     Window,
+    _pure_denominators,
     compare,
     pure_diagram,
 )
@@ -225,15 +226,51 @@ def chain_decompose(table: BettiTable, chain: Chain) -> Decomposition:
     """
     if not chain.maximal:
         raise ValueError("chain expansion needs a maximal chain")
-    window = chain.window
-    try:
-        rhs = table.flatten(window)
-    except ValueError as exc:
-        raise NoSolutionError(f"table does not fit the chain window: {exc}") from exc
-    columns = [pure_diagram(s).table.flatten(window) for s in chain.elements]
-    matrix = [[col[r] for col in columns] for r in range(window.dimension)]
-    coefficients = solve_exact(matrix, rhs)
-    return Decomposition(tuple(zip(coefficients, chain.elements)), window)
+    coefficients = _peel_along_chain(dict(table.iter_support()), chain.elements, Fraction(0))
+    return Decomposition(tuple(zip(coefficients, chain.elements)), chain.window)
+
+
+def _subtract_pure(values: dict, coefficient, degrees, denominators, zero) -> None:
+    """values -= coefficient * pi(degrees) on a (column, degree) -> value
+    mapping, given pi's denominators; entries that reach zero are dropped."""
+    for i, (d, den) in enumerate(zip(degrees, denominators)):
+        rest = values.pop((i, d), zero) - coefficient * Fraction(1, den)
+        if rest:
+            values[(i, d)] = rest
+
+
+def _peel_along_chain(values: dict, elements, zero) -> list:
+    """Coefficients of ``values`` along a maximal chain, bottom to top.
+
+    The move from element t to t+1 retires one table position that no later
+    element touches: (i, d_i) for a bump of d_i, (last, d_last) for a drop,
+    and (0, d_0) for the top element. The chain's pure diagrams are thus
+    triangular in chain order, and forward substitution gives c_t as the
+    remaining value at that position times prod_{p != i} |d_p - d_i|. Only
+    +, - and * by rationals are used, so the values may be Fractions or
+    polynomials, with ``zero`` the zero of their type. ``values`` is
+    consumed; whatever survives the sweep lies outside the chain's window.
+    """
+    coefficients = []
+    for t, element in enumerate(elements):
+        if t + 1 == len(elements):
+            col = 0
+        else:
+            successor = elements[t + 1]
+            if len(successor) < len(element):
+                col = len(successor)
+            else:
+                col = _single_position_difference(element, successor)
+        degrees = element.degrees
+        denominators = _pure_denominators(degrees)
+        coefficient = values.get((col, degrees[col]), zero) * denominators[col]
+        if coefficient:
+            _subtract_pure(values, coefficient, degrees, denominators, zero)
+        coefficients.append(coefficient)
+    if values:
+        i, j = min(values)
+        raise NoSolutionError(f"support at column {i}, degree {j} is outside the chain window")
+    return coefficients
 
 
 def coefficient_column_formula(table: BettiTable, chain: Chain, index: int) -> Fraction | None:
@@ -241,8 +278,9 @@ def coefficient_column_formula(table: BettiTable, chain: Chain, index: int) -> F
     middle sequence in one shared position.
 
     In that case only the middle diagram of the chain has support at (c, d_c),
-    so its coefficient is beta_{c, d_c} * prod_{p != c} |d_c - d_p|. Returns
-    None when the neighbor pattern does not apply.
+    so its coefficient is beta_{c, d_c} * prod_{p != c} |d_c - d_p|: the step
+    of the chain expansion at that element, read off without the earlier
+    steps. Returns None when the neighbor pattern does not apply.
     """
     if not 0 < index < len(chain.elements) - 1:
         raise ValueError("the formula needs both a predecessor and a successor")
@@ -250,12 +288,7 @@ def coefficient_column_formula(table: BettiTable, chain: Chain, index: int) -> F
     col = _single_position_difference(prev, mid)
     if col is None or _single_position_difference(mid, nxt) != col:
         return None
-    degs = mid.degrees
-    prod = 1
-    for p, dp in enumerate(degs):
-        if p != col:
-            prod *= abs(degs[col] - dp)
-    return table.entry(col, degs[col]) * prod
+    return table.entry(col, mid[col]) * _pure_denominators(mid.degrees)[col]
 
 
 def _single_position_difference(a: DegreeSequence, b: DegreeSequence) -> int | None:

@@ -26,16 +26,7 @@ class NotDecomposableError(DomainError):
 
 
 class NoSolutionError(DomainError):
-    """An exact linear system has no unique solution.
-
-    ``witness`` pins down the failure: ``("free_column", c)`` for a
-    rank-deficient column, ``("residual_row", r, value)`` for an inconsistent
-    row after elimination.
-    """
-
-    def __init__(self, message: str, witness: tuple | None = None):
-        super().__init__(message)
-        self.witness = witness
+    """A chain expansion has no solution: the table escapes the chain window."""
 
 
 class AmbiguousOrMissingChainError(DomainError):
@@ -52,3 +43,12 @@ class NotStabilizedError(Exception):
     def __init__(self, message: str, offender: tuple[int, int, int] | None = None):
         super().__init__(message)
         self.offender = offender
+
+
+class CertificateError(Exception):
+    """A cross-check the program runs on its own result disagreed.
+
+    Raised by the numeric replay of a stabilization report and by the check
+    on the first entry of a Betti table. It points at a defect in the
+    program, not at the input, and is a plain exception, never an assert.
+    """

@@ -1,16 +1,14 @@
 """Exact linear algebra over the rationals.
 
 Fraction arithmetic throughout: no pivot-size heuristics, no tolerance knobs.
-Sized for the small dense systems that chain expansions produce (tens of
-unknowns), not for serious numerics.
+Sized for the small boundary matrices of the homology layer, not for serious
+numerics.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Sequence
-
-from .errors import NoSolutionError
 
 
 def _to_rows(matrix) -> list[list[Fraction]]:
@@ -47,49 +45,3 @@ def matrix_rank(matrix: Sequence[Sequence]) -> int:
         if rank == len(rows):
             break
     return rank
-
-
-def solve_exact(matrix: Sequence[Sequence], rhs: Sequence) -> list[Fraction]:
-    """Unique exact solution of ``matrix @ x = rhs``.
-
-    Requires full column rank and a consistent system; anything else raises
-    NoSolutionError with a witness naming the free column or the residual row.
-    The matrix may have more rows than columns.
-    """
-    rows = _to_rows(matrix)
-    b = [Fraction(x) for x in rhs]
-    if len(b) != len(rows):
-        raise ValueError(f"rhs length {len(b)} does not match {len(rows)} rows")
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    aug = [rows[r] + [b[r]] for r in range(nrows)]
-    for col in range(ncols):
-        pivot = next((r for r in range(col, nrows) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise NoSolutionError(
-                f"rank-deficient system: column {col} has no pivot",
-                witness=("free_column", col),
-            )
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        prow = aug[col]
-        inv = 1 / prow[col]
-        for r in range(col + 1, nrows):
-            factor = aug[r][col]
-            if factor:
-                scale = factor * inv
-                row = aug[r]
-                for c in range(col, ncols + 1):
-                    row[c] -= prow[c] * scale
-    for r in range(ncols, nrows):
-        if aug[r][ncols] != 0:
-            raise NoSolutionError(
-                f"inconsistent system: residual {aug[r][ncols]} in row {r}",
-                witness=("residual_row", r, aug[r][ncols]),
-            )
-    solution = [Fraction(0)] * ncols
-    for i in range(ncols - 1, -1, -1):
-        acc = aug[i][ncols]
-        for c in range(i + 1, ncols):
-            acc -= aug[i][c] * solution[c]
-        solution[i] = acc / aug[i][i]
-    return solution

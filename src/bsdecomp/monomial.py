@@ -10,13 +10,11 @@ contribute nothing, so the scan runs over that lattice only.
 from __future__ import annotations
 
 import itertools
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import index as _exact_int
 
-from .errors import ParseError, ZeroIdealError
+from .errors import CertificateError, ParseError, ZeroIdealError
 from .linalg import matrix_rank
 from .tables import BettiTable, Window
 
@@ -361,20 +359,6 @@ def _canonical_key(masks: list[int], num_vertices: int) -> tuple:
     return len(remap), tuple(sorted(packed))
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("BSDECOMP_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"BSDECOMP_THREADS must be a nonnegative integer, got {raw!r}") from exc
-    if value < 0:
-        raise ValueError(f"BSDECOMP_THREADS must be a nonnegative integer, got {value}")
-    # 0 means auto; the scan is GIL-bound pure Python, so auto stays serial
-    return max(1, value)
-
-
 def betti_table(ideal: MonomialIdeal) -> BettiTable:
     """Exact graded Betti table of the ideal (as a module, not its quotient).
 
@@ -382,8 +366,7 @@ def betti_table(ideal: MonomialIdeal) -> BettiTable:
     the upper-Koszul complex at each multidegree, and accumulates dimensions
     by total degree. Cones are skipped outright and homology is memoized on
     the relabeled face structure, which collapses the many isomorphic
-    complexes a power family produces. Deterministic for a given ideal
-    regardless of BSDECOMP_THREADS.
+    complexes a power family produces. Deterministic for a given ideal.
     """
     if ideal.is_zero:
         raise ZeroIdealError("the zero ideal has no Betti table")
@@ -391,35 +374,24 @@ def betti_table(ideal: MonomialIdeal) -> BettiTable:
     n = ideal.num_vars
     multidegrees = sorted(m.exponents for m in lcm_closure(ideal))
     memo: dict[tuple, list[int]] = {}
-
-    def dims_at(b: tuple[int, ...]) -> list[int]:
-        masks = _koszul_face_masks(gen_exps, b)
-        mask_set = set(masks)
-        if _is_cone(mask_set, n):
-            return [0] * (n + 1)
-        key = _canonical_key(masks, n)
-        found = memo.get(key)
-        if found is None:
-            found = _homology_from_masks(masks, n)
-            memo[key] = found
-        return found
-
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(dims_at, multidegrees))
-    else:
-        results = [dims_at(b) for b in multidegrees]
-
     entries: dict[tuple[int, int], Fraction] = {}
-    for b, dims in zip(multidegrees, results):
+    for b in multidegrees:
+        masks = _koszul_face_masks(gen_exps, b)
+        if _is_cone(set(masks), n):
+            continue
+        key = _canonical_key(masks, n)
+        dims = memo.get(key)
+        if dims is None:
+            dims = memo[key] = _homology_from_masks(masks, n)
         degree = sum(b)
         for i, dim in enumerate(dims):
             if dim:
                 pos = (i, degree)
                 entries[pos] = entries.get(pos, Fraction(0)) + dim
     table = BettiTable.from_entries(entries, num_vars=n)
-    assert table.entry(0, min(g.degree for g in ideal.generators)) > 0
+    low = min(g.degree for g in ideal.generators)
+    if table.entry(0, low) <= 0:
+        raise CertificateError(f"beta_0 in the least generator degree {low} is not positive")
     return table
 
 

@@ -14,17 +14,24 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .decompose import Chain, Decomposition, chain_decompose, enumerate_maximal_chains, greedy_decompose
+from .decompose import (
+    Chain,
+    Decomposition,
+    _peel_along_chain,
+    _subtract_pure,
+    chain_decompose,
+    enumerate_maximal_chains,
+    greedy_decompose,
+)
 from .errors import (
     AmbiguousOrMissingChainError,
+    CertificateError,
     DegreeSequenceError,
-    NoSolutionError,
     NotDecomposableError,
     NotEquigeneratedError,
     NotStabilizedError,
     ParseError,
 )
-from .linalg import solve_exact
 from .monomial import MonomialIdeal, betti_table, ideal_from_json, ideal_to_json, is_equigenerated, power
 from .polynomials import (
     PolynomialQ,
@@ -34,7 +41,7 @@ from .polynomials import (
     interpolate_consecutive,
     sign_threshold,
 )
-from .tables import BettiTable, Comparison, DegreeSequence, Window, compare, pure_diagram
+from .tables import BettiTable, Comparison, DegreeSequence, Window, _pure_denominators, compare
 
 __all__ = [
     "SymbolicBettiTable",
@@ -245,24 +252,13 @@ def symbolic_greedy_decompose(table: SymbolicBettiTable) -> TranslatedDecomposit
             raise NotDecomposableError(
                 f"minimal offsets {tuple(offsets)} do not increase strictly"
             ) from exc
-        products = []
-        for i, d in enumerate(offsets):
-            prod = 1
-            for p, dp in enumerate(offsets):
-                if p != i:
-                    prod *= abs(dp - d)
-            products.append(prod)
-        candidates = [entries[(i, offsets[i])] * products[i] for i in range(last + 1)]
+        denominators = _pure_denominators(sequence.degrees)
+        candidates = [entries[(i, d)] * den for i, (d, den) in enumerate(zip(offsets, denominators))]
         index, threshold = eventual_min(candidates)
         bound = max(bound, threshold)
         coefficient = candidates[index]
         terms.append((coefficient, sequence))
-        for i in range(last + 1):
-            remainder = entries[(i, offsets[i])] - coefficient * Fraction(1, products[i])
-            if remainder:
-                entries[(i, offsets[i])] = remainder
-            else:
-                del entries[(i, offsets[i])]
+        _subtract_pure(entries, coefficient, sequence.degrees, denominators, PolynomialQ())
     # past every root bound the numeric tables share the symbolic support and
     # every min decision, so the numeric greedy runs in lockstep from there
     certified = max(table.valid_from, bound + 1)
@@ -272,32 +268,16 @@ def symbolic_greedy_decompose(table: SymbolicBettiTable) -> TranslatedDecomposit
 def symbolic_chain_decompose(table: SymbolicBettiTable, chain: Chain) -> TranslatedDecomposition:
     """Expansion of a family along a maximal chain of offset sequences.
 
-    Solves the window's exact linear system once per coefficient degree; the
-    result is certified from the fit's own ``valid_from`` because the identity
-    is linear, with no sign decisions involved.
+    The same forward substitution as the numeric chain expansion, run once
+    with polynomial entries; the result is certified from the fit's own
+    ``valid_from`` because the identity is linear, with no sign decisions
+    involved. NoSolution signals family support outside the chain window.
     """
     if not chain.maximal:
         raise ValueError("chain expansion needs a maximal chain")
-    window = chain.window
-    size = window.dimension
-    rhs_polys = [PolynomialQ()] * size
-    for (i, j), poly in table.entries.items():
-        if not window.contains(i, j):
-            raise NoSolutionError(
-                f"family support at column {i}, offset {j} is outside the chain window"
-            )
-        rhs_polys[window.flat_index(i, j)] = poly
-    columns = [pure_diagram(s).table.flatten(window) for s in chain.elements]
-    matrix = [[col[r] for col in columns] for r in range(size)]
-    top_degree = max(p.degree() for p in rhs_polys)
-    solved: list[list[Fraction]] = [[] for _ in chain.elements]
-    for m in range(top_degree + 1):
-        rhs = [p.coefficients[m] if m <= p.degree() else Fraction(0) for p in rhs_polys]
-        for c, value in enumerate(solve_exact(matrix, rhs)):
-            solved[c].append(value)
-    coefficients = [PolynomialQ(tuple(cs)) for cs in solved]
+    coefficients = _peel_along_chain(dict(table.entries), chain.elements, PolynomialQ())
     return TranslatedDecomposition(
-        tuple(zip(coefficients, chain.elements)), table.gen_degree, table.valid_from, window
+        tuple(zip(coefficients, chain.elements)), table.gen_degree, table.valid_from, chain.window
     )
 
 
@@ -385,7 +365,8 @@ def detect_stabilization(
     held-out sample, runs the symbolic greedy decomposition, locates the
     unique positive chain, and replays every claim numerically at each
     certified k in range. The degree bound defaults to one below the variable
-    count.
+    count. A replay that disagrees raises CertificateError, which no
+    interpreter flag disables.
     """
     if k_min < 1:
         raise ValueError(f"k_min must be >= 1, got {k_min}")
@@ -425,16 +406,20 @@ def detect_stabilization(
     positive = symbolic_greedy_decompose(fit)
     chain, chain_threshold = positive_family_chain(fit)
     expansion = symbolic_chain_decompose(fit, chain)
-    assert set(expansion.nonzero_terms()) == set(positive.terms)
+    if set(expansion.nonzero_terms()) != set(positive.terms):
+        raise CertificateError("the positive chain's expansion differs from the symbolic greedy terms")
     certified = max(positive.certified_from, chain_threshold + 1)
     verified = []
     for k in range(max(k_min, certified), k_max + 1):
         table_k = tables[k]
-        assert fit.evaluate(k).same_entries(table_k)
+        if not fit.evaluate(k).same_entries(table_k):
+            raise CertificateError(f"the fitted family differs from the Betti table at k={k}")
         numeric_greedy = greedy_decompose(table_k)
-        assert numeric_greedy.terms == positive.evaluate(k).terms
+        if numeric_greedy.terms != positive.evaluate(k).terms:
+            raise CertificateError(f"numeric greedy decomposition differs from the symbolic one at k={k}")
         numeric_chain = chain_decompose(table_k, chain.shift(gen_degree * k))
-        assert numeric_chain.terms == expansion.evaluate(k, keep_zero_terms=True).terms
+        if numeric_chain.terms != expansion.evaluate(k, keep_zero_terms=True).terms:
+            raise CertificateError(f"numeric chain expansion differs from the symbolic one at k={k}")
         verified.append(k)
     return StabilizationReport(
         ideal=ideal,

@@ -280,17 +280,27 @@ class PureDiagram:
     table: BettiTable
 
 
+def _pure_denominators(degrees: tuple[int, ...]) -> list[int]:
+    """prod_{p != i} |d_p - d_i| for each position i: pi(d) has entry
+    1/denominator in column i at degree d_i."""
+    out = []
+    for i, di in enumerate(degrees):
+        prod = 1
+        for p, dp in enumerate(degrees):
+            if p != i:
+                prod *= abs(dp - di)
+        out.append(prod)
+    return out
+
+
 def pure_diagram(sequence) -> PureDiagram:
     """Pure diagram pi(d): the single column-i entry at degree d_i equals
     prod_{p != i} 1/|d_p - d_i|. Its window is the support hull."""
     seq = sequence if isinstance(sequence, DegreeSequence) else DegreeSequence(tuple(sequence))
-    entries: dict[tuple[int, int], Fraction] = {}
-    for i, di in enumerate(seq):
-        prod = 1
-        for p, dp in enumerate(seq):
-            if p != i:
-                prod *= abs(dp - di)
-        entries[(i, di)] = Fraction(1, prod)
+    entries = {
+        (i, di): Fraction(1, den)
+        for i, (di, den) in enumerate(zip(seq.degrees, _pure_denominators(seq.degrees)))
+    }
     return PureDiagram(seq, BettiTable.from_entries(entries))
 
 

@@ -10,6 +10,7 @@ import json
 import random
 from contextlib import contextmanager
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -54,6 +55,8 @@ from reference_values import (
     expected_table,
     poly,
 )
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 @contextmanager
@@ -263,6 +266,7 @@ def test_criterion_7_determinism(acceptance_report, tmp_path, capsys):
             encoding="utf-8",
         )
         outputs = []
+        summaries = []
         for name in ("first.json", "second.json"):
             out = tmp_path / name
             rc = main(
@@ -280,8 +284,11 @@ def test_criterion_7_determinism(acceptance_report, tmp_path, capsys):
             )
             assert rc == 0
             outputs.append(out.read_bytes())
-        capsys.readouterr()
+            summaries.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
+        # frozen output guards against a drift that every run shares
+        assert outputs[0] == (GOLDEN / "stabilize-p5.report.json").read_bytes()
+        assert summaries == [(GOLDEN / "stabilize-p5.summary.txt").read_text(encoding="utf-8")] * 2
         report = json.loads(outputs[0])
         assert report["certified_from"] == 3
         assert report["k0_observed"] == 3

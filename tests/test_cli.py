@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import bsdecomp.stabilize
 from bsdecomp import (
     BettiTable,
     Window,
@@ -14,6 +15,7 @@ from bsdecomp import (
 )
 from bsdecomp.cli import main
 from reference_values import EDGE_GENERATORS, NUM_VARS, SMALL_TABLES
+from test_stabilize import doubled_greedy
 
 PATH_IDEAL = {"variables": NUM_VARS, "generators": list(EDGE_GENERATORS)}
 MAXIMAL_2VARS = {"variables": 2, "generators": [[1, 0], [0, 1]]}
@@ -80,14 +82,6 @@ class TestBetti:
     def test_zero_ideal_is_domain_error(self, ideal_file, capsys):
         assert main(["betti", "--ideal", ideal_file({"variables": 2, "generators": []})]) == 3
         assert "zero ideal" in capsys.readouterr().err
-
-    def test_thread_env_does_not_change_output(self, ideal_file, capsys, monkeypatch):
-        path = ideal_file(PATH_IDEAL)
-        assert main(["betti", "--ideal", path, "-k", "2", "--format", "btt"]) == 0
-        serial = capsys.readouterr().out
-        monkeypatch.setenv("BSDECOMP_THREADS", "3")
-        assert main(["betti", "--ideal", path, "-k", "2", "--format", "btt"]) == 0
-        assert capsys.readouterr().out == serial
 
 
 class TestDecompose:
@@ -201,6 +195,13 @@ class TestStabilize:
 
     def test_bad_kmin(self, ideal_file):
         assert main(["stabilize", "--ideal", ideal_file(PATH_IDEAL), "--kmin", "0", "--kmax", "4"]) == 2
+
+    def test_failed_certificate_exit_code(self, ideal_file, capsys, monkeypatch):
+        monkeypatch.setattr(bsdecomp.stabilize, "greedy_decompose", doubled_greedy)
+        assert main(["stabilize", "--ideal", ideal_file(MAXIMAL_2VARS), "--kmin", "1", "--kmax", "4"]) == 6
+        err = capsys.readouterr().err
+        assert "certificate check failed" in err
+        assert "Traceback" not in err
 
 
 class TestVerify:

@@ -26,6 +26,7 @@ from bsdecomp import (
     reconstruction_mismatch,
     verify,
 )
+from oracles import cramer_solve
 from reference_values import (
     GREEDY_TERM_COUNTS_SMALL,
     SMALL_TABLES,
@@ -64,11 +65,11 @@ def random_chain(rng, window):
 
 
 def combination_table(coefficients, chain):
-    table = BettiTable.zero(chain.window)
+    entries = {}
     for c, s in zip(coefficients, chain.elements):
-        if c:
-            table = table + pure_diagram(s).table.scale(c)
-    return table
+        for pos, v in pure_diagram(s).table.iter_support():
+            entries[pos] = entries.get(pos, 0) + c * v
+    return BettiTable.from_entries(entries, chain.window)
 
 
 class TestCoverSuccessors:
@@ -203,7 +204,8 @@ class TestGreedy:
 class TestChainDecompose:
     def test_recovers_exact_coefficients(self):
         rng = random.Random(505)
-        for window in [Window(0, 1, 1), Window(0, 2, 2), Window(0, 1, 3)]:
+        windows = [Window(0, 1, 1), Window(0, 2, 2), Window(0, 1, 3), Window(0, 3, 2), Window(-1, 1, 3)]
+        for window in windows:
             for chain in enumerate_maximal_chains(window):
                 coefficients = [Fraction(rng.randint(-8, 8), rng.randint(1, 3)) for _ in chain.elements]
                 table = combination_table(coefficients, chain)
@@ -211,6 +213,23 @@ class TestChainDecompose:
                 assert list(decomposition.coefficients) == coefficients
                 assert decomposition.sequences == chain.elements
                 assert verify(decomposition, table)
+
+    def test_matches_cramer_oracle(self):
+        # the dense chain system, solved by Cramer's rule, is the reference
+        # for the forward substitution along the chain
+        rng = random.Random(707)
+        for window in [Window(0, 1, 1), Window(0, 2, 2), Window(0, 1, 3)]:
+            for chain in enumerate_maximal_chains(window):
+                entries = {
+                    (i, i + row): Fraction(rng.randint(-9, 9), rng.randint(1, 3))
+                    for i in range(window.max_col + 1)
+                    for row in range(window.min_row, window.max_row + 1)
+                }
+                table = BettiTable.from_entries(entries, window)
+                columns = [pure_diagram(s).table.flatten(window) for s in chain.elements]
+                matrix = [[col[r] for col in columns] for r in range(window.dimension)]
+                expected = cramer_solve(matrix, table.flatten(window))
+                assert list(chain_decompose(table, chain).coefficients) == expected
 
     def test_expansion_of_greedy_table_along_other_chain(self):
         # same table, different chain: coefficients change, reconstruction doesn't

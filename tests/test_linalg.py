@@ -1,65 +1,17 @@
 import random
-from fractions import Fraction
 
 import pytest
 
-from bsdecomp import NoSolutionError, matrix_rank, solve_exact
+from bsdecomp import matrix_rank
 
-from oracles import bareiss_rank, cofactor_determinant, cramer_solve
-
-
-def test_identity_and_simple_systems():
-    assert solve_exact([[1, 0], [0, 1]], [3, Fraction(1, 2)]) == [3, Fraction(1, 2)]
-    assert solve_exact([[1, 1], [1, -1]], [2, 0]) == [1, 1]
-
-
-def test_tall_consistent_system():
-    # 3 equations, 2 unknowns, consistent
-    matrix = [[1, 0], [0, 1], [1, 1]]
-    assert solve_exact(matrix, [2, 3, 5]) == [2, 3]
-
-
-def test_tall_inconsistent_system_reports_residual():
-    matrix = [[1, 0], [0, 1], [1, 1]]
-    with pytest.raises(NoSolutionError) as info:
-        solve_exact(matrix, [2, 3, 6])
-    witness = info.value.witness
-    assert witness[0] == "residual_row"
-    assert witness[2] != 0
-
-
-def test_rank_deficient_reports_free_column():
-    with pytest.raises(NoSolutionError) as info:
-        solve_exact([[1, 2]], [3])
-    assert info.value.witness == ("free_column", 1)
-    with pytest.raises(NoSolutionError):
-        solve_exact([[1, 1], [2, 2]], [1, 2])
+from oracles import bareiss_rank
 
 
 def test_empty_edge_cases():
-    assert solve_exact([], []) == []
-    with pytest.raises(ValueError):
-        solve_exact([[1]], [1, 2])
-    with pytest.raises(ValueError):
-        solve_exact([[1, 2], [1]], [1, 2])
-
-
-def test_solve_matches_cramer_oracle():
-    rng = random.Random(314159)
-    solved = 0
-    while solved < 40:
-        size = rng.randint(1, 4)
-        matrix = [
-            [Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(size)]
-            for _ in range(size)
-        ]
-        rhs = [Fraction(rng.randint(-9, 9)) for _ in range(size)]
-        if cofactor_determinant(matrix) == 0:
-            with pytest.raises(NoSolutionError):
-                solve_exact(matrix, rhs)
-            continue
-        assert solve_exact(matrix, rhs) == cramer_solve(matrix, rhs)
-        solved += 1
+    assert matrix_rank([]) == 0
+    assert matrix_rank([[]]) == 0
+    with pytest.raises(ValueError, match="ragged"):
+        matrix_rank([[1, 2], [1]])
 
 
 def test_rank_known_cases():
@@ -77,18 +29,3 @@ def test_rank_matches_bareiss_oracle():
         ncols = rng.randint(1, 5)
         matrix = [[rng.randint(-4, 4) for _ in range(ncols)] for _ in range(nrows)]
         assert matrix_rank(matrix) == bareiss_rank(matrix)
-
-
-def test_solution_satisfies_system_random():
-    rng = random.Random(17)
-    for _ in range(40):
-        size = rng.randint(1, 5)
-        matrix = [[rng.randint(-5, 5) for _ in range(size)] for _ in range(size)]
-        x = [Fraction(rng.randint(-7, 7), rng.randint(1, 4)) for _ in range(size)]
-        rhs = [sum(matrix[r][c] * x[c] for c in range(size)) for r in range(size)]
-        try:
-            got = solve_exact(matrix, rhs)
-        except NoSolutionError:
-            assert cofactor_determinant(matrix) == 0
-            continue
-        assert got == x

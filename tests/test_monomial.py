@@ -3,8 +3,10 @@ import random
 
 import pytest
 
+import bsdecomp.monomial
 from bsdecomp import (
     BettiTable,
+    CertificateError,
     Monomial,
     MonomialIdeal,
     ParseError,
@@ -264,6 +266,13 @@ class TestBettiTable:
         with pytest.raises(ZeroIdealError):
             betti_table(MonomialIdeal(2, ()))
 
+    def test_missing_generator_degree_is_caught(self, monkeypatch):
+        # homology shifted up one step leaves no entry in column 0
+        real = bsdecomp.monomial._homology_from_masks
+        monkeypatch.setattr(bsdecomp.monomial, "_homology_from_masks", lambda masks, n: [0] + real(masks, n)[:-1])
+        with pytest.raises(CertificateError, match="beta_0"):
+            betti_table(MonomialIdeal(2, (m(1, 0), m(0, 1))))
+
     def test_small_path_powers_match_frozen_tables(self, path_ideal):
         for k, entries in SMALL_TABLES.items():
             assert betti_table(power(path_ideal, k)) == BettiTable.from_entries(entries)
@@ -287,21 +296,6 @@ class TestBettiTable:
         for _ in range(25):
             ideal = random_ideal(rng, rng.randint(1, 4), rng.randint(1, 6))
             assert betti_table(ideal).same_entries(taylor_betti_table(ideal))
-
-    def test_thread_count_does_not_change_result(self, path_ideal, monkeypatch):
-        serial = betti_table(power(path_ideal, 3))
-        monkeypatch.setenv("BSDECOMP_THREADS", "4")
-        assert betti_table(power(path_ideal, 3)) == serial
-        monkeypatch.setenv("BSDECOMP_THREADS", "0")
-        assert betti_table(power(path_ideal, 3)) == serial
-
-    def test_bad_thread_count_rejected(self, path_ideal, monkeypatch):
-        monkeypatch.setenv("BSDECOMP_THREADS", "many")
-        with pytest.raises(ValueError, match="BSDECOMP_THREADS"):
-            betti_table(path_ideal)
-        monkeypatch.setenv("BSDECOMP_THREADS", "-2")
-        with pytest.raises(ValueError, match="BSDECOMP_THREADS"):
-            betti_table(path_ideal)
 
 
 class TestIdealJson:

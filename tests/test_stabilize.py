@@ -1,11 +1,19 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import bsdecomp.stabilize
 from bsdecomp import (
     AmbiguousOrMissingChainError,
     BettiTable,
+    CertificateError,
     Chain,
+    Decomposition,
     DegreeSequence,
     MonomialIdeal,
     Monomial,
@@ -22,6 +30,7 @@ from bsdecomp import (
     detect_stabilization,
     enumerate_maximal_chains,
     fit_family,
+    greedy_decompose,
     positive_family_chain,
     report_from_json,
     report_json_text,
@@ -58,6 +67,15 @@ def path_report():
 
 def as_terms(reference):
     return tuple((p, DegreeSequence(offsets)) for offsets, p in reference)
+
+
+def doubled_greedy(table):
+    """A wrong numeric greedy decomposition: every coefficient doubled."""
+    decomposition = greedy_decompose(table)
+    return Decomposition(tuple((2 * c, s) for c, s in decomposition.terms), decomposition.source_window)
+
+
+TWO_EDGES = MonomialIdeal(3, (Monomial((1, 1, 0)), Monomial((0, 1, 1))))
 
 
 class TestSymbolicBettiTable:
@@ -313,6 +331,38 @@ class TestDetectStabilization:
             detect_stabilization(path_edge_ideal(), 1, 5, degree_bound=3)
         assert info.value.offender is not None
         assert info.value.offender[0] == 2
+
+
+class TestCertificates:
+    def test_broken_numeric_greedy_is_caught(self, monkeypatch):
+        monkeypatch.setattr(bsdecomp.stabilize, "greedy_decompose", doubled_greedy)
+        with pytest.raises(CertificateError, match="greedy"):
+            detect_stabilization(TWO_EDGES, 1, 6)
+
+    def test_broken_numeric_greedy_is_caught_under_optimize(self):
+        script = textwrap.dedent(
+            """
+            import bsdecomp.stabilize
+            from bsdecomp import CertificateError, detect_stabilization
+            from test_stabilize import TWO_EDGES, doubled_greedy
+
+            assert False, "asserts must be disabled in this run"
+            bsdecomp.stabilize.greedy_decompose = doubled_greedy
+            try:
+                detect_stabilization(TWO_EDGES, 1, 6)
+            except CertificateError:
+                print("CertificateError")
+            else:
+                print("no error")
+            """
+        )
+        paths = [str(Path(bsdecomp.__file__).resolve().parents[1]), str(Path(__file__).resolve().parent)]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths + [os.environ.get("PYTHONPATH", "")]))
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "CertificateError"
 
 
 class TestReportJson:
