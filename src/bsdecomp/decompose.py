@@ -163,12 +163,23 @@ class Decomposition:
         return tuple((c, s) for c, s in self.terms if c)
 
     def reconstruct(self) -> BettiTable:
-        """Sum of coefficient * pure diagram, as a table over source_window."""
-        total = BettiTable.zero(self.source_window)
+        """Sum of coefficient * pure diagram, as a table over source_window
+        widened to the support hull of every term with a nonzero coefficient."""
+        window = self.source_window
+        entries: dict[tuple[int, int], Fraction] = {}
         for c, s in self.terms:
-            if c:
-                total = total + pure_diagram(s).table.scale(c)
-        return total
+            if not c:
+                continue
+            degrees = s.degrees
+            # subtracting -c * pi(s) adds c * pi(s)
+            _subtract_pure(entries, -c, degrees, _pure_denominators(degrees), Fraction(0))
+            rows = [d - i for i, d in enumerate(degrees)]
+            window = Window(
+                min(window.min_row, min(rows)),
+                max(window.max_row, max(rows)),
+                max(window.max_col, len(degrees) - 1),
+            )
+        return BettiTable.from_entries(entries, window)
 
 
 def greedy_decompose(table: BettiTable) -> Decomposition:

@@ -3,13 +3,24 @@
 The Betti number beta_{i,b} of an ideal at a multidegree b is the dimension of
 the (i-1)-st reduced rational homology of the upper-Koszul complex at b: the
 faces are the subsets sigma of the support of b such that x^b / x^sigma still
-lies in the ideal. Multidegrees outside the lcm lattice of the generators
-contribute nothing, so the scan runs over that lattice only.
+lies in the ideal. That complex is the union of the simplices
+F_g = {v : g_v < b_v} over the generators g dividing b (Miller and Sturmfels,
+Combinatorial Commutative Algebra, Thm 1.34), so it is given by its maximal
+facets. Multidegrees outside the lcm lattice of the generators contribute
+nothing (Gasharov, Peeva and Welker 1999), so the scan runs over that lattice
+only.
+
+The lattice and the facets are computed on packed exponent vectors: one int
+per vector, with a field of ``bits`` data bits plus one guard bit per
+variable, so that divisibility, lcm and facets are a few int operations on
+all variables at once.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import index as _exact_int
@@ -18,7 +29,8 @@ from .errors import CertificateError, ParseError, ZeroIdealError
 from .linalg import matrix_rank
 from .tables import BettiTable, Window
 
-MAX_VARIABLES = 16  # face scans are 2^n per multidegree
+# a complex on n vertices can have 2^n faces, and a memo miss expands them all
+MAX_VARIABLES = 16
 
 
 @dataclass(frozen=True)
@@ -134,18 +146,24 @@ class MonomialIdeal:
         if n < 1:
             raise ValueError(f"need at least one variable, got {n}")
         if n > MAX_VARIABLES:
-            raise ValueError(f"{n} variables exceeds the cap of {MAX_VARIABLES} (face scans are 2^n)")
+            raise ValueError(
+                f"{n} variables exceeds the cap of {MAX_VARIABLES} "
+                "(a complex on n vertices can have 2^n faces)"
+            )
         gens = tuple(self.generators)
         for g in gens:
             if not isinstance(g, Monomial):
                 raise TypeError(f"generator {g!r} is not a Monomial")
             if g.num_vars != n:
                 raise ValueError(f"generator {g.text()} has {g.num_vars} variables, expected {n}")
-        unique = set(gens)
-        minimal = sorted(
-            (g for g in unique if not any(h != g and h.divides(g) for h in unique)),
-            key=lambda m: m.exponents,
-        )
+        # a proper divisor has strictly lower degree, so each degree group
+        # is tested against the minimal generators kept before it
+        minimal: list[Monomial] = []
+        by_degree = sorted(set(gens), key=lambda m: m.degree)
+        for _, group in itertools.groupby(by_degree, key=lambda m: m.degree):
+            lower = tuple(minimal)
+            minimal.extend(g for g in group if not any(h.divides(g) for h in lower))
+        minimal.sort(key=lambda m: m.exponents)
         object.__setattr__(self, "num_vars", n)
         object.__setattr__(self, "generators", tuple(minimal))
 
@@ -189,26 +207,80 @@ def is_equigenerated(ideal: MonomialIdeal) -> int | None:
     return None
 
 
+class _Packing:
+    """Exponent vectors in ``num_vars`` variables packed into one int each.
+
+    Variable v owns the field starting at bit ``shifts[v]``: ``bits`` data
+    bits, wide enough for the largest exponent packed, then one guard bit.
+    With ``guards`` (every guard bit) and ``ones`` (a 1 in every field),
+    ``(b | guards) - g`` keeps the guard of v exactly when ``g_v <= b_v``,
+    and no field borrows from the next.
+    """
+
+    __slots__ = ("bits", "shifts", "ones", "guards")
+
+    def __init__(self, num_vars: int, largest: int):
+        self.bits = max(1, largest.bit_length())
+        self.shifts = range(0, num_vars * (self.bits + 1), self.bits + 1)
+        self.ones = sum(1 << s for s in self.shifts)
+        self.guards = self.ones << self.bits
+
+    def pack(self, exponents: tuple[int, ...]) -> int:
+        return sum(e << s for e, s in zip(exponents, self.shifts))
+
+    def unpack(self, packed: int) -> tuple[int, ...]:
+        field = (1 << self.bits) - 1
+        return tuple(packed >> s & field for s in self.shifts)
+
+    def variables(self, guard_mask: int) -> list[int]:
+        """Indexes of the variables whose guard bit is set."""
+        return [v for v, s in enumerate(self.shifts) if guard_mask >> (s + self.bits) & 1]
+
+
+def _packing_for(monomials: tuple[Monomial, ...]) -> _Packing:
+    return _Packing(monomials[0].num_vars, max(max(m.exponents) for m in monomials))
+
+
 def lcm_closure(ideal: MonomialIdeal) -> frozenset[Monomial]:
     """All lcms of nonempty generator subsets.
 
-    Worklist closure joining against generators only: every subset lcm is a
-    fold of pairwise joins with generators, so this finds the whole lattice in
-    O(closure * generators) joins instead of squaring the closure.
+    Adds one generator g at a time: the lcms of subsets of the generators so
+    far, plus g, plus the join of g with each of them, are the lcms of subsets
+    that may also contain g. Each join is a few operations on packed exponent
+    vectors.
     """
     if ideal.is_zero:
         raise ZeroIdealError("the zero ideal has no lcm closure")
-    gens = [g.exponents for g in ideal.generators]
-    seen = {e: None for e in gens}
-    queue = list(gens)
-    while queue:
-        x = queue.pop()
-        for g in gens:
-            z = tuple(a if a > b else b for a, b in zip(x, g))
-            if z not in seen:
-                seen[z] = None
-                queue.append(z)
-    return frozenset(Monomial(e) for e in seen)
+    packing = _packing_for(ideal.generators)
+    bits, guards = packing.bits, packing.guards
+    field = (1 << bits) - 1
+    lattice: set[int] = set()
+    for g in (packing.pack(m.exponents) for m in ideal.generators):
+        top = g | guards
+        # ((top - x) & guards) >> bits has a 1 in the fields where g_v >= x_v;
+        # times field it masks the data bits the join takes from g
+        lattice |= {x ^ ((x ^ g) & (((top - x) & guards) >> bits) * field) for x in lattice}
+        lattice.add(g)
+    return frozenset(Monomial(packing.unpack(z)) for z in lattice)
+
+
+def _maximal_facets(gens: list[int], b: int, packing: _Packing) -> list[int]:
+    """Maximal facets of the upper-Koszul complex at the packed multidegree b.
+
+    The facet of a generator g dividing b is {v : g_v < b_v}, returned as the
+    guard bits of its variables. Empty when no generator divides b (the void
+    complex); ``[0]`` when b is itself a minimal generator (the complex whose
+    only face is the empty set).
+    """
+    guards = packing.guards
+    top = b | guards
+    below = top - packing.ones  # guard of v survives below - g iff g_v < b_v
+    facets = {(below - g) & guards for g in gens if (top - g) & guards == guards}
+    maximal: list[int] = []
+    for f in sorted(facets, key=int.bit_count, reverse=True):
+        if not any(f & k == f for k in maximal):
+            maximal.append(f)
+    return maximal
 
 
 @dataclass(frozen=True)
@@ -261,10 +333,10 @@ def upper_koszul_complex(ideal: MonomialIdeal, multidegree: Monomial) -> Simplic
     """
     if ideal.num_vars != multidegree.num_vars:
         raise ValueError("variable count mismatch")
-    masks = _koszul_face_masks([g.exponents for g in ideal.generators], multidegree.exponents)
-    n = ideal.num_vars
-    faces = frozenset(frozenset(v for v in range(n) if mask >> v & 1) for mask in masks)
-    return SimplicialComplex(n, faces)
+    packing = _packing_for(ideal.generators + (multidegree,))
+    gens = [packing.pack(g.exponents) for g in ideal.generators]
+    facets = _maximal_facets(gens, packing.pack(multidegree.exponents), packing)
+    return SimplicialComplex.from_facets(ideal.num_vars, [packing.variables(f) for f in facets])
 
 
 def reduced_homology_dims(complex_: SimplicialComplex) -> list[int]:
@@ -272,24 +344,6 @@ def reduced_homology_dims(complex_: SimplicialComplex) -> list[int]:
     dim H~_{i-1}; the length is vertex_count + 1. Void complexes are all zero."""
     masks = [sum(1 << v for v in face) for face in complex_.faces]
     return _homology_from_masks(masks, complex_.vertex_count)
-
-
-def _koszul_face_masks(gen_exps: list[tuple[int, ...]], b: tuple[int, ...]) -> list[int]:
-    support = [v for v in range(len(b)) if b[v] > 0]
-    divisors = [g for g in gen_exps if all(x <= y for x, y in zip(g, b))]
-    if not divisors:
-        return []
-    faces = []
-    for bits in range(1 << len(support)):
-        reduced = list(b)
-        mask = 0
-        for p, v in enumerate(support):
-            if bits >> p & 1:
-                reduced[v] -= 1
-                mask |= 1 << v
-        if any(all(x <= y for x, y in zip(g, reduced)) for g in divisors):
-            faces.append(mask)
-    return faces
 
 
 def _homology_from_masks(masks: list[int], num_vertices: int) -> list[int]:
@@ -328,67 +382,64 @@ def _homology_from_masks(masks: list[int], num_vertices: int) -> list[int]:
     return out
 
 
-def _is_cone(masks: set[int], num_vertices: int) -> bool:
-    # a cone over any apex is contractible, so its reduced homology vanishes
-    verts = 0
-    for m in masks:
-        verts |= m
-    for v in range(num_vertices):
-        bit = 1 << v
-        if verts >> v & 1 and all(m | bit in masks for m in masks):
-            return True
-    return False
+def _renumbered(masks: list[int]) -> tuple[int, tuple[int, ...]]:
+    """(count, sorted masks) with the bits the masks use renumbered 0..count-1.
+
+    Homology only sees the face structure, so complexes that differ in where
+    their vertices sit get one memo key.
+    """
+    used = functools.reduce(operator.or_, masks)
+    slots = []
+    while used:
+        slots.append(used & -used)
+        used &= used - 1
+    return len(slots), tuple(sorted(sum(1 << t for t, s in enumerate(slots) if m & s) for m in masks))
 
 
-def _canonical_key(masks: list[int], num_vertices: int) -> tuple:
-    # homology only sees the face structure, so remap vertices densely
-    used = 0
-    for m in masks:
-        used |= m
-    remap = {}
-    for v in range(num_vertices):
-        if used >> v & 1:
-            remap[v] = len(remap)
-    packed = []
-    for m in masks:
-        out = 0
-        for v, t in remap.items():
-            if m >> v & 1:
-                out |= 1 << t
-        packed.append(out)
-    return len(remap), tuple(sorted(packed))
+def _faces_of(facets: tuple[int, ...]) -> list[int]:
+    """Every submask of every facet: the faces of the complex they span."""
+    faces = {0}
+    for f in facets:
+        sub = f
+        while sub:
+            faces.add(sub)
+            sub = (sub - 1) & f
+    return list(faces)
 
 
 def betti_table(ideal: MonomialIdeal) -> BettiTable:
     """Exact graded Betti table of the ideal (as a module, not its quotient).
 
-    Scans the lcm closure of the generators, computes the reduced homology of
-    the upper-Koszul complex at each multidegree, and accumulates dimensions
-    by total degree. Cones are skipped outright and homology is memoized on
-    the relabeled face structure, which collapses the many isomorphic
-    complexes a power family produces. Deterministic for a given ideal.
+    Scans the lcm closure of the generators. At each multidegree b it keeps
+    the maximal facets {v : g_v < b_v} of the generators g dividing b. When
+    they share a vertex the complex is a cone, whose reduced homology
+    vanishes, and b is skipped. Otherwise homology is memoized on the
+    facets with their vertices renumbered densely, which collapses the many
+    isomorphic complexes a power family produces; faces are listed only on a
+    memo miss. Dimensions accumulate by total degree. Deterministic for a
+    given ideal.
     """
     if ideal.is_zero:
         raise ZeroIdealError("the zero ideal has no Betti table")
-    gen_exps = [g.exponents for g in ideal.generators]
-    n = ideal.num_vars
-    multidegrees = sorted(m.exponents for m in lcm_closure(ideal))
+    lattice = lcm_closure(ideal)
+    packing = _packing_for(ideal.generators)
+    gens = [packing.pack(g.exponents) for g in ideal.generators]
     memo: dict[tuple, list[int]] = {}
     entries: dict[tuple[int, int], Fraction] = {}
-    for b in multidegrees:
-        masks = _koszul_face_masks(gen_exps, b)
-        if _is_cone(set(masks), n):
-            continue
-        key = _canonical_key(masks, n)
+    for b in lattice:
+        facets = _maximal_facets(gens, packing.pack(b.exponents), packing)
+        if functools.reduce(operator.and_, facets):
+            continue  # the facets share a vertex: a cone, with no reduced homology
+        key = _renumbered(facets)
         dims = memo.get(key)
         if dims is None:
-            dims = memo[key] = _homology_from_masks(masks, n)
-        degree = sum(b)
+            dims = memo[key] = _homology_from_masks(_faces_of(key[1]), key[0])
+        degree = b.degree
         for i, dim in enumerate(dims):
             if dim:
                 pos = (i, degree)
                 entries[pos] = entries.get(pos, Fraction(0)) + dim
-    table = BettiTable.from_entries(entries, num_vars=n)
+    table = BettiTable.from_entries(entries, num_vars=ideal.num_vars)
     low = min(g.degree for g in ideal.generators)
     if table.entry(0, low) <= 0:
         raise CertificateError(f"beta_0 in the least generator degree {low} is not positive")

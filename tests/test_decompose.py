@@ -311,6 +311,15 @@ class TestDecompositionContainer:
         )
         assert d.nonzero_terms() == ((Fraction(2), DegreeSequence((0, 2))),)
 
+    def test_reconstruct_window_spans_source_and_nonzero_terms(self):
+        # the zero term at rows -2..0 does not widen the window; 3 * pi(0, 3)
+        # puts 1 at (0, 0) and (1, 3), rows 0 and 2
+        d = Decomposition(
+            ((Fraction(0), DegreeSequence((-2, 1))), (Fraction(3), DegreeSequence((0, 3)))),
+            Window(5, 6, 0),
+        )
+        assert d.reconstruct() == BettiTable.from_entries({(0, 0): 1, (1, 3): 1}, Window(0, 6, 1))
+
     def test_json_round_trip(self):
         table = BettiTable.from_entries(SMALL_TABLES[2])
         decomposition = greedy_decompose(table)

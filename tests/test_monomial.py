@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import bsdecomp.monomial
 from bsdecomp import (
@@ -38,6 +40,30 @@ def random_ideal(rng, num_vars, num_gens, max_exp=3):
         if any(exps):
             gens.append(Monomial(exps))
     return MonomialIdeal(num_vars, tuple(gens))
+
+
+# exponents on either side of the packed field widths 1, 2, 3, 4 and 5 bits
+FIELD_EDGES = (0, 1, 2, 3, 4, 7, 8, 15, 16)
+
+
+@st.composite
+def edge_ideals(draw, max_vars=4, max_gens=5):
+    n = draw(st.integers(1, max_vars))
+    vectors = st.tuples(*[st.sampled_from(FIELD_EDGES)] * n)
+    gens = draw(st.lists(vectors, min_size=1, max_size=max_gens))
+    return MonomialIdeal(n, tuple(Monomial(e) for e in gens))
+
+
+def brute_koszul_faces(ideal, b):
+    """sigma inside supp b with x^b / x^sigma in the ideal, by definition."""
+    support = [v for v, e in enumerate(b.exponents) if e > 0]
+    faces = set()
+    for r in range(len(support) + 1):
+        for sigma in itertools.combinations(support, r):
+            reduced = Monomial(tuple(e - (v in sigma) for v, e in enumerate(b.exponents)))
+            if any(g.divides(reduced) for g in ideal.generators):
+                faces.add(frozenset(sigma))
+    return frozenset(faces)
 
 
 class TestMonomial:
@@ -224,6 +250,19 @@ class TestUpperKoszul:
         with pytest.raises(ValueError):
             upper_koszul_complex(MonomialIdeal(2, (m(1, 0),)), m(1, 0, 0))
 
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(edge_ideals(), st.data())
+    def test_matches_definition(self, ideal, data):
+        # every lattice point, then multidegrees whose exponents exceed every
+        # generator's and so may need wider packed fields than the generators
+        points = list(lcm_closure(ideal))
+        tops = [max(g.exponents[v] for g in ideal.generators) for v in range(ideal.num_vars)]
+        for _ in range(3):
+            extra = data.draw(st.tuples(*[st.integers(1, 20)] * ideal.num_vars))
+            points.append(Monomial(tuple(t + e for t, e in zip(tops, extra))))
+        for b in points:
+            assert upper_koszul_complex(ideal, b).faces == brute_koszul_faces(ideal, b)
+
 
 class TestReducedHomology:
     def test_known_complexes(self):
@@ -290,6 +329,12 @@ class TestBettiTable:
 
     def test_unit_ideal(self):
         assert betti_table(MonomialIdeal(2, (m(0, 0),))).support() == ((0, 0),)
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(edge_ideals())
+    @example(MonomialIdeal(2, (m(0, 0),)))
+    def test_against_taylor_oracle_on_field_edges(self, ideal):
+        assert betti_table(ideal).same_entries(taylor_betti_table(ideal))
 
     def test_against_taylor_oracle_random(self):
         rng = random.Random(97)
