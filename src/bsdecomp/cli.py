@@ -83,7 +83,7 @@ def load_chain(path: str) -> Chain:
     if not isinstance(raw, list):
         raise ParseError(f"{path}: chain JSON must be a list of degree sequences")
     try:
-        chain = Chain.from_sequences([tuple(int(d) for d in seq) for seq in raw])
+        chain = Chain.from_sequences(raw)
     except (ValueError, TypeError) as exc:
         raise ParseError(f"{path}: malformed chain: {exc}") from exc
     if not chain.maximal:

@@ -6,12 +6,16 @@ for a genuine Betti table this terminates with the unique decomposition whose
 coefficients are all positive. Along an arbitrary maximal chain of a window
 the pure diagrams are triangular in chain order, so any table supported there
 expands uniquely by forward substitution, with coefficients of either sign.
+Both sweeps run on a (column, degree) -> value mapping of numbers or of
+polynomials in k. The chains along which a table expands with no negative
+coefficient are those through the greedy sequences.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import index as _exact_int
 from typing import Iterator
 
 from .errors import (
@@ -27,7 +31,6 @@ from .tables import (
     Window,
     _pure_denominators,
     compare,
-    pure_diagram,
 )
 
 
@@ -52,11 +55,14 @@ def cover_successors(sequence: DegreeSequence, window: Window) -> list[DegreeSeq
     return out
 
 
+def _bottom(window: Window) -> DegreeSequence:
+    return DegreeSequence(tuple(range(window.min_row, window.min_row + window.max_col + 1)))
+
+
 def _is_maximal(elements: tuple[DegreeSequence, ...], window: Window) -> bool:
     if len(elements) != window.dimension:
         return False
-    bottom = tuple(range(window.min_row, window.min_row + window.max_col + 1))
-    if elements[0].degrees != bottom or elements[-1].degrees != (window.max_row,):
+    if elements[0] != _bottom(window) or elements[-1].degrees != (window.max_row,):
         return False
     return all(b in cover_successors(a, window) for a, b in zip(elements, elements[1:]))
 
@@ -113,7 +119,6 @@ def enumerate_maximal_chains(window: Window) -> Iterator[Chain]:
     maximal chain has exactly window.dimension elements: each cover move
     raises the rank sum(d_i - i) + (max_col - len + 1) * height by one.
     """
-    bottom = DegreeSequence(tuple(range(window.min_row, window.min_row + window.max_col + 1)))
     top = (window.max_row,)
     size = window.dimension
 
@@ -128,7 +133,27 @@ def enumerate_maximal_chains(window: Window) -> Iterator[Chain]:
             yield from walk(path)
             path.pop()
 
-    yield from walk([bottom])
+    yield from walk([_bottom(window)])
+
+
+_AT_MOST = (Comparison.LESS, Comparison.EQUAL)
+
+
+def _chain_through(sequences, window: Window) -> Chain:
+    """First maximal chain of the window, in enumeration order, through the
+    strictly increasing ``sequences``, which must fit the window.
+
+    Below the next required sequence (the window's top after the last one),
+    every cover successor that is still <= it lies on some path up to it, so
+    the depth-first enumeration's first chain through all of them takes the
+    first such successor at every step, with no backtracking.
+    """
+    path = [_bottom(window)]
+    for target in (*sequences, DegreeSequence((window.max_row,))):
+        while path[-1] != target:
+            successors = cover_successors(path[-1], window)
+            path.append(next(s for s in successors if compare(s, target) in _AT_MOST))
+    return Chain(tuple(path), window, True)
 
 
 @dataclass(frozen=True)
@@ -185,46 +210,50 @@ class Decomposition:
 def greedy_decompose(table: BettiTable) -> Decomposition:
     """Unique positive decomposition of a Betti table into pure diagrams.
 
-    Each step reads the minimal nonzero degree of every column up to the last
-    nonzero one, peels the corresponding pure diagram with the largest
-    coefficient that keeps the remainder nonnegative (which zeroes at least
-    one entry), and repeats. Raises NotDecomposable when the top degrees fail
-    to increase strictly or a needed column is empty, which certifies the
-    input is not the Betti table of any module.
+    Raises NotDecomposable for a negative entry, or when the greedy peel
+    (``_greedy_peel``) finds an empty column below a nonzero one or minimal
+    degrees that fail to increase strictly, which certifies the input is not
+    the Betti table of any module.
     """
     if not table.is_nonnegative():
         raise NotDecomposableError("table has negative entries")
-    terms = []
-    for coefficient, sequence, _ in _greedy_steps(table):
-        terms.append((coefficient, sequence))
+    terms = _greedy_peel(dict(table.iter_support()), Fraction(0), min)
     return Decomposition(tuple(terms), table.window)
 
 
-def _greedy_steps(table: BettiTable) -> Iterator[tuple[Fraction, DegreeSequence, BettiTable]]:
-    """Greedy peeling, one (coefficient, sequence, remainder) per step."""
-    current = table
-    while not current.is_zero():
-        last = current.last_nonzero_column()
-        degrees = []
-        for i in range(last + 1):
-            d = current.column_min_degree(i)
-            if d is None:
+def _greedy_peel(values: dict, zero, least) -> list[tuple]:
+    """Greedy terms (coefficient, sequence) of a (column, degree) -> value
+    mapping, in chain order; ``values`` is consumed.
+
+    Each step reads the minimal degree d_i of every column up to the last
+    nonzero one. Position i allows at most values[(i, d_i)] * prod_{p != i}
+    |d_p - d_i| of pi(d); peeling the least of these candidates, as chosen
+    by ``least`` (min, or the eventually smallest polynomial), keeps the
+    remainder nonnegative and zeroes at least one entry.
+    """
+    terms = []
+    while values:
+        lowest: dict[int, int] = {}
+        for i, d in sorted(values):
+            lowest.setdefault(i, d)
+        last = max(lowest)
+        for i in range(last):
+            if i not in lowest:
                 raise NotDecomposableError(
                     f"column {i} is zero but column {last} is not; no pure diagram fits"
                 )
-            degrees.append(d)
+        degrees = tuple(lowest[i] for i in range(last + 1))
         try:
-            sequence = DegreeSequence(tuple(degrees))
+            sequence = DegreeSequence(degrees)
         except DegreeSequenceError as exc:
-            raise NotDecomposableError(f"minimal degrees {tuple(degrees)} do not increase strictly") from exc
-        diagram = pure_diagram(sequence)
-        # the diagram touches exactly one entry per column, so this choice
-        # keeps the remainder nonnegative and zeroes at least one entry
-        coefficient = min(
-            current.entry(i, d) / diagram.table.entry(i, d) for i, d in enumerate(degrees)
+            raise NotDecomposableError(f"minimal degrees {degrees} do not increase strictly") from exc
+        denominators = _pure_denominators(degrees)
+        coefficient = least(
+            [values[(i, d)] * den for i, (d, den) in enumerate(zip(degrees, denominators))]
         )
-        current = current - diagram.table.scale(coefficient)
-        yield coefficient, sequence, current
+        _subtract_pure(values, coefficient, degrees, denominators, zero)
+        terms.append((coefficient, sequence))
+    return terms
 
 
 def chain_decompose(table: BettiTable, chain: Chain) -> Decomposition:
@@ -347,7 +376,7 @@ def decomposition_from_json(obj) -> Decomposition:
     if not isinstance(obj, dict):
         raise ParseError("decomposition JSON must be an object")
     try:
-        min_row, max_row, max_col = (int(x) for x in obj["window"])
+        min_row, max_row, max_col = (_exact_int(x) for x in obj["window"])
         window = Window(min_row, max_row, max_col)
     except (KeyError, ValueError, TypeError) as exc:
         raise ParseError(f"bad decomposition window: {exc}") from exc
@@ -357,7 +386,7 @@ def decomposition_from_json(obj) -> Decomposition:
     terms = []
     for t in raw_terms:
         try:
-            sequence = DegreeSequence(tuple(int(d) for d in t["degrees"]))
+            sequence = DegreeSequence(tuple(t["degrees"]))
             coefficient = Fraction(t["coefficient"])
         except (KeyError, TypeError, ValueError, ZeroDivisionError, DegreeSequenceError) as exc:
             raise ParseError(f"bad decomposition term {t!r}: {exc}") from exc

@@ -30,7 +30,7 @@ class NoSolutionError(DomainError):
 
 
 class AmbiguousOrMissingChainError(DomainError):
-    """No chain, or several genuinely different chains, carry the positive family."""
+    """No maximal chain of the window carries an eventually nonnegative expansion."""
 
 
 class NotStabilizedError(Exception):

@@ -12,21 +12,23 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import index as _exact_int
 from typing import Mapping
 
 from .decompose import (
     Chain,
     Decomposition,
+    _chain_through,
+    _greedy_peel,
     _peel_along_chain,
-    _subtract_pure,
     chain_decompose,
-    enumerate_maximal_chains,
     greedy_decompose,
 )
 from .errors import (
     AmbiguousOrMissingChainError,
     CertificateError,
     DegreeSequenceError,
+    NoSolutionError,
     NotDecomposableError,
     NotEquigeneratedError,
     NotStabilizedError,
@@ -41,7 +43,7 @@ from .polynomials import (
     interpolate_consecutive,
     sign_threshold,
 )
-from .tables import BettiTable, Comparison, DegreeSequence, Window, _pure_denominators, compare
+from .tables import BettiTable, Comparison, DegreeSequence, Window, compare
 
 __all__ = [
     "SymbolicBettiTable",
@@ -161,6 +163,11 @@ class TranslatedDecomposition:
         return Decomposition(tuple(terms), window)
 
 
+def _shifted_support(table: BettiTable, gen_degree: int, k: int) -> frozenset[tuple[int, int]]:
+    """Support of beta(I^k) as (column, degree - gen_degree*k) positions."""
+    return frozenset((i, j - gen_degree * k) for i, j in table.support())
+
+
 def fit_family(
     tables: Mapping[int, BettiTable], gen_degree: int, degree_bound: int
 ) -> SymbolicBettiTable:
@@ -185,10 +192,7 @@ def fit_family(
             f"{len(ks)} samples cannot certify a degree-{degree_bound} fit; "
             f"need at least {degree_bound + 2}"
         )
-    shapes = {
-        k: frozenset((i, j - gen_degree * k) for (i, j), _ in tables[k].iter_support())
-        for k in ks
-    }
+    shapes = {k: _shifted_support(tables[k], gen_degree, k) for k in ks}
     base = shapes[ks[0]]
     for k in ks[1:]:
         if shapes[k] != base:
@@ -221,44 +225,27 @@ def fit_family(
 def symbolic_greedy_decompose(table: SymbolicBettiTable) -> TranslatedDecomposition:
     """Greedy decomposition of a whole family at once.
 
-    Runs the numeric greedy algorithm with polynomial entries: offsets are
-    chosen by the support, each step's coefficient is the eventually smallest
-    of the candidate products, and every sign decision contributes a root
-    bound. For k beyond ``certified_from`` the evaluated output matches the
-    numeric greedy decomposition of beta(I^k) term for term.
+    The numeric greedy peel with polynomial entries: each step takes the
+    eventually smallest candidate, and every sign decision contributes a root
+    bound. A remainder entry (candidate_i - chosen)/denominator_i is covered
+    by that step's eventual_min bound. For k beyond ``certified_from`` the
+    evaluation matches the numeric greedy decomposition of beta(I^k).
     """
-    entries = dict(table.entries)
-    terms = []
     bound = 0
-    while entries:
-        for poly in entries.values():
-            if poly.leading_coefficient() < 0:
-                raise NotDecomposableError(
-                    f"entry {poly.text()} is eventually negative; not a Betti table family"
-                )
-            bound = max(bound, sign_threshold(poly))
-        last = max(i for i, _ in entries)
-        offsets = []
-        for i in range(last + 1):
-            column = [j for ci, j in entries if ci == i]
-            if not column:
-                raise NotDecomposableError(
-                    f"column {i} is exhausted but column {last} is not; no pure diagram fits"
-                )
-            offsets.append(min(column))
-        try:
-            sequence = DegreeSequence(tuple(offsets))
-        except DegreeSequenceError as exc:
+    for poly in table.entries.values():
+        if poly.leading_coefficient() < 0:
             raise NotDecomposableError(
-                f"minimal offsets {tuple(offsets)} do not increase strictly"
-            ) from exc
-        denominators = _pure_denominators(sequence.degrees)
-        candidates = [entries[(i, d)] * den for i, (d, den) in enumerate(zip(offsets, denominators))]
+                f"entry {poly.text()} is eventually negative; not a Betti table family"
+            )
+        bound = max(bound, sign_threshold(poly))
+
+    def least(candidates: list[PolynomialQ]) -> PolynomialQ:
+        nonlocal bound
         index, threshold = eventual_min(candidates)
         bound = max(bound, threshold)
-        coefficient = candidates[index]
-        terms.append((coefficient, sequence))
-        _subtract_pure(entries, coefficient, sequence.degrees, denominators, PolynomialQ())
+        return candidates[index]
+
+    terms = _greedy_peel(dict(table.entries), PolynomialQ(), least)
     # past every root bound the numeric tables share the symbolic support and
     # every min decision, so the numeric greedy runs in lockstep from there
     certified = max(table.valid_from, bound + 1)
@@ -286,39 +273,46 @@ def positive_family_chain(
 ) -> tuple[Chain, int]:
     """The maximal chain of offsets carrying the positive decomposition.
 
-    Scans every maximal chain of the offset window and keeps those whose
-    expansion coefficients are all eventually nonnegative. Identically zero
-    coefficients carry no sign information, so several chains can qualify by
-    routing through degree sequences the decomposition never uses; they must
-    all agree on the nonzero terms, and the first in enumeration order is
-    returned. Disagreement, or no qualifying chain at all, raises
-    AmbiguousOrMissingChain.
+    Positive decompositions along a chain are unique, so the chains whose
+    expansion coefficients are all eventually nonnegative are those through
+    the symbolic greedy sequences. The first in enumeration order is walked
+    to, and its expansion checked against the greedy terms (CertificateError
+    on a mismatch). Support outside the window raises NoSolution; a family
+    the greedy cannot decompose has no such chain (AmbiguousOrMissingChain).
 
     Returns the chain and an integer K such that every nonzero coefficient is
     strictly positive for all k > K.
     """
     if window is None:
         window = table.offset_window()
-    qualifying: list[tuple[Chain, TranslatedDecomposition]] = []
-    for chain in enumerate_maximal_chains(window):
-        expansion = symbolic_chain_decompose(table, chain)
-        if all(eventually_nonnegative(w) for w, _ in expansion.terms):
-            qualifying.append((chain, expansion))
-    if not qualifying:
+    outside = [pos for pos in table.entries if not window.contains(*pos)]
+    if outside:
+        i, j = min(outside)
+        raise NoSolutionError(f"support at column {i}, degree {j} is outside the chain window")
+    try:
+        greedy = symbolic_greedy_decompose(table)
+    except NotDecomposableError as exc:
         raise AmbiguousOrMissingChainError(
             "no maximal chain of the window has eventually nonnegative coefficients"
-        )
-    first_chain, first_expansion = qualifying[0]
-    reference = {(s.degrees, w) for w, s in first_expansion.nonzero_terms()}
-    for _, expansion in qualifying[1:]:
-        if {(s.degrees, w) for w, s in expansion.nonzero_terms()} != reference:
-            raise AmbiguousOrMissingChainError(
-                "several maximal chains qualify with different nonzero terms"
-            )
-    threshold = max(
-        (sign_threshold(w) for w, _ in first_expansion.nonzero_terms()), default=0
-    )
-    return first_chain, threshold
+        ) from exc
+    chain, _, threshold = _positive_chain(table, greedy, window)
+    return chain, threshold
+
+
+def _positive_chain(
+    table: SymbolicBettiTable, greedy: TranslatedDecomposition, window: Window
+) -> tuple[Chain, TranslatedDecomposition, int]:
+    """First chain of the window through the greedy sequences, the family's
+    expansion along it (checked to be the greedy terms padded with zeros),
+    and the positivity threshold of its nonzero coefficients."""
+    chain = _chain_through([s for _, s in greedy.terms], window)
+    expansion = symbolic_chain_decompose(table, chain)
+    if not all(eventually_nonnegative(w) for w, _ in expansion.terms):
+        raise CertificateError("the positive chain's expansion has an eventually negative coefficient")
+    if expansion.nonzero_terms() != greedy.terms:
+        raise CertificateError("the positive chain's expansion differs from the symbolic greedy terms")
+    threshold = max((sign_threshold(w) for w, _ in expansion.nonzero_terms()), default=0)
+    return chain, expansion, threshold
 
 
 def total_betti_polynomials(table: SymbolicBettiTable) -> list[PolynomialQ]:
@@ -388,10 +382,7 @@ def detect_stabilization(
             f"a certified degree-{bound} fit"
         )
     tables = {k: betti_table(power(ideal, k)) for k in range(k_min, k_max + 1)}
-    shapes = {
-        k: frozenset((i, j - gen_degree * k) for (i, j), _ in tables[k].iter_support())
-        for k in tables
-    }
+    shapes = {k: _shifted_support(tables[k], gen_degree, k) for k in tables}
     k0 = k_max
     while k0 > k_min and shapes[k0 - 1] == shapes[k_max]:
         k0 -= 1
@@ -404,10 +395,7 @@ def detect_stabilization(
         )
     fit = fit_family({k: tables[k] for k in range(k0, k_max + 1)}, gen_degree, bound)
     positive = symbolic_greedy_decompose(fit)
-    chain, chain_threshold = positive_family_chain(fit)
-    expansion = symbolic_chain_decompose(fit, chain)
-    if set(expansion.nonzero_terms()) != set(positive.terms):
-        raise CertificateError("the positive chain's expansion differs from the symbolic greedy terms")
+    chain, expansion, chain_threshold = _positive_chain(fit, positive, fit.offset_window())
     certified = max(positive.certified_from, chain_threshold + 1)
     verified = []
     for k in range(max(k_min, certified), k_max + 1):
@@ -474,31 +462,28 @@ def report_from_json(obj) -> StabilizationReport:
         raise ParseError("report JSON must be an object")
     try:
         ideal = ideal_from_json(obj["ideal"])
-        gen_degree = int(obj["r"])
-        k0 = int(obj["k0_observed"])
-        certified = int(obj["certified_from"])
+        gen_degree = _exact_int(obj["r"])
+        k0 = _exact_int(obj["k0_observed"])
+        certified = _exact_int(obj["certified_from"])
         fit_entries = {}
         for key, body in obj["fit"].items():
             i, j = (int(x) for x in key.strip("()").split(","))
             fit_entries[(i, j)] = PolynomialQ(tuple(Fraction(c) for c in body["coefficients"]))
         fit = SymbolicBettiTable(gen_degree, fit_entries, valid_from=k0)
-        chain = Chain.from_sequences(
-            [tuple(int(d) for d in s) for s in obj["positive_chain"]],
-            window=fit.offset_window(),
-        )
+        chain = Chain.from_sequences(obj["positive_chain"], window=fit.offset_window())
         terms = tuple(
             (
                 PolynomialQ(tuple(Fraction(c) for c in t["coefficient_poly"]["coefficients"])),
-                DegreeSequence(tuple(int(d) for d in t["offsets"])),
+                DegreeSequence(tuple(t["offsets"])),
             )
             for t in obj["positive_decomposition"]["terms"]
         )
         positive = TranslatedDecomposition(terms, gen_degree, certified, fit.offset_window())
-        verified = tuple(int(k) for k in obj["verified_k"])
+        verified = tuple(_exact_int(k) for k in obj["verified_k"])
         notes = str(obj["notes"])
     except ParseError:
         raise
-    except (KeyError, ValueError, TypeError, ZeroDivisionError, DegreeSequenceError) as exc:
+    except (KeyError, ValueError, TypeError, AttributeError, ZeroDivisionError, DegreeSequenceError) as exc:
         raise ParseError(f"bad report JSON: {exc}") from exc
     return StabilizationReport(
         ideal=ideal,

@@ -199,21 +199,6 @@ class BettiTable:
     def is_nonnegative(self) -> bool:
         return all(v >= 0 for col in self._grid for v in col)
 
-    def last_nonzero_column(self) -> int | None:
-        for i in range(self.max_col, -1, -1):
-            if any(self._grid[i]):
-                return i
-        return None
-
-    def column_min_degree(self, col: int) -> int | None:
-        """Least degree j with beta_{col,j} nonzero, or None for a zero column."""
-        if not 0 <= col <= self.max_col:
-            return None
-        for t, v in enumerate(self._grid[col]):
-            if v:
-                return col + self.min_row + t
-        return None
-
     def _combine(self, other: "BettiTable", sign: int) -> "BettiTable":
         window = Window(
             min(self.min_row, other.min_row),
@@ -391,7 +376,7 @@ def table_from_json(obj) -> BettiTable:
     if not isinstance(obj, dict):
         raise ParseError("table JSON must be an object")
     try:
-        min_row, max_row, max_col = (int(x) for x in obj["window"])
+        min_row, max_row, max_col = (_exact_int(x) for x in obj["window"])
         window = Window(min_row, max_row, max_col)
         rows = obj["rows"]
         if len(rows) != window.height:

@@ -22,6 +22,7 @@ from bsdecomp import (
     MonomialIdeal,
     PolynomialQ,
     Window,
+    betti_table,
     chain_decompose,
     coefficient_column_formula,
     enumerate_maximal_chains,
@@ -31,7 +32,9 @@ from bsdecomp import (
     greedy_decompose,
     hk_functional,
     hk_satisfies,
+    power,
     pure_diagram,
+    report_from_json,
     sign_threshold,
     symbolic_chain_decompose,
     symbolic_greedy_decompose,
@@ -117,27 +120,49 @@ def test_criterion_4_symbolic_pipeline(acceptance_report, path_tables, family_fi
         assert family_fit.evaluate(9) == path_tables(9)
 
 
-def test_criterion_5_positive_chain_uniqueness(acceptance_report, family_fit):
+@pytest.fixture(scope="module")
+def chains_fit():
+    """Fit of (x1x2x3, x2x3x4, x1^3, x4^3) on k=2..6: a 4x3 offset window with
+    462 maximal chains, next to the 14 of the path ideal's."""
+    gens = [Monomial(e) for e in ((1, 1, 1, 0), (0, 1, 1, 1), (3, 0, 0, 0), (0, 0, 0, 3))]
+    ideal = MonomialIdeal(4, tuple(gens))
+    return fit_family({k: betti_table(power(ideal, k)) for k in range(2, 7)}, 3, 3)
+
+
+def test_criterion_5_positive_chain_uniqueness(acceptance_report, family_fit, chains_fit):
     from bsdecomp import positive_family_chain
 
     with criterion(acceptance_report, "criterion 5 (unique eventually-nonnegative chain)"):
-        decompositions = set()
-        qualifying_chains = []
-        for chain in enumerate_maximal_chains(Window(0, 1, 3)):
-            expansion = symbolic_chain_decompose(family_fit, chain)
-            if all(eventually_nonnegative(w) for w, _ in expansion.terms):
-                qualifying_chains.append(chain)
-                decompositions.add(
-                    frozenset((s.degrees, w) for w, s in expansion.nonzero_terms())
-                )
-        # chains may route through elements the decomposition gives weight
-        # zero, so uniqueness is of the decomposition, not the routing
-        assert len(decompositions) == 1
-        assert decompositions.pop() == {(o, p) for o, p in POSITIVE_TERMS}
-        assert qualifying_chains
+        frozen = report_from_json(
+            json.loads((GOLDEN / "stabilize-chains.report.json").read_text(encoding="utf-8"))
+        )
+        cases = [
+            (family_fit, {(o, p) for o, p in POSITIVE_TERMS}, POSITIVE_CHAIN_OFFSETS),
+            (
+                chains_fit,
+                {(s.degrees, w) for w, s in frozen.positive.terms},
+                tuple(s.degrees for s in frozen.positive_chain.elements),
+            ),
+        ]
+        for fit, positive_terms, positive_chain in cases:
+            decompositions = set()
+            qualifying_chains = []
+            for chain in enumerate_maximal_chains(fit.offset_window()):
+                expansion = symbolic_chain_decompose(fit, chain)
+                if all(eventually_nonnegative(w) for w, _ in expansion.terms):
+                    qualifying_chains.append(chain)
+                    decompositions.add(
+                        frozenset((s.degrees, w) for w, s in expansion.nonzero_terms())
+                    )
+            # chains may route through elements the decomposition gives weight
+            # zero, so uniqueness is of the decomposition, not the routing
+            assert len(decompositions) == 1
+            assert decompositions.pop() == positive_terms
+            assert qualifying_chains
 
-        chain, _ = positive_family_chain(family_fit)
-        assert tuple(s.degrees for s in chain.elements) == POSITIVE_CHAIN_OFFSETS
+            chain, _ = positive_family_chain(fit)
+            assert chain == qualifying_chains[0]
+            assert tuple(s.degrees for s in chain.elements) == positive_chain
 
 
 def test_criterion_6a_greedy_reconstruction(acceptance_report):

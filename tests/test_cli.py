@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +19,10 @@ from reference_values import EDGE_GENERATORS, NUM_VARS, SMALL_TABLES
 from test_stabilize import doubled_greedy
 
 PATH_IDEAL = {"variables": NUM_VARS, "generators": list(EDGE_GENERATORS)}
+# offset window of 4 rows x 3 columns, 462 maximal chains
+CHAINS_IDEAL = {"variables": 4, "generators": ["x1*x2*x3", "x2*x3*x4", "x1^3", "x4^3"]}
+GOLDEN = Path(__file__).resolve().parent / "golden"
+BENCH_EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected"
 MAXIMAL_2VARS = {"variables": 2, "generators": [[1, 0], [0, 1]]}
 
 
@@ -106,6 +111,14 @@ class TestDecompose:
         chain_path.write_text(json.dumps({"not": "a list"}), encoding="utf-8")
         assert main(["decompose", "--table", table_file(SMALL_TABLES[1]), "--chain", str(chain_path)]) == 2
         assert "must be a list" in capsys.readouterr().err
+
+    def test_chain_degrees_must_be_integers(self, table_file, tmp_path, capsys):
+        # 1.5 must not be read as 1, which would make this the first chain of the window
+        chain_path = tmp_path / "chain.json"
+        chain_path.write_text(json.dumps([[0, 1.5], [0, 2], [1, 2], [1]]), encoding="utf-8")
+        table = table_file({(0, 0): 1, (1, 2): 1})
+        assert main(["decompose", "--table", table, "--chain", str(chain_path)]) == 2
+        assert "malformed chain" in capsys.readouterr().err
 
     def test_non_maximal_chain(self, table_file, tmp_path, capsys):
         chain_path = tmp_path / "chain.json"
@@ -202,6 +215,27 @@ class TestStabilize:
         err = capsys.readouterr().err
         assert "certificate check failed" in err
         assert "Traceback" not in err
+
+
+class TestGolden:
+    def test_large_window_report_and_summary(self, ideal_file, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        argv = ["stabilize", "--ideal", ideal_file(CHAINS_IDEAL), "--kmin", "1", "--kmax", "6", "--out", str(out)]
+        assert main(argv) == 0
+        assert out.read_bytes() == (GOLDEN / "stabilize-chains.report.json").read_bytes()
+        assert capsys.readouterr().out == (GOLDEN / "stabilize-chains.summary.txt").read_text(encoding="utf-8")
+
+    def test_golden_files_match_benchmark_expected(self):
+        # both directories freeze the same outputs; neither may drift alone
+        golden = sorted(GOLDEN.iterdir())
+        assert [p.name for p in golden] == [
+            "stabilize-chains.report.json",
+            "stabilize-chains.summary.txt",
+            "stabilize-p5.report.json",
+            "stabilize-p5.summary.txt",
+        ]
+        for path in golden:
+            assert path.read_bytes() == (BENCH_EXPECTED / path.name).read_bytes(), path.name
 
 
 class TestVerify:

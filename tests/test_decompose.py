@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bsdecomp import (
     BettiTable,
@@ -26,6 +28,7 @@ from bsdecomp import (
     reconstruction_mismatch,
     verify,
 )
+from bsdecomp.decompose import _chain_through
 from oracles import cramer_solve
 from reference_values import (
     GREEDY_TERM_COUNTS_SMALL,
@@ -62,6 +65,15 @@ def brute_force_covers(sequence, window, universe):
 def random_chain(rng, window):
     chains = list(enumerate_maximal_chains(window))
     return chains[rng.randrange(len(chains))]
+
+
+def first_nonnegative_chain(table, window):
+    """Exhaustive scan: the first maximal chain, in enumeration order, along
+    which the table expands with no negative coefficient, or None."""
+    for chain in enumerate_maximal_chains(window):
+        if all(c >= 0 for c in chain_decompose(table, chain).coefficients):
+            return chain
+    return None
 
 
 def combination_table(coefficients, chain):
@@ -185,7 +197,9 @@ class TestGreedy:
             if table.is_zero():
                 continue
             decomposition = greedy_decompose(table)
-            assert all(c > 0 for c in decomposition.coefficients)
+            assert decomposition.terms == tuple(
+                (c, seq) for c, seq in zip(coefficients, chain.elements) if c
+            )
             assert verify(decomposition, table)
 
     def test_rejects_negative_entries(self):
@@ -199,6 +213,56 @@ class TestGreedy:
     def test_rejects_non_increasing_minimal_degrees(self):
         with pytest.raises(NotDecomposableError, match="strictly"):
             greedy_decompose(BettiTable.from_entries({(0, 2): 1, (1, 2): 1}))
+
+
+ORACLE_WINDOWS = [Window(0, 1, 1), Window(0, 2, 1), Window(0, 1, 2), Window(0, 1, 3), Window(0, 2, 2)]
+
+
+@st.composite
+def window_tables(draw):
+    """A window up to 2x4 or 3x3 and a nonnegative table on it: either random
+    small entries, or a nonnegative combination along a random maximal chain,
+    possibly with one entry nudged."""
+    window = draw(st.sampled_from(ORACLE_WINDOWS))
+    if draw(st.booleans()):
+        entries = {
+            (i, i + row): Fraction(draw(st.integers(0, 4)), draw(st.integers(1, 2)))
+            for i in range(window.max_col + 1)
+            for row in range(window.min_row, window.max_row + 1)
+        }
+        return window, BettiTable.from_entries(entries, window)
+    chains = list(enumerate_maximal_chains(window))
+    chain = chains[draw(st.integers(0, len(chains) - 1))]
+    coefficients = [draw(st.sampled_from([0, 0, 1, 2, Fraction(5, 2)])) for _ in chain.elements]
+    entries = dict(combination_table(coefficients, chain).iter_support())
+    if entries and draw(st.booleans()):
+        pos = draw(st.sampled_from(sorted(entries)))
+        entries[pos] += draw(st.sampled_from([Fraction(1, 3), Fraction(-1, 7)]))
+    return window, BettiTable.from_entries(entries, window)
+
+
+class TestGreedyAgainstChainScan:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(window_tables())
+    def test_greedy_fails_exactly_when_no_chain_is_nonnegative(self, window_table):
+        # a positive decomposition along a chain is unique, so the greedy
+        # sequences pin down which chains expand without a negative term
+        window, table = window_table
+        expected = first_nonnegative_chain(table, window)
+        if not table.is_nonnegative():
+            assert expected is None
+            return
+        try:
+            decomposition = greedy_decompose(table)
+        except NotDecomposableError:
+            assert expected is None
+            return
+        assert expected is not None
+        assert _chain_through(decomposition.sequences, window) == expected
+
+    def test_walk_without_sequences_is_first_chain(self):
+        for window in ORACLE_WINDOWS:
+            assert _chain_through((), window) == next(enumerate_maximal_chains(window))
 
 
 class TestChainDecompose:
@@ -331,6 +395,14 @@ class TestDecompositionContainer:
         obj = decomposition_to_json(d)
         assert obj["terms"][0]["coefficient"] == "-7/3"
         assert decomposition_from_json(obj) == d
+
+    def test_json_rejects_non_integers(self):
+        with pytest.raises(ParseError, match="window"):
+            decomposition_from_json({"window": [0, 1.5, 1], "terms": []})
+        with pytest.raises(ParseError, match="term"):
+            decomposition_from_json(
+                {"window": [0, 1, 1], "terms": [{"degrees": [0, 1.7], "coefficient": "1"}]}
+            )
 
     def test_json_errors(self):
         with pytest.raises(ParseError):

@@ -29,6 +29,7 @@ from bsdecomp import (
     chain_decompose,
     detect_stabilization,
     enumerate_maximal_chains,
+    eventually_nonnegative,
     fit_family,
     greedy_decompose,
     positive_family_chain,
@@ -73,6 +74,16 @@ def doubled_greedy(table):
     """A wrong numeric greedy decomposition: every coefficient doubled."""
     decomposition = greedy_decompose(table)
     return Decomposition(tuple((2 * c, s) for c, s in decomposition.terms), decomposition.source_window)
+
+
+def scanned_positive_chain(table, window):
+    """Exhaustive scan: the first maximal chain of the window whose expansion
+    coefficients are all eventually nonnegative, or None."""
+    for chain in enumerate_maximal_chains(window):
+        expansion = symbolic_chain_decompose(table, chain)
+        if all(eventually_nonnegative(w) for w, _ in expansion.terms):
+            return chain
+    return None
 
 
 TWO_EDGES = MonomialIdeal(3, (Monomial((1, 1, 0)), Monomial((0, 1, 1))))
@@ -250,8 +261,36 @@ class TestPositiveFamilyChain:
         # k * pi(0,2) plus extra weight at (1,2): every expansion of the
         # window needs a negative coefficient somewhere
         table = SymbolicBettiTable(1, {(0, 0): poly(0, 1), (1, 2): poly(0, 3)}, 1)
+        assert scanned_positive_chain(table, table.offset_window()) is None
         with pytest.raises(AmbiguousOrMissingChainError, match="no maximal chain"):
             positive_family_chain(table)
+
+    @pytest.mark.parametrize("window", [Window(0, 1, 2), Window(1, 1, 3), Window(0, 0, 4)])
+    def test_window_missing_support_has_no_solution(self, family_fit, window):
+        with pytest.raises(NoSolutionError) as scanned:
+            scanned_positive_chain(family_fit, window)
+        with pytest.raises(NoSolutionError) as walked:
+            positive_family_chain(family_fit, window)
+        assert str(walked.value) == str(scanned.value)
+
+    @pytest.mark.parametrize("window", [Window(0, 1, 4), Window(-1, 1, 3)])
+    def test_larger_window_gives_its_first_qualifying_chain(self, family_fit, window):
+        chain, threshold = positive_family_chain(family_fit, window)
+        assert chain.window == window
+        assert chain == scanned_positive_chain(family_fit, window)
+        assert threshold == 2
+
+    def test_expansion_must_match_greedy(self, family_fit, monkeypatch):
+        greedy = symbolic_greedy_decompose(family_fit)
+        doubled = TranslatedDecomposition(
+            tuple((w * 2, s) for w, s in greedy.terms),
+            greedy.gen_degree,
+            greedy.certified_from,
+            greedy.offset_window,
+        )
+        monkeypatch.setattr(bsdecomp.stabilize, "symbolic_greedy_decompose", lambda table: doubled)
+        with pytest.raises(CertificateError, match="differs from the symbolic greedy"):
+            positive_family_chain(family_fit)
 
     def test_agrees_with_greedy_on_nonzero_terms(self, family_fit):
         chain, _ = positive_family_chain(family_fit)
@@ -391,3 +430,19 @@ class TestReportJson:
             report_from_json("x")
         with pytest.raises(ParseError):
             report_from_json({"ideal": {"variables": 1, "generators": [[1]]}})
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("r", 2.5),
+            ("certified_from", 3.0),
+            ("verified_k", [3, 4.5]),
+            ("positive_chain", [[0, 1.5, 2, 3]]),
+            ("fit", []),
+        ],
+    )
+    def test_rejects_non_integers_and_malformed_fit(self, path_report, key, value):
+        obj = report_to_json(path_report)
+        obj[key] = value
+        with pytest.raises(ParseError, match="bad report JSON"):
+            report_from_json(obj)

@@ -153,15 +153,6 @@ class TestBettiTable:
         assert a != b
         assert a == BettiTable.from_entries({(0, 0): 1})
 
-    def test_column_helpers(self):
-        t = BettiTable.from_entries({(0, 2): 1, (1, 3): 1, (1, 4): 2})
-        assert t.last_nonzero_column() == 1
-        assert t.column_min_degree(1) == 3
-        assert t.column_min_degree(0) == 2
-        zero = BettiTable.zero(Window(0, 1, 1))
-        assert zero.last_nonzero_column() is None
-        assert zero.column_min_degree(0) is None
-
     def test_immutability(self):
         t = BettiTable.from_entries({(0, 0): 1})
         with pytest.raises(AttributeError):
@@ -280,3 +271,12 @@ class TestSerialization:
             table_from_json([1, 2])
         with pytest.raises(ParseError):
             table_from_json({"window": [0, 1, 1]})
+
+    def test_json_window_must_be_integers(self):
+        # 1.7 would otherwise be read as row 1
+        rows = [["1", "0"], ["0", "1"]]
+        with pytest.raises(ParseError, match="bad table JSON"):
+            table_from_json({"window": [0, 1.7, 1], "rows": rows})
+        with pytest.raises(ParseError, match="bad table JSON"):
+            table_from_json({"window": ["0", 1, 1], "rows": rows})
+        assert table_from_json({"window": [0, 1, 1], "rows": rows}).window == Window(0, 1, 1)
