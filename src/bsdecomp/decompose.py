@@ -29,6 +29,7 @@ from .tables import (
     Comparison,
     DegreeSequence,
     Window,
+    _json_rational,
     _pure_denominators,
     compare,
 )
@@ -387,8 +388,8 @@ def decomposition_from_json(obj) -> Decomposition:
     for t in raw_terms:
         try:
             sequence = DegreeSequence(tuple(t["degrees"]))
-            coefficient = Fraction(t["coefficient"])
-        except (KeyError, TypeError, ValueError, ZeroDivisionError, DegreeSequenceError) as exc:
+            coefficient = _json_rational(t["coefficient"])
+        except (KeyError, TypeError, ValueError, DegreeSequenceError) as exc:
             raise ParseError(f"bad decomposition term {t!r}: {exc}") from exc
         terms.append((coefficient, sequence))
     try:

@@ -1,47 +1,37 @@
-"""Exact linear algebra over the rationals.
+"""Exact rank over the rationals of sparse matrices.
 
-Fraction arithmetic throughout: no pivot-size heuristics, no tolerance knobs.
-Sized for the small boundary matrices of the homology layer, not for serious
-numerics.
+Rows are ``{column: value}`` dicts with exact values (ints or Fractions), so
+a boundary row costs as many entries as the face has vertices. Elimination
+is fraction-free: integer rows stay integer, with no pivot-size heuristics
+and no tolerance knobs. Sized for the boundary maps of the homology layer,
+not for serious numerics.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Mapping
 
 
-def _to_rows(matrix) -> list[list[Fraction]]:
-    rows = [[Fraction(x) for x in row] for row in matrix]
-    if rows:
-        width = len(rows[0])
-        if any(len(r) != width for r in rows):
-            raise ValueError("ragged matrix")
-    return rows
+def matrix_rank(rows: Iterable[Mapping[int, object]]) -> int:
+    """Rank over Q of the matrix with the given sparse rows.
 
-
-def matrix_rank(matrix: Sequence[Sequence]) -> int:
-    """Rank over Q by Gaussian elimination."""
-    rows = _to_rows(matrix)
-    if not rows or not rows[0]:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        prow = rows[rank]
-        inv = 1 / prow[col]
-        for r in range(rank + 1, len(rows)):
-            factor = rows[r][col]
-            if factor:
-                scale = factor * inv
-                row = rows[r]
-                for c in range(col, ncols):
-                    row[c] -= prow[c] * scale
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+    Zero values are dropped. Each row is reduced against the kept row that
+    leads (has its largest column) where the row leads, as
+    ``row * lead - kept * row[col]``, until it leads at a new column and is
+    kept, or vanishes. The rank is the number of rows kept.
+    """
+    kept: dict[int, dict] = {}
+    for row in rows:
+        row = {c: v for c, v in row.items() if v}
+        while row:
+            col = max(row)
+            pivot = kept.get(col)
+            if pivot is None:
+                kept[col] = row
+                break
+            lead, factor = pivot[col], row[col]
+            reduced = {c: v * lead for c, v in row.items()}
+            for c, v in pivot.items():
+                reduced[c] = reduced.get(c, 0) - factor * v
+            row = {c: v for c, v in reduced.items() if v}
+    return len(kept)

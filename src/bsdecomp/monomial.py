@@ -346,39 +346,32 @@ def reduced_homology_dims(complex_: SimplicialComplex) -> list[int]:
     return _homology_from_masks(masks, complex_.vertex_count)
 
 
+def _boundary(face: int) -> dict[int, int]:
+    """Boundary of a face mask: {codimension-one face mask: sign}, with
+    signs alternating from +1 at the lowest vertex."""
+    row = {}
+    sign = 1
+    rest = face
+    while rest:
+        low = rest & -rest
+        row[face ^ low] = sign
+        sign = -sign
+        rest ^= low
+    return row
+
+
 def _homology_from_masks(masks: list[int], num_vertices: int) -> list[int]:
-    """Reduced homology over Q from bitmask faces; slot i is dim H~_{i-1}."""
-    out = [0] * (num_vertices + 1)
-    if not masks:
-        return out
+    """Reduced homology over Q from the bitmask faces of a complex; slot i is
+    dim H~_{i-1}. The boundary map out of the faces of each cardinality is one
+    sparse integer row per face, keyed by face masks, ranked exactly by
+    ``matrix_rank``."""
     by_card: dict[int, list[int]] = {}
     for m in masks:
-        by_card.setdefault(bin(m).count("1"), []).append(m)
-    for card in by_card:
-        by_card[card].sort()
-    top = max(by_card)
-    # rank of the boundary map from cardinality card to card-1
-    ranks: dict[int, int] = {}
-    for card in range(1, top + 1):
-        sources = by_card.get(card, [])
-        targets = by_card.get(card - 1, [])
-        if not sources or not targets:
-            ranks[card] = 0
-            continue
-        index_of = {m: c for c, m in enumerate(targets)}
-        rows = []
-        for m in sources:
-            row = [0] * len(targets)
-            sign = 1
-            for v in range(num_vertices):
-                if m >> v & 1:
-                    row[index_of[m ^ (1 << v)]] = sign
-                    sign = -sign
-            rows.append(row)
-        ranks[card] = matrix_rank(rows)
-    for card in range(0, top + 1):
-        cycles = len(by_card.get(card, [])) - ranks.get(card, 0)
-        out[card] = cycles - ranks.get(card + 1, 0)
+        by_card.setdefault(m.bit_count(), []).append(m)
+    ranks = {card: matrix_rank([_boundary(f) for f in faces]) for card, faces in by_card.items()}
+    out = [0] * (num_vertices + 1)
+    for card, faces in by_card.items():
+        out[card] = len(faces) - ranks[card] - ranks.get(card + 1, 0)
     return out
 
 

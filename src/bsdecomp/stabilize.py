@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import index as _exact_int
 from typing import Mapping
 
@@ -43,7 +42,7 @@ from .polynomials import (
     interpolate_consecutive,
     sign_threshold,
 )
-from .tables import BettiTable, Comparison, DegreeSequence, Window, compare
+from .tables import BettiTable, Comparison, DegreeSequence, Window, _json_rational, compare
 
 __all__ = [
     "SymbolicBettiTable",
@@ -468,12 +467,12 @@ def report_from_json(obj) -> StabilizationReport:
         fit_entries = {}
         for key, body in obj["fit"].items():
             i, j = (int(x) for x in key.strip("()").split(","))
-            fit_entries[(i, j)] = PolynomialQ(tuple(Fraction(c) for c in body["coefficients"]))
+            fit_entries[(i, j)] = PolynomialQ(tuple(map(_json_rational, body["coefficients"])))
         fit = SymbolicBettiTable(gen_degree, fit_entries, valid_from=k0)
         chain = Chain.from_sequences(obj["positive_chain"], window=fit.offset_window())
         terms = tuple(
             (
-                PolynomialQ(tuple(Fraction(c) for c in t["coefficient_poly"]["coefficients"])),
+                PolynomialQ(tuple(map(_json_rational, t["coefficient_poly"]["coefficients"]))),
                 DegreeSequence(tuple(t["offsets"])),
             )
             for t in obj["positive_decomposition"]["terms"]
@@ -483,7 +482,7 @@ def report_from_json(obj) -> StabilizationReport:
         notes = str(obj["notes"])
     except ParseError:
         raise
-    except (KeyError, ValueError, TypeError, AttributeError, ZeroDivisionError, DegreeSequenceError) as exc:
+    except (KeyError, ValueError, TypeError, AttributeError, DegreeSequenceError) as exc:
         raise ParseError(f"bad report JSON: {exc}") from exc
     return StabilizationReport(
         ideal=ideal,

@@ -372,6 +372,17 @@ def table_to_json(table: BettiTable) -> dict:
     }
 
 
+def _json_rational(value) -> Fraction:
+    """An exact rational from JSON: a string such as ``"-7/3"`` or an integer;
+    floats are refused, since ``Fraction(0.1)`` reads the binary approximation."""
+    if isinstance(value, bool) or not isinstance(value, (str, int)):
+        raise ParseError(f"{value!r} is not an exact rational (a string or an integer)")
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"bad rational {value!r}: {exc}") from exc
+
+
 def table_from_json(obj) -> BettiTable:
     if not isinstance(obj, dict):
         raise ParseError("table JSON must be an object")
@@ -381,9 +392,9 @@ def table_from_json(obj) -> BettiTable:
         rows = obj["rows"]
         if len(rows) != window.height:
             raise ParseError(f"expected {window.height} rows")
-        grid = [[Fraction(rows[t][i]) for t in range(window.height)] for i in range(window.max_col + 1)]
+        grid = [[_json_rational(rows[t][i]) for t in range(window.height)] for i in range(window.max_col + 1)]
     except ParseError:
         raise
-    except (KeyError, ValueError, TypeError, IndexError, ZeroDivisionError) as exc:
+    except (KeyError, ValueError, TypeError, IndexError) as exc:
         raise ParseError(f"bad table JSON: {exc}") from exc
     return BettiTable(window, grid)

@@ -2,9 +2,10 @@
 
 Everything here deliberately avoids the library's own algorithms: Betti
 numbers come from Taylor-complex strands over the subset lattice of the
-generators (exponential in the generator count, fine for oracle sizes), ranks
-from fraction-free Bareiss elimination over the integers, and determinants
-from cofactor expansion.
+generators (exponential in the generator count, fine for oracle sizes),
+simplicial homology from dense boundary matrices, ranks from fraction-free
+Bareiss elimination over the integers, and determinants from cofactor
+expansion.
 """
 
 from __future__ import annotations
@@ -38,6 +39,34 @@ def bareiss_rank(matrix: list[list[int]]) -> int:
         if rank == nrows:
             break
     return rank
+
+
+def reduced_homology_oracle(faces, vertex_count: int) -> list[int]:
+    """Reduced rational homology dims of a simplicial complex, slot i holding
+    dim H~_{i-1}, from dense boundary matrices ranked by Bareiss.
+
+    Faces are sorted vertex tuples; dropping the vertex at position p has
+    sign (-1)^p.
+    """
+    by_size: dict[int, list[tuple[int, ...]]] = {}
+    for face in faces:
+        by_size.setdefault(len(face), []).append(tuple(sorted(face)))
+
+    def rank(size: int) -> int:
+        sources, targets = by_size.get(size, []), by_size.get(size - 1, [])
+        if not sources or not targets:
+            return 0
+        index_of = {t: c for c, t in enumerate(targets)}
+        rows = []
+        for face in sources:
+            row = [0] * len(targets)
+            for p in range(len(face)):
+                row[index_of[face[:p] + face[p + 1 :]]] = (-1) ** p
+            rows.append(row)
+        return bareiss_rank(rows)
+
+    ranks = [rank(size) for size in range(vertex_count + 2)]
+    return [len(by_size.get(s, [])) - ranks[s] - ranks[s + 1] for s in range(vertex_count + 1)]
 
 
 def cofactor_determinant(matrix) -> Fraction:

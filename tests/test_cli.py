@@ -266,6 +266,15 @@ class TestVerify:
         path.write_text("[]", encoding="utf-8")
         assert main(["verify", "--table", table_file(SMALL_TABLES[2]), "--decomposition", str(path)]) == 2
 
+    def test_float_coefficient_is_parse_error(self, table_file, tmp_path, capsys):
+        table = table_file({(0, 0): 1, (1, 1): 1})  # pi(0, 1), coefficient exactly 1
+        path = tmp_path / "d.json"
+        for coefficient, code in (("1", 0), (1, 0), (1.0, 2)):
+            term = {"degrees": [0, 1], "coefficient": coefficient}
+            path.write_text(json.dumps({"window": [0, 0, 1], "terms": [term]}), encoding="utf-8")
+            assert main(["verify", "--table", table, "--decomposition", str(path)]) == code
+        assert "not an exact rational" in capsys.readouterr().err
+
 
 class TestParser:
     def test_no_arguments(self, capsys):

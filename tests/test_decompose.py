@@ -404,6 +404,18 @@ class TestDecompositionContainer:
                 {"window": [0, 1, 1], "terms": [{"degrees": [0, 1.7], "coefficient": "1"}]}
             )
 
+    def test_json_coefficients_must_be_exact(self):
+        def parse(coefficient):
+            term = {"degrees": [0, 1], "coefficient": coefficient}
+            return decomposition_from_json({"window": [0, 0, 1], "terms": [term]})
+
+        for bad in (1.0, 0.5, False, None):
+            with pytest.raises(ParseError, match="not an exact rational"):
+                parse(bad)
+        with pytest.raises(ParseError, match="bad rational"):
+            parse("1/0")
+        assert parse(2) == parse("2")
+
     def test_json_errors(self):
         with pytest.raises(ParseError):
             decomposition_from_json("nope")

@@ -25,7 +25,7 @@ from bsdecomp import (
     reduced_homology_dims,
     upper_koszul_complex,
 )
-from oracles import taylor_betti_table
+from oracles import reduced_homology_oracle, taylor_betti_table
 from reference_values import MINIMAL_GENERATOR_COUNTS, SMALL_TABLES, path_edge_ideal
 
 
@@ -298,6 +298,34 @@ class TestReducedHomology:
             dims = reduced_homology_dims(c)
             homology_side = sum((-1) ** (slot - 1) * d for slot, d in enumerate(dims))
             assert face_side == homology_side
+
+    def test_matches_dense_oracle_beyond_five_vertices(self):
+        rng = random.Random(8128)
+        nonzero_slots = set()
+        for _ in range(40):
+            n = rng.randint(6, 10)
+            facets = [rng.sample(range(n), rng.randint(1, 4)) for _ in range(rng.randint(2, 9))]
+            if rng.random() < 0.5:
+                # the boundary of a simplex: a sphere, unless other facets fill it
+                hollow = rng.sample(range(n), rng.randint(3, 5))
+                facets += itertools.combinations(hollow, len(hollow) - 1)
+            c = SimplicialComplex.from_facets(n, facets)
+            dims = reduced_homology_dims(c)
+            assert dims == reduced_homology_oracle(c.faces, n)
+            nonzero_slots.update(slot for slot, d in enumerate(dims) if d)
+        # the draw exercises homology above H~_0, not only components
+        assert {1, 2, 3, 4} <= nonzero_slots
+
+    def test_real_projective_plane_is_rationally_acyclic(self):
+        # the 6-vertex triangulation: over GF(2), H~_1 and H~_2 would be 1
+        triangles = [
+            {0, 1, 3}, {0, 1, 5}, {0, 2, 4}, {0, 2, 5}, {0, 3, 4},
+            {1, 2, 3}, {1, 2, 4}, {1, 4, 5}, {2, 3, 5}, {3, 4, 5},
+        ]
+        rp2 = SimplicialComplex.from_facets(6, triangles)
+        assert sum(len(f) == 2 for f in rp2.faces) == 15
+        assert reduced_homology_dims(rp2) == [0] * 7
+        assert reduced_homology_oracle(rp2.faces, 6) == [0] * 7
 
 
 class TestBettiTable:

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -445,4 +446,15 @@ class TestReportJson:
         obj = report_to_json(path_report)
         obj[key] = value
         with pytest.raises(ParseError, match="bad report JSON"):
+            report_from_json(obj)
+
+    @pytest.mark.parametrize("part", ["fit", "term"])
+    def test_rejects_float_coefficients(self, path_report, part):
+        obj = report_to_json(path_report)
+        if part == "fit":
+            coefficients = obj["fit"]["(0,0)"]["coefficients"]
+        else:
+            coefficients = obj["positive_decomposition"]["terms"][0]["coefficient_poly"]["coefficients"]
+        coefficients[0] = float(Fraction(coefficients[0]))
+        with pytest.raises(ParseError, match="not an exact rational"):
             report_from_json(obj)

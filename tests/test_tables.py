@@ -280,3 +280,11 @@ class TestSerialization:
         with pytest.raises(ParseError, match="bad table JSON"):
             table_from_json({"window": ["0", 1, 1], "rows": rows})
         assert table_from_json({"window": [0, 1, 1], "rows": rows}).window == Window(0, 1, 1)
+
+    def test_json_entries_must_be_exact(self):
+        # Fraction(0.1) would read 3602879701896397/36028797018963968
+        for bad in (0.1, 1.0, True, None, [1]):
+            with pytest.raises(ParseError, match="not an exact rational"):
+                table_from_json({"window": [0, 0, 1], "rows": [[bad, "1"]]})
+        table = table_from_json({"window": [0, 0, 1], "rows": [[3, "1/10"]]})
+        assert table.entry(0, 0) == 3 and table.entry(1, 1) == Fraction(1, 10)
