@@ -42,7 +42,6 @@ from .monomial import (
     ideal_to_json,
     is_equigenerated,
     lcm_closure,
-    minimalize,
     parse_monomial,
     power,
     reduced_homology_dims,
@@ -69,7 +68,6 @@ from .stabilize import (
     report_to_json,
     symbolic_chain_decompose,
     symbolic_greedy_decompose,
-    total_betti_polynomials,
 )
 from .tables import (
     BettiTable,
@@ -80,7 +78,6 @@ from .tables import (
     compare,
     hk_functional,
     hk_satisfies,
-    integer_normalize,
     parse_btt_text,
     pure_diagram,
     table_from_json,

@@ -30,8 +30,13 @@ def matrix_rank(rows: Iterable[Mapping[int, object]]) -> int:
                 kept[col] = row
                 break
             lead, factor = pivot[col], row[col]
-            reduced = {c: v * lead for c, v in row.items()}
+            for c in row:
+                row[c] *= lead
+            # only the pivot's columns change, so only they can cancel
             for c, v in pivot.items():
-                reduced[c] = reduced.get(c, 0) - factor * v
-            row = {c: v for c, v in reduced.items() if v}
+                value = row.get(c, 0) - factor * v
+                if value:
+                    row[c] = value
+                else:
+                    del row[c]
     return len(kept)

@@ -9,11 +9,6 @@ Combinatorial Commutative Algebra, Thm 1.34), so it is given by its maximal
 facets. Multidegrees outside the lcm lattice of the generators contribute
 nothing (Gasharov, Peeva and Welker 1999), so the scan runs over that lattice
 only.
-
-The lattice and the facets are computed on packed exponent vectors: one int
-per vector, with a field of ``bits`` data bits plus one guard bit per
-variable, so that divisibility, lcm and facets are a few int operations on
-all variables at once.
 """
 
 from __future__ import annotations
@@ -29,7 +24,8 @@ from .errors import CertificateError, ParseError, ZeroIdealError
 from .linalg import matrix_rank
 from .tables import BettiTable, Window
 
-# a complex on n vertices can have 2^n faces, and a memo miss expands them all
+# a complex on n vertices can have 2^n faces, and a memo miss expands them all;
+# the lattice walk's generator and variable bitmasks need no cap of their own
 MAX_VARIABLES = 16
 
 
@@ -176,16 +172,6 @@ class MonomialIdeal:
         return f"MonomialIdeal({gens}; {self.num_vars} vars)"
 
 
-def minimalize(monomials, num_vars: int | None = None) -> MonomialIdeal:
-    """Ideal generated by the given monomials, reduced to minimal generators."""
-    gens = list(monomials)
-    if num_vars is None:
-        if not gens:
-            raise ValueError("cannot infer the variable count of an empty ideal")
-        num_vars = gens[0].num_vars
-    return MonomialIdeal(num_vars, tuple(gens))
-
-
 def power(ideal: MonomialIdeal, k: int) -> MonomialIdeal:
     """k-th power: products of k generators with repetition, minimalized."""
     if k < 1:
@@ -207,77 +193,72 @@ def is_equigenerated(ideal: MonomialIdeal) -> int | None:
     return None
 
 
-class _Packing:
-    """Exponent vectors in ``num_vars`` variables packed into one int each.
+def _lattice(ideal: MonomialIdeal):
+    """Walk the lcm lattice of the generators, yielding ``(b, divisors,
+    achievers)`` for each point: the exponent tuple b, the bitmask of the
+    generators dividing b (bit i is generator i), and for each variable v the
+    mask of those divisors g with g_v = b_v.
 
-    Variable v owns the field starting at bit ``shifts[v]``: ``bits`` data
-    bits, wide enough for the largest exponent packed, then one guard bit.
-    With ``guards`` (every guard bit) and ``ones`` (a 1 in every field),
-    ``(b | guards) - g`` keeps the guard of v exactly when ``g_v <= b_v``,
-    and no field borrows from the next.
+    b is fixed one variable at a time, to a value some divisor so far takes
+    there. A prefix is cut as soon as a fixed variable loses all its achievers:
+    b is a lattice point exactly when it is the lcm of its divisors, that is
+    when every achiever mask is nonempty. Depth first over an explicit stack,
+    so the lattice streams instead of being held.
     """
-
-    __slots__ = ("bits", "shifts", "ones", "guards")
-
-    def __init__(self, num_vars: int, largest: int):
-        self.bits = max(1, largest.bit_length())
-        self.shifts = range(0, num_vars * (self.bits + 1), self.bits + 1)
-        self.ones = sum(1 << s for s in self.shifts)
-        self.guards = self.ones << self.bits
-
-    def pack(self, exponents: tuple[int, ...]) -> int:
-        return sum(e << s for e, s in zip(exponents, self.shifts))
-
-    def unpack(self, packed: int) -> tuple[int, ...]:
-        field = (1 << self.bits) - 1
-        return tuple(packed >> s & field for s in self.shifts)
-
-    def variables(self, guard_mask: int) -> list[int]:
-        """Indexes of the variables whose guard bit is set."""
-        return [v for v, s in enumerate(self.shifts) if guard_mask >> (s + self.bits) & 1]
-
-
-def _packing_for(monomials: tuple[Monomial, ...]) -> _Packing:
-    return _Packing(monomials[0].num_vars, max(max(m.exponents) for m in monomials))
+    levels = []  # per variable: (value c, generators with g_v = c, with g_v <= c)
+    for v in range(ideal.num_vars):
+        by_value: dict[int, int] = {}
+        for i, g in enumerate(ideal.generators):
+            by_value[g.exponents[v]] = by_value.get(g.exponents[v], 0) | 1 << i
+        le = 0
+        level = []
+        for c in sorted(by_value):
+            le |= by_value[c]
+            level.append((c, by_value[c], le))
+        levels.append(level)
+    stack = [((), (1 << len(ideal.generators)) - 1, ())]
+    while stack:
+        b, divisors, achievers = stack.pop()
+        if len(b) == ideal.num_vars:
+            yield b, divisors, achievers
+            continue
+        for c, eq, le in levels[len(b)]:
+            achiever = divisors & eq
+            if achiever:
+                below = divisors & le
+                kept = tuple(a & below for a in achievers)
+                if all(kept):
+                    stack.append((b + (c,), below, kept + (achiever,)))
 
 
 def lcm_closure(ideal: MonomialIdeal) -> frozenset[Monomial]:
-    """All lcms of nonempty generator subsets.
-
-    Adds one generator g at a time: the lcms of subsets of the generators so
-    far, plus g, plus the join of g with each of them, are the lcms of subsets
-    that may also contain g. Each join is a few operations on packed exponent
-    vectors.
-    """
+    """All lcms of nonempty generator subsets."""
     if ideal.is_zero:
         raise ZeroIdealError("the zero ideal has no lcm closure")
-    packing = _packing_for(ideal.generators)
-    bits, guards = packing.bits, packing.guards
-    field = (1 << bits) - 1
-    lattice: set[int] = set()
-    for g in (packing.pack(m.exponents) for m in ideal.generators):
-        top = g | guards
-        # ((top - x) & guards) >> bits has a 1 in the fields where g_v >= x_v;
-        # times field it masks the data bits the join takes from g
-        lattice |= {x ^ ((x ^ g) & (((top - x) & guards) >> bits) * field) for x in lattice}
-        lattice.add(g)
-    return frozenset(Monomial(packing.unpack(z)) for z in lattice)
+    return frozenset(Monomial(b) for b, _, _ in _lattice(ideal))
 
 
-def _maximal_facets(gens: list[int], b: int, packing: _Packing) -> list[int]:
-    """Maximal facets of the upper-Koszul complex at the packed multidegree b.
+def _maximal_facets(divisors: int, achievers) -> list[int]:
+    """Maximal facets of the upper-Koszul complex at b, as variable bitmasks.
 
-    The facet of a generator g dividing b is {v : g_v < b_v}, returned as the
-    guard bits of its variables. Empty when no generator divides b (the void
-    complex); ``[0]`` when b is itself a minimal generator (the complex whose
-    only face is the empty set).
+    The facet of a divisor g is {v : g_v < b_v}: the variables whose achiever
+    mask misses g. Refining the divisors by each achiever mask leaves one
+    class per distinct facet, so no divisor is visited alone. Empty when no
+    generator divides b (the void complex); ``[0]`` when b is itself a
+    minimal generator (the complex whose only face is the empty set).
     """
-    guards = packing.guards
-    top = b | guards
-    below = top - packing.ones  # guard of v survives below - g iff g_v < b_v
-    facets = {(below - g) & guards for g in gens if (top - g) & guards == guards}
+    classes = [(divisors, (1 << len(achievers)) - 1)]
+    for v, achiever in enumerate(achievers):
+        refined = []
+        for members, facet in classes:
+            inside = members & achiever
+            if inside:
+                refined.append((inside, facet & ~(1 << v)))
+            if members != inside:
+                refined.append((members ^ inside, facet))
+        classes = refined
     maximal: list[int] = []
-    for f in sorted(facets, key=int.bit_count, reverse=True):
+    for f in sorted((facet for _, facet in classes), key=int.bit_count, reverse=True):
         if not any(f & k == f for k in maximal):
             maximal.append(f)
     return maximal
@@ -333,10 +314,18 @@ def upper_koszul_complex(ideal: MonomialIdeal, multidegree: Monomial) -> Simplic
     """
     if ideal.num_vars != multidegree.num_vars:
         raise ValueError("variable count mismatch")
-    packing = _packing_for(ideal.generators + (multidegree,))
-    gens = [packing.pack(g.exponents) for g in ideal.generators]
-    facets = _maximal_facets(gens, packing.pack(multidegree.exponents), packing)
-    return SimplicialComplex.from_facets(ideal.num_vars, [packing.variables(f) for f in facets])
+    divisors = 0
+    achievers = [0] * ideal.num_vars
+    for i, g in enumerate(ideal.generators):
+        if g.divides(multidegree):
+            divisors |= 1 << i
+            for v, (e, c) in enumerate(zip(g.exponents, multidegree.exponents)):
+                if e == c:
+                    achievers[v] |= 1 << i
+    facets = _maximal_facets(divisors, achievers)
+    return SimplicialComplex.from_facets(
+        ideal.num_vars, [[v for v in range(ideal.num_vars) if f >> v & 1] for f in facets]
+    )
 
 
 def reduced_homology_dims(complex_: SimplicialComplex) -> list[int]:
@@ -403,31 +392,29 @@ def _faces_of(facets: tuple[int, ...]) -> list[int]:
 def betti_table(ideal: MonomialIdeal) -> BettiTable:
     """Exact graded Betti table of the ideal (as a module, not its quotient).
 
-    Scans the lcm closure of the generators. At each multidegree b it keeps
-    the maximal facets {v : g_v < b_v} of the generators g dividing b. When
-    they share a vertex the complex is a cone, whose reduced homology
-    vanishes, and b is skipped. Otherwise homology is memoized on the
-    facets with their vertices renumbered densely, which collapses the many
-    isomorphic complexes a power family produces; faces are listed only on a
-    memo miss. Dimensions accumulate by total degree. Deterministic for a
-    given ideal.
+    Walks the lcm lattice of the generators over generator bitmasks, so no
+    Monomial is built per point. At each point b it keeps the maximal facets
+    {v : g_v < b_v} of the generators g dividing b, found by refining those
+    divisors by the variables where they reach b. When the facets share a
+    vertex the complex is a cone, whose reduced homology vanishes, and b is
+    skipped. Otherwise homology is memoized on the facets with their vertices
+    renumbered densely, which collapses the many isomorphic complexes a power
+    family produces; faces are listed only on a memo miss. Dimensions
+    accumulate by total degree. Deterministic for a given ideal.
     """
     if ideal.is_zero:
         raise ZeroIdealError("the zero ideal has no Betti table")
-    lattice = lcm_closure(ideal)
-    packing = _packing_for(ideal.generators)
-    gens = [packing.pack(g.exponents) for g in ideal.generators]
     memo: dict[tuple, list[int]] = {}
     entries: dict[tuple[int, int], Fraction] = {}
-    for b in lattice:
-        facets = _maximal_facets(gens, packing.pack(b.exponents), packing)
+    for b, divisors, achievers in _lattice(ideal):
+        facets = _maximal_facets(divisors, achievers)
         if functools.reduce(operator.and_, facets):
             continue  # the facets share a vertex: a cone, with no reduced homology
         key = _renumbered(facets)
         dims = memo.get(key)
         if dims is None:
             dims = memo[key] = _homology_from_masks(_faces_of(key[1]), key[0])
-        degree = b.degree
+        degree = sum(b)
         for i, dim in enumerate(dims):
             if dim:
                 pos = (i, degree)

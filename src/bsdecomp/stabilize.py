@@ -54,7 +54,6 @@ __all__ = [
     "symbolic_chain_decompose",
     "positive_family_chain",
     "detect_stabilization",
-    "total_betti_polynomials",
     "report_to_json",
     "report_json_text",
     "report_from_json",
@@ -312,14 +311,6 @@ def _positive_chain(
         raise CertificateError("the positive chain's expansion differs from the symbolic greedy terms")
     threshold = max((sign_threshold(w) for w, _ in expansion.nonzero_terms()), default=0)
     return chain, expansion, threshold
-
-
-def total_betti_polynomials(table: SymbolicBettiTable) -> list[PolynomialQ]:
-    """Column sums: polynomial total Betti numbers of the family."""
-    out = [PolynomialQ() for _ in range(table.offset_window().max_col + 1)]
-    for (i, _), poly in sorted(table.entries.items()):
-        out[i] = out[i] + poly
-    return out
 
 
 _REPORT_NOTES = (

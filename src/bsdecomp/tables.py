@@ -10,7 +10,6 @@ with +infinity, so shorter sequences sit higher.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import index as _exact_int
@@ -287,13 +286,6 @@ def pure_diagram(sequence) -> PureDiagram:
         for i, (di, den) in enumerate(zip(seq.degrees, _pure_denominators(seq.degrees)))
     }
     return PureDiagram(seq, BettiTable.from_entries(entries))
-
-
-def integer_normalize(diagram: PureDiagram) -> tuple[int, BettiTable]:
-    """Smallest positive integer alpha making alpha*pi(d) integral, with the
-    scaled table."""
-    alpha = math.lcm(*(v.denominator for _, v in diagram.table.iter_support()))
-    return alpha, diagram.table.scale(alpha)
 
 
 def hk_functional(table: BettiTable, power: int) -> Fraction:

@@ -21,6 +21,9 @@ from test_stabilize import doubled_greedy
 PATH_IDEAL = {"variables": NUM_VARS, "generators": list(EDGE_GENERATORS)}
 # offset window of 4 rows x 3 columns, 462 maximal chains
 CHAINS_IDEAL = {"variables": 4, "generators": ["x1*x2*x3", "x2*x3*x4", "x1^3", "x4^3"]}
+# edge ideals of the path on six vertices and of the 5-cycle
+P6_IDEAL = {"variables": 6, "generators": ["x1*x2", "x2*x3", "x3*x4", "x4*x5", "x5*x6"]}
+C5_IDEAL = {"variables": 5, "generators": ["x1*x2", "x2*x3", "x3*x4", "x4*x5", "x1*x5"]}
 GOLDEN = Path(__file__).resolve().parent / "golden"
 BENCH_EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected"
 MAXIMAL_2VARS = {"variables": 2, "generators": [[1, 0], [0, 1]]}
@@ -225,9 +228,19 @@ class TestGolden:
         assert out.read_bytes() == (GOLDEN / "stabilize-chains.report.json").read_bytes()
         assert capsys.readouterr().out == (GOLDEN / "stabilize-chains.summary.txt").read_text(encoding="utf-8")
 
+    @pytest.mark.parametrize(
+        "ideal, k, name",
+        [(P6_IDEAL, 7, "betti-p6-7.btt"), (C5_IDEAL, 8, "betti-c5-8.btt")],
+        ids=["P6^7", "C5^8"],
+    )
+    def test_tables_beyond_the_taylor_oracle(self, ideal_file, capsys, ideal, k, name):
+        # 462 and 495 generators: frozen tables stand in for the oracle here
+        assert main(["betti", "--ideal", ideal_file(ideal), "-k", str(k), "--format", "btt"]) == 0
+        assert capsys.readouterr().out == (GOLDEN / name).read_text(encoding="utf-8")
+
     def test_golden_files_match_benchmark_expected(self):
-        # both directories freeze the same outputs; neither may drift alone
-        golden = sorted(GOLDEN.iterdir())
+        # both directories freeze the same stabilize outputs; neither may drift alone
+        golden = sorted(GOLDEN.glob("stabilize-*"))
         assert [p.name for p in golden] == [
             "stabilize-chains.report.json",
             "stabilize-chains.summary.txt",

@@ -19,7 +19,6 @@ from bsdecomp import (
     ideal_to_json,
     is_equigenerated,
     lcm_closure,
-    minimalize,
     parse_monomial,
     power,
     reduced_homology_dims,
@@ -42,7 +41,7 @@ def random_ideal(rng, num_vars, num_gens, max_exp=3):
     return MonomialIdeal(num_vars, tuple(gens))
 
 
-# exponents on either side of the packed field widths 1, 2, 3, 4 and 5 bits
+# exponents on either side of the powers of two up to 16, 0 included
 FIELD_EDGES = (0, 1, 2, 3, 4, 7, 8, 15, 16)
 
 
@@ -52,6 +51,18 @@ def edge_ideals(draw, max_vars=4, max_gens=5):
     vectors = st.tuples(*[st.sampled_from(FIELD_EDGES)] * n)
     gens = draw(st.lists(vectors, min_size=1, max_size=max_gens))
     return MonomialIdeal(n, tuple(Monomial(e) for e in gens))
+
+
+def brute_lcm_closure(ideal):
+    """lcm of every nonempty generator subset, by definition."""
+    closure = set()
+    for r in range(1, len(ideal.generators) + 1):
+        for combo in itertools.combinations(ideal.generators, r):
+            acc = combo[0]
+            for g in combo[1:]:
+                acc = acc.lcm(g)
+            closure.add(acc)
+    return frozenset(closure)
 
 
 def brute_koszul_faces(ideal, b):
@@ -142,13 +153,6 @@ class TestMonomialIdeal:
         with pytest.raises(ValueError, match="cap"):
             MonomialIdeal(17, ())
 
-    def test_minimalize_helper(self):
-        ideal = minimalize([m(1, 0), m(1, 1)])
-        assert ideal.generators == (m(1, 0),)
-        assert ideal.num_vars == 2
-        with pytest.raises(ValueError):
-            minimalize([])
-
 
 class TestPower:
     def test_identity_and_validation(self):
@@ -188,14 +192,25 @@ class TestLcmClosure:
         rng = random.Random(31)
         for _ in range(25):
             ideal = random_ideal(rng, rng.randint(1, 4), rng.randint(1, 5))
-            brute = set()
-            for r in range(1, len(ideal.generators) + 1):
-                for combo in itertools.combinations(ideal.generators, r):
-                    acc = combo[0]
-                    for g in combo[1:]:
-                        acc = acc.lcm(g)
-                    brute.add(acc)
-            assert lcm_closure(ideal) == frozenset(brute)
+            assert lcm_closure(ideal) == brute_lcm_closure(ideal)
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(edge_ideals())
+    @example(MonomialIdeal(2, (m(0, 0),)))
+    def test_walk_matches_definition(self, ideal):
+        gens = ideal.generators
+        points = []
+        for b, divisors, achievers in bsdecomp.monomial._lattice(ideal):
+            point = Monomial(b)
+            assert divisors == sum(1 << i for i, g in enumerate(gens) if g.divides(point))
+            assert list(achievers) == [
+                sum(1 << i for i, g in enumerate(gens) if divisors >> i & 1 and g.exponents[v] == c)
+                for v, c in enumerate(b)
+            ]
+            points.append(point)
+        # each point once: a repeat would count its homology twice
+        assert len(points) == len(set(points))
+        assert set(points) == brute_lcm_closure(ideal)
 
     def test_closure_size_can_beat_subset_count(self):
         # 10 generators but far fewer than 2^10 - 1 distinct lcms
@@ -253,8 +268,8 @@ class TestUpperKoszul:
     @settings(derandomize=True, max_examples=40, deadline=None)
     @given(edge_ideals(), st.data())
     def test_matches_definition(self, ideal, data):
-        # every lattice point, then multidegrees whose exponents exceed every
-        # generator's and so may need wider packed fields than the generators
+        # every lattice point, then multidegrees off the lattice whose
+        # exponents exceed every generator's, so no generator reaches them
         points = list(lcm_closure(ideal))
         tops = [max(g.exponents[v] for g in ideal.generators) for v in range(ideal.num_vars)]
         for _ in range(3):

@@ -39,7 +39,6 @@ from bsdecomp import (
     report_to_json,
     symbolic_chain_decompose,
     symbolic_greedy_decompose,
-    total_betti_polynomials,
 )
 from reference_values import (
     ALTERNATE_CHAIN_OFFSETS,
@@ -298,18 +297,6 @@ class TestPositiveFamilyChain:
         expansion = symbolic_chain_decompose(family_fit, chain)
         greedy = symbolic_greedy_decompose(family_fit)
         assert expansion.nonzero_terms() == greedy.terms
-
-
-class TestTotalBetti:
-    def test_column_sums(self, family_fit):
-        totals = total_betti_polynomials(family_fit)
-        e = ENTRY_POLYNOMIALS
-        assert totals == [
-            e[(0, 0)],
-            e[(1, 1)] + e[(1, 2)],
-            e[(2, 2)] + e[(2, 3)],
-            e[(3, 3)],
-        ]
 
 
 class TestDetectStabilization:

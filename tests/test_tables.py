@@ -14,7 +14,6 @@ from bsdecomp import (
     compare,
     hk_functional,
     hk_satisfies,
-    integer_normalize,
     parse_btt_text,
     pure_diagram,
     table_from_json,
@@ -184,25 +183,6 @@ class TestPureDiagram:
             for i, di in enumerate(seq):
                 expected = Fraction(1, math.prod(abs(dp - di) for dp in seq if dp != di))
                 assert table.entry(i, di) == expected
-
-    def test_integer_normalize_minimal(self):
-        diagram = pure_diagram((0, 1, 2, 3))
-        alpha, scaled = integer_normalize(diagram)
-        assert alpha == 6
-        values = [v for _, v in scaled.iter_support()]
-        assert all(v.denominator == 1 for v in values)
-        assert math.gcd(*[v.numerator for v in values]) == 1
-
-    def test_integer_normalize_random(self):
-        rng = random.Random(12)
-        for _ in range(40):
-            diagram = pure_diagram(random_sequence(rng))
-            alpha, scaled = integer_normalize(diagram)
-            assert alpha >= 1
-            assert all(v.denominator == 1 for _, v in scaled.iter_support())
-            # alpha is the least such multiplier: it is the lcm of denominators
-            denominators = [v.denominator for _, v in diagram.table.iter_support()]
-            assert alpha == math.lcm(*denominators)
 
 
 class TestHerzogKuhl:
