@@ -104,14 +104,15 @@ def format_pretty(table: BettiTable) -> str:
     width = max(
         [len(str(v)) for _, v in table.iter_support()] + [1]
     )
-    gutter = max(len(str(table.min_row + t)) for t in range(table.height))
-    header = " " * (gutter + 2) + " ".join(f"{i:>{width}}" for i in range(table.max_col + 1))
+    window = table.window
+    rows = range(window.min_row, window.max_row + 1)
+    gutter = max(len(str(row)) for row in rows)
+    header = " " * (gutter + 2) + " ".join(f"{i:>{width}}" for i in range(window.max_col + 1))
     rule = "-" * len(header)
     lines = [header, rule]
-    for t in range(table.height):
-        row = table.min_row + t
+    for row in rows:
         cells = []
-        for i in range(table.max_col + 1):
+        for i in range(window.max_col + 1):
             value = table.entry(i, i + row)
             cells.append(f"{str(value) if value else '-':>{width}}")
         lines.append(f"{row:>{gutter}}: " + " ".join(cells))
@@ -156,10 +157,9 @@ def cmd_decompose(args) -> int:
     table = load_table(args.table)
     if args.chain is not None:
         chain = load_chain(args.chain)
-        try:
-            table.flatten(chain.window)
-        except ValueError as exc:
-            raise ParseError(f"{args.chain}: {exc}") from exc
+        for i, j in table.support():
+            if not chain.window.contains(i, j):
+                raise ParseError(f"{args.chain}: entry at column {i}, degree {j} is outside the window")
         decomposition = chain_decompose(table, chain)
     else:
         decomposition = greedy_decompose(table)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import index as _exact_int
 from typing import Iterator
 
 from .errors import (
@@ -30,6 +29,7 @@ from .tables import (
     DegreeSequence,
     Window,
     _json_rational,
+    _json_window,
     _pure_denominators,
     compare,
 )
@@ -93,8 +93,7 @@ class Chain:
             if compare(a, b) is not Comparison.LESS:
                 raise ValueError(f"not strictly increasing: {a.degrees} then {b.degrees}")
         if window is None:
-            rows = [d - i for e in elems for i, d in enumerate(e)]
-            window = Window(min(rows), max(rows), max(len(e) for e in elems) - 1)
+            window = Window.hull((i, d) for e in elems for i, d in enumerate(e))
         for e in elems:
             if not e.fits(window):
                 raise ValueError(f"sequence {e.degrees} does not fit the window")
@@ -102,8 +101,7 @@ class Chain:
 
     def shift(self, offset: int) -> "Chain":
         """Translate every degree and the window rows by a constant."""
-        window = Window(self.window.min_row + offset, self.window.max_row + offset, self.window.max_col)
-        return Chain(tuple(e.shift(offset) for e in self.elements), window, self.maximal)
+        return Chain(tuple(e.shift(offset) for e in self.elements), self.window.shift(offset), self.maximal)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -191,21 +189,16 @@ class Decomposition:
     def reconstruct(self) -> BettiTable:
         """Sum of coefficient * pure diagram, as a table over source_window
         widened to the support hull of every term with a nonzero coefficient."""
-        window = self.source_window
         entries: dict[tuple[int, int], Fraction] = {}
+        positions = []
         for c, s in self.terms:
             if not c:
                 continue
             degrees = s.degrees
             # subtracting -c * pi(s) adds c * pi(s)
             _subtract_pure(entries, -c, degrees, _pure_denominators(degrees), Fraction(0))
-            rows = [d - i for i, d in enumerate(degrees)]
-            window = Window(
-                min(window.min_row, min(rows)),
-                max(window.max_row, max(rows)),
-                max(window.max_col, len(degrees) - 1),
-            )
-        return BettiTable.from_entries(entries, window)
+            positions.extend(enumerate(degrees))
+        return BettiTable.from_entries(entries, Window.hull(positions, self.source_window))
 
 
 def greedy_decompose(table: BettiTable) -> Decomposition:
@@ -377,8 +370,7 @@ def decomposition_from_json(obj) -> Decomposition:
     if not isinstance(obj, dict):
         raise ParseError("decomposition JSON must be an object")
     try:
-        min_row, max_row, max_col = (_exact_int(x) for x in obj["window"])
-        window = Window(min_row, max_row, max_col)
+        window = _json_window(obj["window"])
     except (KeyError, ValueError, TypeError) as exc:
         raise ParseError(f"bad decomposition window: {exc}") from exc
     raw_terms = obj.get("terms")

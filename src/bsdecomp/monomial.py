@@ -22,7 +22,7 @@ from operator import index as _exact_int
 
 from .errors import CertificateError, ParseError, ZeroIdealError
 from .linalg import matrix_rank
-from .tables import BettiTable, Window
+from .tables import BettiTable, _json_int
 
 # a complex on n vertices can have 2^n faces, and a memo miss expands them all;
 # the lattice walk's generator and variable bitmasks need no cap of their own
@@ -419,7 +419,7 @@ def betti_table(ideal: MonomialIdeal) -> BettiTable:
             if dim:
                 pos = (i, degree)
                 entries[pos] = entries.get(pos, Fraction(0)) + dim
-    table = BettiTable.from_entries(entries, num_vars=ideal.num_vars)
+    table = BettiTable.from_entries(entries)
     low = min(g.degree for g in ideal.generators)
     if table.entry(0, low) <= 0:
         raise CertificateError(f"beta_0 in the least generator degree {low} is not positive")
@@ -439,7 +439,7 @@ def ideal_from_json(obj) -> MonomialIdeal:
     if not isinstance(obj, dict):
         raise ParseError("ideal JSON must be an object")
     try:
-        n = _exact_int(obj["variables"])
+        n = _json_int(obj["variables"])
     except KeyError:
         raise ParseError("ideal JSON needs a 'variables' key") from None
     except TypeError as exc:
@@ -455,7 +455,7 @@ def ideal_from_json(obj) -> MonomialIdeal:
             if len(g) != n:
                 raise ParseError(f"exponent vector {g} has length {len(g)}, expected {n}")
             try:
-                gens.append(Monomial(tuple(g)))
+                gens.append(Monomial(tuple(_json_int(e) for e in g)))
             except (TypeError, ValueError) as exc:
                 raise ParseError(f"bad exponent vector {g}: {exc}") from exc
         else:

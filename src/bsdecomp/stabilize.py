@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from operator import index as _exact_int
 from typing import Mapping
 
 from .decompose import (
@@ -42,7 +41,7 @@ from .polynomials import (
     interpolate_consecutive,
     sign_threshold,
 )
-from .tables import BettiTable, Comparison, DegreeSequence, Window, _json_rational, compare
+from .tables import BettiTable, Comparison, DegreeSequence, Window, _json_int, _json_rational, compare
 
 __all__ = [
     "SymbolicBettiTable",
@@ -93,26 +92,13 @@ class SymbolicBettiTable:
         return self.entries.get((col, offset), PolynomialQ())
 
     def offset_window(self) -> Window:
-        rows = [j - i for i, j in self.entries]
-        cols = [i for i, _ in self.entries]
-        return Window(min(rows), max(rows), max(cols))
+        return Window.hull(self.entries)
 
     def evaluate(self, k: int) -> BettiTable:
         """Numeric table at a concrete power: offsets shift by gen_degree*k."""
         shift = self.gen_degree * k
-        window = self.offset_window()
-        absolute = Window(window.min_row + shift, window.max_row + shift, window.max_col)
         values = {(i, j + shift): poly(k) for (i, j), poly in self.entries.items()}
-        return BettiTable.from_entries(values, absolute)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SymbolicBettiTable):
-            return NotImplemented
-        return (
-            self.gen_degree == other.gen_degree
-            and self.valid_from == other.valid_from
-            and dict(self.entries) == dict(other.entries)
-        )
+        return BettiTable.from_entries(values, self.offset_window().shift(shift))
 
 
 @dataclass(frozen=True)
@@ -148,17 +134,12 @@ class TranslatedDecomposition:
         ``keep_zero_terms`` asks for the full chain expansion.
         """
         shift = self.gen_degree * k
-        window = Window(
-            self.offset_window.min_row + shift,
-            self.offset_window.max_row + shift,
-            self.offset_window.max_col,
-        )
         terms = []
         for poly, seq in self.terms:
             value = poly(k)
             if value or keep_zero_terms:
                 terms.append((value, seq.shift(shift)))
-        return Decomposition(tuple(terms), window)
+        return Decomposition(tuple(terms), self.offset_window.shift(shift))
 
 
 def _shifted_support(table: BettiTable, gen_degree: int, k: int) -> frozenset[tuple[int, int]]:
@@ -452,9 +433,9 @@ def report_from_json(obj) -> StabilizationReport:
         raise ParseError("report JSON must be an object")
     try:
         ideal = ideal_from_json(obj["ideal"])
-        gen_degree = _exact_int(obj["r"])
-        k0 = _exact_int(obj["k0_observed"])
-        certified = _exact_int(obj["certified_from"])
+        gen_degree = _json_int(obj["r"])
+        k0 = _json_int(obj["k0_observed"])
+        certified = _json_int(obj["certified_from"])
         fit_entries = {}
         for key, body in obj["fit"].items():
             i, j = (int(x) for x in key.strip("()").split(","))
@@ -469,7 +450,7 @@ def report_from_json(obj) -> StabilizationReport:
             for t in obj["positive_decomposition"]["terms"]
         )
         positive = TranslatedDecomposition(terms, gen_degree, certified, fit.offset_window())
-        verified = tuple(_exact_int(k) for k in obj["verified_k"])
+        verified = tuple(_json_int(k) for k in obj["verified_k"])
         notes = str(obj["notes"])
     except ParseError:
         raise

@@ -2,9 +2,11 @@
 
 Conventions: the entry ``beta_{i,j}`` sits in column i (homological degree)
 and row ``j - i`` (regularity offset). A window confines support to columns
-``0..max_col`` and rows ``min_row..max_row``. Degree sequences are strictly
-increasing; ``compare`` orders them termwise after padding the shorter one
-with +infinity, so shorter sequences sit higher.
+``0..max_col`` and rows ``min_row..max_row``; ``Window.hull`` and
+``Window.shift`` are the one place windows are derived. A ``BettiTable`` is
+its nonzero entries, keyed by (column, degree), over a window. Degree
+sequences are strictly increasing; ``compare`` orders them termwise after
+padding the shorter one with +infinity, so shorter sequences sit higher.
 """
 
 from __future__ import annotations
@@ -13,11 +15,12 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import index as _exact_int
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import DegreeSequenceError, ParseError
 
 Rational = Fraction
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -46,9 +49,24 @@ class Window:
     def contains(self, col: int, degree: int) -> bool:
         return 0 <= col <= self.max_col and self.min_row <= degree - col <= self.max_row
 
-    def flat_index(self, col: int, degree: int) -> int:
-        # column-major: all rows of column 0 first
-        return col * self.height + (degree - col - self.min_row)
+    @classmethod
+    def hull(cls, positions: Iterable[tuple[int, int]], *windows: "Window") -> "Window":
+        """Smallest window holding every (column, degree) position and every
+        given window."""
+        rows = [w.min_row for w in windows] + [w.max_row for w in windows]
+        cols = [w.max_col for w in windows]
+        for i, j in positions:
+            rows.append(j - i)
+            cols.append(i)
+        if not cols:
+            raise ValueError("cannot infer a window from no positions")
+        if min(cols) < 0:
+            raise ValueError(f"negative column {min(cols)} has no window")
+        return cls(min(rows), max(rows), max(cols))
+
+    def shift(self, offset: int) -> "Window":
+        """The window of every degree moved by ``offset``: rows move, columns stay."""
+        return Window(self.min_row + offset, self.max_row + offset, self.max_col)
 
 
 @dataclass(frozen=True)
@@ -112,148 +130,92 @@ def compare(a: DegreeSequence, b: DegreeSequence) -> Comparison:
 
 
 class BettiTable:
-    """Dense rational grid over a window; immutable once built.
+    """Nonzero rational entries ``(column, degree) -> beta`` over a window.
 
-    ``grid[i][t]`` stores ``beta_{i, i + min_row + t}``. Equality compares the
-    window and every entry; ``same_entries`` compares supports only, ignoring
-    how much zero padding each window carries.
+    Built only by ``from_entries`` (or ``zero``); immutable once built. The
+    window may carry rows and columns of zero padding beyond the support.
+    Equality compares the window and every entry; ``same_entries`` compares
+    supports only, ignoring that padding.
     """
 
-    __slots__ = ("min_row", "max_row", "max_col", "num_vars", "_grid")
-
-    def __init__(self, window: Window, grid, num_vars: int | None = None):
-        rows = tuple(tuple(Fraction(x) for x in col) for col in grid)
-        if len(rows) != window.max_col + 1 or any(len(col) != window.height for col in rows):
-            raise ValueError("grid shape does not match window")
-        object.__setattr__(self, "min_row", window.min_row)
-        object.__setattr__(self, "max_row", window.max_row)
-        object.__setattr__(self, "max_col", window.max_col)
-        object.__setattr__(self, "num_vars", num_vars)
-        object.__setattr__(self, "_grid", rows)
+    __slots__ = ("window", "_entries")
 
     def __setattr__(self, name, value):
         raise AttributeError("BettiTable is immutable")
 
     @classmethod
-    def zero(cls, window: Window, num_vars: int | None = None) -> "BettiTable":
-        grid = [[Fraction(0)] * window.height for _ in range(window.max_col + 1)]
-        return cls(window, grid, num_vars)
+    def zero(cls, window: Window) -> "BettiTable":
+        return cls.from_entries({}, window)
 
     @classmethod
     def from_entries(
-        cls,
-        entries: Mapping[tuple[int, int], Rational],
-        window: Window | None = None,
-        num_vars: int | None = None,
+        cls, entries: Mapping[tuple[int, int], Rational], window: Window | None = None
     ) -> "BettiTable":
-        """Build from a ``(column, degree) -> value`` mapping.
+        """Build from a ``(column, degree) -> value`` mapping; zeros are dropped.
 
         With no explicit window the smallest one containing the nonzero
         support is used; an all-zero mapping then has no well-defined window
         and is rejected.
         """
-        support = {(i, j): Fraction(v) for (i, j), v in entries.items() if Fraction(v) != 0}
+        support = {}
+        for pos, value in sorted(entries.items()):
+            q = Fraction(value)
+            if q:
+                support[pos] = q
         if window is None:
-            if not support:
-                raise ValueError("cannot infer a window from an empty support")
-            rows = [j - i for i, j in support]
-            cols = [i for i, _ in support]
-            if min(cols) < 0:
-                raise ValueError(f"negative column in support: {min(cols)}")
-            window = Window(min(rows), max(rows), max(cols))
-        grid = [[Fraction(0)] * window.height for _ in range(window.max_col + 1)]
-        for (i, j), v in support.items():
-            if not window.contains(i, j):
-                raise ValueError(f"entry at column {i}, degree {j} is outside the window")
-            grid[i][j - i - window.min_row] = v
-        return cls(window, grid, num_vars)
-
-    @property
-    def window(self) -> Window:
-        return Window(self.min_row, self.max_row, self.max_col)
-
-    @property
-    def height(self) -> int:
-        return self.max_row - self.min_row + 1
+            window = Window.hull(support)
+        else:
+            for i, j in support:
+                if not window.contains(i, j):
+                    raise ValueError(f"entry at column {i}, degree {j} is outside the window")
+        table = object.__new__(cls)
+        object.__setattr__(table, "window", window)
+        object.__setattr__(table, "_entries", support)
+        return table
 
     def entry(self, col: int, degree: int) -> Fraction:
-        """beta_{col, degree}; zero outside the window."""
-        if not self.window.contains(col, degree):
-            return Fraction(0)
-        return self._grid[col][degree - col - self.min_row]
+        """beta_{col, degree}; zero off the support."""
+        return self._entries.get((col, degree), _ZERO)
 
     def iter_support(self) -> Iterator[tuple[tuple[int, int], Fraction]]:
         """Nonzero entries as ((column, degree), value), column-major order."""
-        for i, col in enumerate(self._grid):
-            for t, v in enumerate(col):
-                if v:
-                    yield (i, i + self.min_row + t), v
+        return iter(self._entries.items())
 
     def support(self) -> tuple[tuple[int, int], ...]:
-        return tuple(pos for pos, _ in self.iter_support())
+        return tuple(self._entries)
 
     def is_zero(self) -> bool:
-        return all(v == 0 for col in self._grid for v in col)
+        return not self._entries
 
     def is_nonnegative(self) -> bool:
-        return all(v >= 0 for col in self._grid for v in col)
-
-    def _combine(self, other: "BettiTable", sign: int) -> "BettiTable":
-        window = Window(
-            min(self.min_row, other.min_row),
-            max(self.max_row, other.max_row),
-            max(self.max_col, other.max_col),
-        )
-        entries: dict[tuple[int, int], Fraction] = {}
-        for pos, v in self.iter_support():
-            entries[pos] = entries.get(pos, Fraction(0)) + v
-        for pos, v in other.iter_support():
-            entries[pos] = entries.get(pos, Fraction(0)) + sign * v
-        return BettiTable.from_entries(entries, window, self.num_vars)
+        return all(v >= 0 for v in self._entries.values())
 
     def __add__(self, other: "BettiTable") -> "BettiTable":
-        return self._combine(other, 1)
-
-    def __sub__(self, other: "BettiTable") -> "BettiTable":
-        return self._combine(other, -1)
+        entries = dict(self._entries)
+        for pos, v in other._entries.items():
+            entries[pos] = entries.get(pos, _ZERO) + v
+        return BettiTable.from_entries(entries, Window.hull((), self.window, other.window))
 
     def scale(self, factor: Rational) -> "BettiTable":
         q = Fraction(factor)
-        grid = [[v * q for v in col] for col in self._grid]
-        return BettiTable(self.window, grid, self.num_vars)
-
-    def flatten(self, window: Window | None = None) -> tuple[Fraction, ...]:
-        """Column-major vector of the table read through ``window``.
-
-        Raises ValueError if any nonzero entry falls outside that window.
-        """
-        if window is None:
-            window = self.window
-        out = [Fraction(0)] * window.dimension
-        for (i, j), v in self.iter_support():
-            if not window.contains(i, j):
-                raise ValueError(f"entry at column {i}, degree {j} is outside the window")
-            out[window.flat_index(i, j)] = v
-        return tuple(out)
+        return BettiTable.from_entries({pos: v * q for pos, v in self._entries.items()}, self.window)
 
     def same_entries(self, other: "BettiTable") -> bool:
         """Equality of supports, ignoring window padding."""
-        return dict(self.iter_support()) == dict(other.iter_support())
+        return self._entries == other._entries
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BettiTable):
             return NotImplemented
-        return (
-            (self.min_row, self.max_row, self.max_col) == (other.min_row, other.max_row, other.max_col)
-            and self._grid == other._grid
-        )
+        return self.window == other.window and self._entries == other._entries
 
     def __hash__(self) -> int:
-        return hash((self.min_row, self.max_row, self.max_col, self._grid))
+        return hash((self.window, tuple(self._entries.items())))
 
     def __repr__(self) -> str:
+        w = self.window
         entries = ", ".join(f"({i},{j}): {v}" for (i, j), v in self.iter_support())
-        return f"BettiTable(rows {self.min_row}..{self.max_row}, cols 0..{self.max_col}; {entries or 'zero'})"
+        return f"BettiTable(rows {w.min_row}..{w.max_row}, cols 0..{w.max_col}; {entries or 'zero'})"
 
 
 @dataclass(frozen=True)
@@ -308,13 +270,21 @@ def hk_satisfies(table: BettiTable, count: int) -> bool:
     return all(hk_functional(table, t) == 0 for t in range(count))
 
 
+def _text_rows(table: BettiTable) -> list[list[str]]:
+    """Exact entry strings, one list per window row, columns 0..max_col."""
+    w = table.window
+    return [
+        [str(table.entry(i, i + row)) for i in range(w.max_col + 1)]
+        for row in range(w.min_row, w.max_row + 1)
+    ]
+
+
 def to_btt_text(table: BettiTable) -> str:
     """Serialize as .btt: header ``min_row max_row max_col``, then one line per
     row of exact entries across columns 0..max_col."""
-    lines = [f"{table.min_row} {table.max_row} {table.max_col}"]
-    for t in range(table.height):
-        row = table.min_row + t
-        lines.append(" ".join(str(table.entry(i, i + row)) for i in range(table.max_col + 1)))
+    w = table.window
+    lines = [f"{w.min_row} {w.max_row} {w.max_col}"]
+    lines += (" ".join(row) for row in _text_rows(table))
     return "\n".join(lines) + "\n"
 
 
@@ -341,27 +311,22 @@ def parse_btt_text(text: str) -> BettiTable:
     data = rows[1:]
     if len(data) != window.height:
         raise ParseError(f"expected {window.height} data rows, found {len(data)}")
-    grid = [[Fraction(0)] * window.height for _ in range(window.max_col + 1)]
-    for t, (lineno, tokens) in enumerate(data):
-        if len(tokens) != window.max_col + 1:
-            raise ParseError(f"line {lineno}: expected {window.max_col + 1} entries, got {len(tokens)}")
+    entries = {}
+    for row, (lineno, tokens) in enumerate(data, start=min_row):
+        if len(tokens) != max_col + 1:
+            raise ParseError(f"line {lineno}: expected {max_col + 1} entries, got {len(tokens)}")
         for i, tok in enumerate(tokens):
             try:
-                grid[i][t] = Fraction(tok)
+                entries[(i, i + row)] = Fraction(tok)
             except (ValueError, ZeroDivisionError) as exc:
                 raise ParseError(f"line {lineno}: bad entry {tok!r}: {exc}") from exc
-    return BettiTable(window, grid)
+    return BettiTable.from_entries(entries, window)
 
 
 def table_to_json(table: BettiTable) -> dict:
     """JSON form: window triple plus dense rows of exact entry strings."""
-    return {
-        "window": [table.min_row, table.max_row, table.max_col],
-        "rows": [
-            [str(table.entry(i, i + table.min_row + t)) for i in range(table.max_col + 1)]
-            for t in range(table.height)
-        ],
-    }
+    w = table.window
+    return {"window": [w.min_row, w.max_row, w.max_col], "rows": _text_rows(table)}
 
 
 def _json_rational(value) -> Fraction:
@@ -375,18 +340,38 @@ def _json_rational(value) -> Fraction:
         raise ParseError(f"bad rational {value!r}: {exc}") from exc
 
 
+def _json_int(value) -> int:
+    """An integer from JSON. Raises TypeError for anything else, booleans
+    included, although Python counts them as integers; callers add context."""
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is not an integer")
+    return _exact_int(value)
+
+
+def _json_window(value) -> Window:
+    """A window from its JSON triple ``[min_row, max_row, max_col]``; raises
+    TypeError or ValueError for anything else."""
+    min_row, max_row, max_col = (_json_int(x) for x in value)
+    return Window(min_row, max_row, max_col)
+
+
 def table_from_json(obj) -> BettiTable:
     if not isinstance(obj, dict):
         raise ParseError("table JSON must be an object")
     try:
-        min_row, max_row, max_col = (_exact_int(x) for x in obj["window"])
-        window = Window(min_row, max_row, max_col)
+        window = _json_window(obj["window"])
         rows = obj["rows"]
-        if len(rows) != window.height:
-            raise ParseError(f"expected {window.height} rows")
-        grid = [[_json_rational(rows[t][i]) for t in range(window.height)] for i in range(window.max_col + 1)]
+        if not isinstance(rows, list) or len(rows) != window.height:
+            raise ParseError(f"expected a list of {window.height} rows")
+        width = window.max_col + 1
+        entries = {}
+        for row, values in enumerate(rows, start=window.min_row):
+            if not isinstance(values, list) or len(values) != width:
+                raise ParseError(f"row {values!r} is not a list of {width} entries")
+            for i, value in enumerate(values):
+                entries[(i, i + row)] = _json_rational(value)
     except ParseError:
         raise
-    except (KeyError, ValueError, TypeError, IndexError) as exc:
+    except (KeyError, ValueError, TypeError) as exc:
         raise ParseError(f"bad table JSON: {exc}") from exc
-    return BettiTable(window, grid)
+    return BettiTable.from_entries(entries, window)

@@ -106,6 +106,20 @@ def cramer_solve(matrix, rhs) -> list[Fraction]:
     return out
 
 
+def dense_vector(table: BettiTable, window) -> list[Fraction]:
+    """The table's entries at every position of the window, column by column
+    and bottom row first. Refuses a table with support outside the window,
+    which the vector could not hold."""
+    positions = [
+        (i, i + row)
+        for i in range(window.max_col + 1)
+        for row in range(window.min_row, window.max_row + 1)
+    ]
+    if not set(table.support()) <= set(positions):
+        raise ValueError("table support escapes the window")
+    return [table.entry(i, j) for i, j in positions]
+
+
 def taylor_betti_entries(ideal: MonomialIdeal) -> dict[tuple[int, int], int]:
     """Graded Betti numbers from the Taylor complex of the generators.
 

@@ -87,6 +87,11 @@ class TestBetti:
         assert main(["betti", "--ideal", str(path)]) == 2
         assert "invalid JSON" in capsys.readouterr().err
 
+    def test_boolean_variable_count_is_parse_error(self, ideal_file, capsys):
+        # JSON true would otherwise be read as one variable
+        assert main(["betti", "--ideal", ideal_file({"variables": True, "generators": [[True]]})]) == 2
+        assert "must be an integer" in capsys.readouterr().err
+
     def test_zero_ideal_is_domain_error(self, ideal_file, capsys):
         assert main(["betti", "--ideal", ideal_file({"variables": 2, "generators": []})]) == 3
         assert "zero ideal" in capsys.readouterr().err

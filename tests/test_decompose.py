@@ -29,7 +29,7 @@ from bsdecomp import (
     verify,
 )
 from bsdecomp.decompose import _chain_through
-from oracles import cramer_solve
+from oracles import cramer_solve, dense_vector
 from reference_values import (
     GREEDY_TERM_COUNTS_SMALL,
     SMALL_TABLES,
@@ -290,9 +290,9 @@ class TestChainDecompose:
                     for row in range(window.min_row, window.max_row + 1)
                 }
                 table = BettiTable.from_entries(entries, window)
-                columns = [pure_diagram(s).table.flatten(window) for s in chain.elements]
+                columns = [dense_vector(pure_diagram(s).table, window) for s in chain.elements]
                 matrix = [[col[r] for col in columns] for r in range(window.dimension)]
-                expected = cramer_solve(matrix, table.flatten(window))
+                expected = cramer_solve(matrix, dense_vector(table, window))
                 assert list(chain_decompose(table, chain).coefficients) == expected
 
     def test_expansion_of_greedy_table_along_other_chain(self):
@@ -399,6 +399,9 @@ class TestDecompositionContainer:
     def test_json_rejects_non_integers(self):
         with pytest.raises(ParseError, match="window"):
             decomposition_from_json({"window": [0, 1.5, 1], "terms": []})
+        # booleans are integers to Python, but not in JSON
+        with pytest.raises(ParseError, match="window"):
+            decomposition_from_json({"window": [False, True, 0], "terms": []})
         with pytest.raises(ParseError, match="term"):
             decomposition_from_json(
                 {"window": [0, 1, 1], "terms": [{"degrees": [0, 1.7], "coefficient": "1"}]}

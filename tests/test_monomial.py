@@ -408,3 +408,8 @@ class TestIdealJson:
             ideal_from_json({"variables": 2, "generators": [3]})
         with pytest.raises(ParseError):
             ideal_from_json({"variables": 2, "generators": [[-1, 0]]})
+        # booleans are integers to Python, but not in JSON
+        with pytest.raises(ParseError, match="variables"):
+            ideal_from_json({"variables": True, "generators": [[1]]})
+        with pytest.raises(ParseError, match="exponent vector"):
+            ideal_from_json({"variables": 1, "generators": [[True]]})

@@ -427,6 +427,10 @@ class TestReportJson:
             ("verified_k", [3, 4.5]),
             ("positive_chain", [[0, 1.5, 2, 3]]),
             ("fit", []),
+            ("r", True),
+            ("k0_observed", True),
+            ("certified_from", False),
+            ("verified_k", [True]),
         ],
     )
     def test_rejects_non_integers_and_malformed_fit(self, path_report, key, value):

@@ -41,18 +41,30 @@ class TestWindow:
         with pytest.raises(ValueError):
             Window(0, 1, -1)
 
-    def test_contains_and_flat_index_cover_everything(self):
+    def test_contains_covers_every_position(self):
         w = Window(1, 3, 2)
         seen = set()
         for i in range(w.max_col + 1):
             for j in range(i + w.min_row, i + w.max_row + 1):
                 assert w.contains(i, j)
-                seen.add(w.flat_index(i, j))
-        assert seen == set(range(w.dimension))
+                seen.add((i, j))
+        assert len(seen) == w.dimension
         assert not w.contains(-1, 1)
         assert not w.contains(3, 4)
         assert not w.contains(0, 0)
         assert not w.contains(0, 4)
+
+    def test_hull_and_shift(self):
+        # positions are (column, degree), so (2, 5) sits in row 3
+        assert Window.hull([(0, 1), (2, 5)]) == Window(1, 3, 2)
+        assert Window.hull([(1, 1)], Window(2, 4, 0)) == Window(0, 4, 1)
+        assert Window.hull((), Window(0, 1, 3), Window(-1, 0, 1)) == Window(-1, 1, 3)
+        with pytest.raises(ValueError):
+            Window.hull([])
+        with pytest.raises(ValueError, match="negative column"):
+            Window.hull([(-1, 0), (1, 1)])
+        assert Window(1, 3, 2).shift(4) == Window(5, 7, 2)
+        assert Window(1, 3, 2).shift(-1) == Window(0, 2, 2)
 
 
 class TestDegreeSequence:
@@ -134,16 +146,16 @@ class TestBettiTable:
         s = a + b
         assert s.entry(0, 0) == 1 and s.entry(1, 3) == 2
         assert s.window == Window(0, 2, 1)
-        d = s - s
-        assert d.is_zero()
+        assert BettiTable.zero(s.window).is_zero()
+        cancelled = s + s.scale(-1)
+        assert cancelled.is_zero() and cancelled.window == s.window
         assert a.scale(Fraction(1, 2)).entry(0, 0) == Fraction(1, 2)
 
-    def test_flatten_and_window_mismatch(self):
-        t = BettiTable.from_entries({(0, 2): 1, (1, 4): 2})
-        flat = t.flatten()
-        assert sorted(flat) == [0, 0, 1, 2]
-        with pytest.raises(ValueError):
-            t.flatten(Window(2, 2, 1))
+    def test_from_entries_rejects_entry_outside_window(self):
+        entries = {(0, 2): 1, (1, 4): 2}
+        assert BettiTable.from_entries(entries, Window(2, 3, 1)).support() == ((0, 2), (1, 4))
+        with pytest.raises(ValueError, match="column 1, degree 4 is outside the window"):
+            BettiTable.from_entries(entries, Window(2, 2, 1))
 
     def test_same_entries_vs_eq(self):
         a = BettiTable.from_entries({(0, 0): 1})
@@ -233,16 +245,32 @@ class TestSerialization:
             parse_btt_text("0 1 0\n1\n")
 
     def test_btt_round_trip_random(self):
+        # every fourth table is all zero; the others leave their bottom row,
+        # top row or last column empty in turn, so the window keeps padding
+        # that the support alone would not give
         rng = random.Random(5)
-        for _ in range(30):
+        for trial in range(40):
             window = Window(rng.randint(-2, 2), rng.randint(3, 5), rng.randint(0, 3))
+            blank = trial % 4
             entries = {}
             for i in range(window.max_col + 1):
                 for row in range(window.min_row, window.max_row + 1):
-                    if rng.random() < 0.4:
+                    edges = (True, row == window.min_row, row == window.max_row, i == window.max_col)
+                    if not edges[blank] and rng.random() < 0.4:
                         entries[(i, i + row)] = Fraction(rng.randint(1, 40), rng.randint(1, 6))
             table = BettiTable.from_entries(entries, window)
-            assert parse_btt_text(to_btt_text(table)) == table
+            for rebuilt in (parse_btt_text(to_btt_text(table)), table_from_json(table_to_json(table))):
+                assert rebuilt == table and rebuilt.window == window
+                assert hash(rebuilt) == hash(table)
+            reordered = BettiTable.from_entries(dict(reversed(entries.items())), window)
+            assert reordered == table and hash(reordered) == hash(table)
+            if not entries:
+                assert table.is_zero() and table.support() == ()
+                continue
+            tight = BettiTable.from_entries(entries)
+            assert tight.same_entries(table) and table.same_entries(tight)
+            if blank:
+                assert tight.window != window and tight != table
 
     def test_json_round_trip(self):
         t = BettiTable.from_entries({(0, 0): Fraction(1, 3), (2, 4): 7})
@@ -259,7 +287,18 @@ class TestSerialization:
             table_from_json({"window": [0, 1.7, 1], "rows": rows})
         with pytest.raises(ParseError, match="bad table JSON"):
             table_from_json({"window": ["0", 1, 1], "rows": rows})
+        with pytest.raises(ParseError, match="bad table JSON"):
+            table_from_json({"window": [0, True, 1], "rows": rows})
         assert table_from_json({"window": [0, 1, 1], "rows": rows}).window == Window(0, 1, 1)
+
+    def test_json_rows_must_be_lists_of_the_window_width(self):
+        # a long row would lose its extra entries, and a string row would be
+        # read one character per column
+        for window, rows in (([0, 0, 1], [["1", "2", "3"]]), ([0, 0, 0], ["7"]), ([0, 0, 1], ["12"])):
+            with pytest.raises(ParseError, match="is not a list of"):
+                table_from_json({"window": window, "rows": rows})
+        with pytest.raises(ParseError, match="rows"):
+            table_from_json({"window": [0, 0, 0], "rows": "7"})
 
     def test_json_entries_must_be_exact(self):
         # Fraction(0.1) would read 3602879701896397/36028797018963968
