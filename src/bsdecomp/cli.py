@@ -59,11 +59,24 @@ def _read_text(path: str) -> str:
         return handle.read()
 
 
+def _unique_keys(pairs):
+    """Object hook for ``json.loads``: a repeated key is an error, not a
+    silent replacement of the earlier value."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ParseError(f"repeated JSON key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def _load_json(path: str):
     try:
-        return json.loads(_read_text(path))
+        return json.loads(_read_text(path), object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def load_ideal(path: str) -> MonomialIdeal:

@@ -195,15 +195,19 @@ def is_equigenerated(ideal: MonomialIdeal) -> int | None:
 
 def _lattice(ideal: MonomialIdeal):
     """Walk the lcm lattice of the generators, yielding ``(b, divisors,
-    achievers)`` for each point: the exponent tuple b, the bitmask of the
-    generators dividing b (bit i is generator i), and for each variable v the
-    mask of those divisors g with g_v = b_v.
+    achievers, reach)`` for each point: the exponent tuple b, the bitmask of
+    the generators dividing b (bit i is generator i), for each variable v the
+    mask of those divisors g with g_v = b_v, and the mask of the divisors that
+    attain b_v for at least one v with b_v > 0 (the union of the achiever
+    masks over the support of b).
 
     b is fixed one variable at a time, to a value some divisor so far takes
     there. A prefix is cut as soon as a fixed variable loses all its achievers:
     b is a lattice point exactly when it is the lcm of its divisors, that is
-    when every achiever mask is nonempty. Depth first over an explicit stack,
-    so the lattice streams instead of being held.
+    when every achiever mask is nonempty. ``reach`` follows the divisors down
+    and gains each new achiever mask at a positive value; a divisor outside it
+    spans the full simplex on supp(b) (``_full_simplex``). Depth first over an
+    explicit stack, so the lattice streams instead of being held.
     """
     levels = []  # per variable: (value c, generators with g_v = c, with g_v <= c)
     for v in range(ideal.num_vars):
@@ -216,11 +220,11 @@ def _lattice(ideal: MonomialIdeal):
             le |= by_value[c]
             level.append((c, by_value[c], le))
         levels.append(level)
-    stack = [((), (1 << len(ideal.generators)) - 1, ())]
+    stack = [((), (1 << len(ideal.generators)) - 1, (), 0)]
     while stack:
-        b, divisors, achievers = stack.pop()
+        b, divisors, achievers, reach = stack.pop()
         if len(b) == ideal.num_vars:
-            yield b, divisors, achievers
+            yield b, divisors, achievers, reach
             continue
         for c, eq, le in levels[len(b)]:
             achiever = divisors & eq
@@ -228,14 +232,59 @@ def _lattice(ideal: MonomialIdeal):
                 below = divisors & le
                 kept = tuple(a & below for a in achievers)
                 if all(kept):
-                    stack.append((b + (c,), below, kept + (achiever,)))
+                    reached = reach & below | achiever if c else reach & below
+                    stack.append((b + (c,), below, kept + (achiever,), reached))
 
 
 def lcm_closure(ideal: MonomialIdeal) -> frozenset[Monomial]:
     """All lcms of nonempty generator subsets."""
     if ideal.is_zero:
         raise ZeroIdealError("the zero ideal has no lcm closure")
-    return frozenset(Monomial(b) for b, _, _ in _lattice(ideal))
+    return frozenset(Monomial(b) for b, *_ in _lattice(ideal))
+
+
+def _full_simplex(divisors: int, reach: int) -> bool:
+    """True when a divisor attains b_v at no v in supp(b). Such a g has
+    g_v < b_v on all of supp(b), so its facet {v : g_v < b_v} is supp(b) and
+    the complex is the full simplex on supp(b), a cone when supp(b) is
+    nonempty, which on a lattice point is when ``reach`` is. (At b = 0 the
+    complex is {empty set}, with beta_{0,0} = 1.)
+
+    ``_apex_witness`` decides every point this decides; this is the fast path
+    for the commonest cones, one mask test on what the walk carries.
+    """
+    return bool(reach and divisors & ~reach)
+
+
+def _apex_witness(divisors: int, achievers) -> bool:
+    """True when, for some v, a divisor lies outside W_v below, which makes v
+    an apex of the upper-Koszul complex at b. False means undecided, not "not
+    a cone".
+
+    Write A_v for the achiever mask of v and S_g = {v : g in A_v} for a
+    divisor g, so that its facet is F_g = {v : g_v < b_v}, the complement of
+    S_g. Let W_v = A_v | (the union of the A_u with A_v not inside A_u). A
+    divisor h outside W_v is an apex witness for v: h is not in A_v, so v is
+    in F_h; and h misses every A_u that does not contain A_v, so S_h is inside
+    {u : A_v inside A_u}, which is inside S_g for every g in A_v. Hence F_h
+    contains F_g and v for each g in A_v, while every other divisor's facet
+    already contains v: every facet lies in one that contains v, so v is an
+    apex. A divisor that ``_full_simplex`` finds is a witness for any v with
+    A_v != D, since A_u = D off supp(b). At b = 0 every A_v is D, so the
+    complex {empty set} is never skipped.
+    """
+    for a in achievers:
+        if a == divisors:
+            continue  # no divisor lies outside A_v
+        witness = divisors & ~a
+        for other in achievers:
+            if a & ~other:
+                witness &= ~other
+                if not witness:
+                    break
+        else:
+            return True
+    return False
 
 
 def _maximal_facets(divisors: int, achievers) -> list[int]:
@@ -393,11 +442,17 @@ def betti_table(ideal: MonomialIdeal) -> BettiTable:
     """Exact graded Betti table of the ideal (as a module, not its quotient).
 
     Walks the lcm lattice of the generators over generator bitmasks, so no
-    Monomial is built per point. At each point b it keeps the maximal facets
-    {v : g_v < b_v} of the generators g dividing b, found by refining those
-    divisors by the variables where they reach b. When the facets share a
-    vertex the complex is a cone, whose reduced homology vanishes, and b is
-    skipped. Otherwise homology is memoized on the facets with their vertices
+    Monomial is built per point. A cone has no reduced homology, so b is
+    skipped as soon as its complex is shown to be one. Most cones are found
+    from the walk's masks alone: first when a divisor attains b_v at no v in
+    supp(b), so the complex is the full simplex on supp(b) (``_full_simplex``);
+    then when, for some v, a divisor lies outside the achiever mask A_v and
+    every A_u that does not contain A_v, which makes v an apex
+    (``_apex_witness``, which also covers the first case but costs a loop).
+    The remaining points keep the maximal facets {v : g_v < b_v} of the
+    generators g dividing b, found by refining those divisors by the
+    variables where they reach b, and are skipped when those facets share a
+    vertex. Otherwise homology is memoized on the facets with their vertices
     renumbered densely, which collapses the many isomorphic complexes a power
     family produces; faces are listed only on a memo miss. Dimensions
     accumulate by total degree. Deterministic for a given ideal.
@@ -406,7 +461,9 @@ def betti_table(ideal: MonomialIdeal) -> BettiTable:
         raise ZeroIdealError("the zero ideal has no Betti table")
     memo: dict[tuple, list[int]] = {}
     entries: dict[tuple[int, int], Fraction] = {}
-    for b, divisors, achievers in _lattice(ideal):
+    for b, divisors, achievers, reach in _lattice(ideal):
+        if _full_simplex(divisors, reach) or _apex_witness(divisors, achievers):
+            continue  # a cone, shown from the walk's masks
         facets = _maximal_facets(divisors, achievers)
         if functools.reduce(operator.and_, facets):
             continue  # the facets share a vertex: a cone, with no reduced homology

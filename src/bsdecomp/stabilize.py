@@ -10,6 +10,7 @@ certified by explicit root bounds.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -422,6 +423,20 @@ def report_json_text(report: StabilizationReport) -> str:
     return json.dumps(report_to_json(report), indent=2) + "\n"
 
 
+def _fit_position(key: str) -> tuple[int, int]:
+    """The (column, offset) of a fit key, spelled exactly as ``report_to_json``
+    writes it, ``"(i,j)"``; one spelling per position, so no two distinct keys
+    of one fit dict can name the same entry. A key repeated word for word in
+    JSON text is merged by ``json.loads`` before this runs; the CLI's loader
+    refuses such repeats."""
+    match = re.fullmatch(r"\((-?[0-9]+),(-?[0-9]+)\)", key)
+    if match:
+        i, j = int(match[1]), int(match[2])
+        if key == f"({i},{j})":
+            return i, j
+    raise ParseError(f"bad report JSON: fit key {key!r} is not of the form '(i,j)'")
+
+
 def report_from_json(obj) -> StabilizationReport:
     """Rebuild a report from its JSON form.
 
@@ -438,8 +453,7 @@ def report_from_json(obj) -> StabilizationReport:
         certified = _json_int(obj["certified_from"])
         fit_entries = {}
         for key, body in obj["fit"].items():
-            i, j = (int(x) for x in key.strip("()").split(","))
-            fit_entries[(i, j)] = PolynomialQ(tuple(map(_json_rational, body["coefficients"])))
+            fit_entries[_fit_position(key)] = PolynomialQ(tuple(map(_json_rational, body["coefficients"])))
         fit = SymbolicBettiTable(gen_degree, fit_entries, valid_from=k0)
         chain = Chain.from_sequences(obj["positive_chain"], window=fit.offset_window())
         terms = tuple(

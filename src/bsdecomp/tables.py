@@ -71,13 +71,14 @@ class Window:
 
 @dataclass(frozen=True)
 class DegreeSequence:
-    """Strictly increasing tuple of integer degrees ``d_0 < d_1 < ...``."""
+    """Strictly increasing tuple of integer degrees ``d_0 < d_1 < ...``;
+    booleans are refused, although Python counts them as integers."""
 
     degrees: tuple[int, ...]
 
     def __post_init__(self):
         try:
-            degs = tuple(_exact_int(d) for d in self.degrees)
+            degs = tuple(_json_int(d) for d in self.degrees)
         except TypeError as exc:
             raise DegreeSequenceError(f"non-integer degree in {self.degrees!r}") from exc
         if not degs:

@@ -128,6 +128,15 @@ class TestDecompose:
         assert main(["decompose", "--table", table, "--chain", str(chain_path)]) == 2
         assert "malformed chain" in capsys.readouterr().err
 
+    def test_chain_degrees_must_not_be_booleans(self, table_file, tmp_path, capsys):
+        # [false, true] must not be read as [0, 1], which would make this a maximal chain
+        chain_path = tmp_path / "chain.json"
+        table = table_file({(0, 0): 1, (1, 2): 1})
+        for first, code in (([0, 1], 0), ([False, True], 2)):
+            chain_path.write_text(json.dumps([first, [0, 2], [1, 2], [1]]), encoding="utf-8")
+            assert main(["decompose", "--table", table, "--chain", str(chain_path)]) == code
+        assert "malformed chain" in capsys.readouterr().err
+
     def test_non_maximal_chain(self, table_file, tmp_path, capsys):
         chain_path = tmp_path / "chain.json"
         chain_path.write_text(json.dumps([[2, 3], [3]]), encoding="utf-8")
@@ -292,6 +301,16 @@ class TestVerify:
             path.write_text(json.dumps({"window": [0, 0, 1], "terms": [term]}), encoding="utf-8")
             assert main(["verify", "--table", table, "--decomposition", str(path)]) == code
         assert "not an exact rational" in capsys.readouterr().err
+
+    def test_repeated_key_is_parse_error(self, table_file, tmp_path, capsys):
+        # json.loads alone keeps the second "window", and the file would verify
+        table = table_file({(0, 0): 1, (1, 1): 1})
+        path = tmp_path / "d.json"
+        terms = '"terms": [{"degrees": [0, 1], "coefficient": "1"}]'
+        for windows, code in (('"window": [0, 0, 1]', 0), ('"window": [0, 0, 0], "window": [0, 0, 1]', 2)):
+            path.write_text("{" + windows + ", " + terms + "}", encoding="utf-8")
+            assert main(["verify", "--table", table, "--decomposition", str(path)]) == code
+        assert "repeated JSON key 'window'" in capsys.readouterr().err
 
 
 class TestParser:

@@ -406,6 +406,10 @@ class TestDecompositionContainer:
             decomposition_from_json(
                 {"window": [0, 1, 1], "terms": [{"degrees": [0, 1.7], "coefficient": "1"}]}
             )
+        with pytest.raises(ParseError, match="term"):
+            decomposition_from_json(
+                {"window": [0, 1, 1], "terms": [{"degrees": [False, True], "coefficient": "1"}]}
+            )
 
     def test_json_coefficients_must_be_exact(self):
         def parse(coefficient):

@@ -1,4 +1,6 @@
+import functools
 import itertools
+import operator
 import random
 
 import pytest
@@ -200,13 +202,19 @@ class TestLcmClosure:
     def test_walk_matches_definition(self, ideal):
         gens = ideal.generators
         points = []
-        for b, divisors, achievers in bsdecomp.monomial._lattice(ideal):
+        for b, divisors, achievers, reach in bsdecomp.monomial._lattice(ideal):
             point = Monomial(b)
             assert divisors == sum(1 << i for i, g in enumerate(gens) if g.divides(point))
             assert list(achievers) == [
                 sum(1 << i for i, g in enumerate(gens) if divisors >> i & 1 and g.exponents[v] == c)
                 for v, c in enumerate(b)
             ]
+            # the divisors attaining b_v at some v with b_v > 0
+            assert reach == sum(
+                1 << i
+                for i, g in enumerate(gens)
+                if g.divides(point) and any(0 < c == g.exponents[v] for v, c in enumerate(b))
+            )
             points.append(point)
         # each point once: a repeat would count its homology twice
         assert len(points) == len(set(points))
@@ -277,6 +285,56 @@ class TestUpperKoszul:
             points.append(Monomial(tuple(t + e for t, e in zip(tops, extra))))
         for b in points:
             assert upper_koszul_complex(ideal, b).faces == brute_koszul_faces(ideal, b)
+
+
+def has_apex(faces, num_vars):
+    """Some vertex v with sigma | {v} a face for every face sigma."""
+    return any(all(f | {v} in faces for f in faces) for v in range(num_vars))
+
+
+class TestConeFromMasks:
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(
+        st.one_of(
+            edge_ideals(),
+            st.builds(random_ideal, st.randoms(use_true_random=False), st.integers(1, 4), st.integers(1, 6)),
+        )
+    )
+    @example(MonomialIdeal(2, (m(0, 0),)))
+    # every lattice point has b_3 = 0; at (2, 2, 0), x1*x2 spans the full simplex on supp b
+    @example(MonomialIdeal(3, (m(2, 0, 0), m(1, 1, 0), m(0, 2, 0))))
+    def test_skipped_points_have_an_apex(self, ideal):
+        for b, divisors, achievers, reach in bsdecomp.monomial._lattice(ideal):
+            full = bsdecomp.monomial._full_simplex(divisors, reach)
+            witnessed = bsdecomp.monomial._apex_witness(divisors, achievers)
+            if full or witnessed:
+                assert has_apex(brute_koszul_faces(ideal, Monomial(b)), ideal.num_vars), b
+            # a divisor with g_v < b_v on all of supp(b) != {} spans the full simplex there
+            assert full == (
+                any(b)
+                and any(
+                    all(g.exponents[v] < c for v, c in enumerate(b) if c)
+                    for i, g in enumerate(ideal.generators)
+                    if divisors >> i & 1
+                )
+            ), b
+            # the apex test decides every full simplex: the first test is only a fast path
+            assert witnessed or not full, b
+
+    def test_both_tests_fire_on_a_path_power(self, path_ideal):
+        # P5^4: full simplices, then apex witnesses among the rest, then the
+        # shared-vertex check on the refined facets, then the points left
+        full = witnessed = shared = rest = 0
+        for b, divisors, achievers, reach in bsdecomp.monomial._lattice(power(path_ideal, 4)):
+            if bsdecomp.monomial._full_simplex(divisors, reach):
+                full += 1
+            elif bsdecomp.monomial._apex_witness(divisors, achievers):
+                witnessed += 1
+            elif functools.reduce(operator.and_, bsdecomp.monomial._maximal_facets(divisors, achievers)):
+                shared += 1
+            else:
+                rest += 1
+        assert (full, witnessed, shared, rest) == (194, 134, 34, 155)
 
 
 class TestReducedHomology:

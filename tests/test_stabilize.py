@@ -439,6 +439,34 @@ class TestReportJson:
         with pytest.raises(ParseError, match="bad report JSON"):
             report_from_json(obj)
 
+    @pytest.mark.parametrize("part", ["positive_chain", "offsets"])
+    def test_rejects_boolean_degrees(self, path_report, part):
+        obj = report_to_json(path_report)
+        if part == "positive_chain":
+            sequence = obj["positive_chain"][0]
+        else:
+            sequence = obj["positive_decomposition"]["terms"][0]["offsets"]
+        assert sequence[:2] == [0, 1]
+        sequence[:2] = [False, True]
+        with pytest.raises(ParseError, match="bad report JSON"):
+            report_from_json(obj)
+
+    @pytest.mark.parametrize(
+        "key", ["((0,0))", "(0, 0)", " (0,0)", "0,0", "(0,0,0)", "(0;0)", "(+0,0)", "(-0,0)", "(a,0)", "(0,0)\n"]
+    )
+    def test_rejects_fit_keys_report_to_json_does_not_write(self, path_report, key):
+        obj = report_to_json(path_report)
+        obj["fit"][key] = obj["fit"].pop("(0,0)")
+        with pytest.raises(ParseError, match="fit key"):
+            report_from_json(obj)
+
+    def test_rejects_a_second_key_for_one_fit_position(self, path_report):
+        # "(00,0)" used to be read as (0, 0) and replace that entry
+        obj = report_to_json(path_report)
+        obj["fit"]["(00,0)"] = {"coefficients": ["7"], "text": "7"}
+        with pytest.raises(ParseError, match="fit key '\\(00,0\\)'"):
+            report_from_json(obj)
+
     @pytest.mark.parametrize("part", ["fit", "term"])
     def test_rejects_float_coefficients(self, path_report, part):
         obj = report_to_json(path_report)

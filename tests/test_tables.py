@@ -75,6 +75,9 @@ class TestDegreeSequence:
             DegreeSequence((1, 1))
         with pytest.raises(DegreeSequenceError):
             DegreeSequence((2, 1))
+        # booleans are integers to Python, but not degrees
+        with pytest.raises(DegreeSequenceError, match="non-integer"):
+            DegreeSequence((False, True))
         assert len(DegreeSequence((-1, 0, 5))) == 3
 
     def test_shift_and_fits(self):
