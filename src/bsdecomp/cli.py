@@ -24,7 +24,7 @@ from .decompose import (
 from .errors import CertificateError, DomainError, NotStabilizedError, ParseError
 from .monomial import MonomialIdeal, betti_table, ideal_from_json, power
 from .stabilize import StabilizationReport, detect_stabilization, report_json_text
-from .tables import BettiTable, Window, parse_btt_text, table_to_json, to_btt_text
+from .tables import BettiTable, Window, _text_rows, parse_btt_text, table_to_json, to_btt_text
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -34,24 +34,19 @@ EXIT_VERIFICATION = 5
 EXIT_CERTIFICATE = 6
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """An argparse type: an integer no less than ``low``."""
 
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
 
-def _nonnegative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+    return parse
 
 
 def _read_text(path: str) -> str:
@@ -114,21 +109,14 @@ def _emit(text: str, out_path: str | None) -> None:
 
 def format_pretty(table: BettiTable) -> str:
     """Aligned grid with a degree-offset row gutter, dashes for zeros."""
-    width = max(
-        [len(str(v)) for _, v in table.iter_support()] + [1]
-    )
-    window = table.window
-    rows = range(window.min_row, window.max_row + 1)
-    gutter = max(len(str(row)) for row in rows)
-    header = " " * (gutter + 2) + " ".join(f"{i:>{width}}" for i in range(window.max_col + 1))
-    rule = "-" * len(header)
-    lines = [header, rule]
-    for row in rows:
-        cells = []
-        for i in range(window.max_col + 1):
-            value = table.entry(i, i + row)
-            cells.append(f"{str(value) if value else '-':>{width}}")
-        lines.append(f"{row:>{gutter}}: " + " ".join(cells))
+    rows = [["-" if cell == "0" else cell for cell in row] for row in _text_rows(table)]
+    width = max(len(cell) for row in rows for cell in row)
+    labels = [str(row) for row in range(table.window.min_row, table.window.max_row + 1)]
+    gutter = max(len(label) for label in labels)
+    header = " " * (gutter + 2) + " ".join(f"{i:>{width}}" for i in range(len(rows[0])))
+    lines = [header, "-" * len(header)]
+    for label, cells in zip(labels, rows):
+        lines.append(f"{label:>{gutter}}: " + " ".join(f"{cell:>{width}}" for cell in cells))
     return "\n".join(lines) + "\n"
 
 
@@ -234,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_betti = sub.add_parser("betti", help="Betti table of an ideal power")
     p_betti.add_argument("--ideal", required=True, help="ideal JSON file")
-    p_betti.add_argument("-k", "--power", type=_positive_int, default=1, help="power exponent (default 1)")
+    p_betti.add_argument("-k", "--power", type=_int_at_least(1), default=1, help="power exponent (default 1)")
     p_betti.add_argument("--format", choices=("pretty", "btt", "json"), default="pretty")
     p_betti.add_argument("--out", help="write to a file instead of stdout")
     p_betti.set_defaults(func=cmd_betti)
@@ -248,17 +236,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_chains = sub.add_parser("chains", help="enumerate maximal chains of a window")
     p_chains.add_argument("min_row", type=int, help="least row (degree offset)")
     p_chains.add_argument("max_row", type=int, help="greatest row")
-    p_chains.add_argument("max_col", type=_nonnegative_int, help="last column")
+    p_chains.add_argument("max_col", type=_int_at_least(0), help="last column")
     p_chains.add_argument("--count-only", action="store_true", help="print only the count")
     p_chains.set_defaults(func=cmd_chains)
 
     p_stab = sub.add_parser("stabilize", help="fit and certify a power family")
     p_stab.add_argument("--ideal", required=True, help="ideal JSON file")
-    p_stab.add_argument("--kmin", type=_positive_int, required=True)
-    p_stab.add_argument("--kmax", type=_positive_int, required=True)
+    p_stab.add_argument("--kmin", type=_int_at_least(1), required=True)
+    p_stab.add_argument("--kmax", type=_int_at_least(1), required=True)
     p_stab.add_argument(
         "--degree-bound",
-        type=_nonnegative_int,
+        type=_int_at_least(0),
         default=None,
         help="fit degree cap (default: variable count minus one)",
     )
@@ -281,10 +269,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NotStabilizedError as exc:

@@ -18,6 +18,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from .errors import (
+    CertificateError,
     DegreeSequenceError,
     NoSolutionError,
     NotDecomposableError,
@@ -124,7 +125,8 @@ def enumerate_maximal_chains(window: Window) -> Iterator[Chain]:
     def walk(path: list[DegreeSequence]) -> Iterator[Chain]:
         tail = path[-1]
         if tail.degrees == top:
-            assert len(path) == size
+            if len(path) != size:
+                raise CertificateError(f"a maximal chain of {size} elements has {len(path)}")
             yield Chain(tuple(path), window, True)
             return
         for successor in cover_successors(tail, window):
@@ -155,6 +157,14 @@ def _chain_through(sequences, window: Window) -> Chain:
     return Chain(tuple(path), window, True)
 
 
+def _check_chain_order(terms: tuple) -> None:
+    """Raise ValueError unless the sequences of the (coefficient, sequence)
+    terms strictly increase, as along a chain."""
+    for (_, a), (_, b) in zip(terms, terms[1:]):
+        if compare(a, b) is not Comparison.LESS:
+            raise ValueError(f"terms out of chain order: {a.degrees} then {b.degrees}")
+
+
 @dataclass(frozen=True)
 class Decomposition:
     """Ordered terms (coefficient, degree sequence) along an increasing chain.
@@ -170,9 +180,7 @@ class Decomposition:
 
     def __post_init__(self):
         terms = tuple((Fraction(c), s) for c, s in self.terms)
-        for (_, a), (_, b) in zip(terms, terms[1:]):
-            if compare(a, b) is not Comparison.LESS:
-                raise ValueError(f"terms out of chain order: {a.degrees} then {b.degrees}")
+        _check_chain_order(terms)
         object.__setattr__(self, "terms", terms)
 
     @property

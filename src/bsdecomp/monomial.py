@@ -17,7 +17,6 @@ import functools
 import itertools
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import index as _exact_int
 
 from .errors import CertificateError, ParseError, ZeroIdealError
@@ -111,9 +110,10 @@ def parse_monomial(text: str, num_vars: int) -> Monomial:
         exponent = 1
         if pos < end and text[pos] == "^":
             pos += 1
+            start = pos
             exponent = parse_int("exponent")
             if exponent < 1:
-                raise ParseError(f"exponent must be >= 1 at position {pos} in {text!r}")
+                raise ParseError(f"exponent must be >= 1 at position {start} in {text!r}")
         exps[idx - 1] += exponent
         skip_ws()
         if pos >= end:
@@ -460,7 +460,7 @@ def betti_table(ideal: MonomialIdeal) -> BettiTable:
     if ideal.is_zero:
         raise ZeroIdealError("the zero ideal has no Betti table")
     memo: dict[tuple, list[int]] = {}
-    entries: dict[tuple[int, int], Fraction] = {}
+    entries: dict[tuple[int, int], int] = {}
     for b, divisors, achievers, reach in _lattice(ideal):
         if _full_simplex(divisors, reach) or _apex_witness(divisors, achievers):
             continue  # a cone, shown from the walk's masks
@@ -475,7 +475,7 @@ def betti_table(ideal: MonomialIdeal) -> BettiTable:
         for i, dim in enumerate(dims):
             if dim:
                 pos = (i, degree)
-                entries[pos] = entries.get(pos, Fraction(0)) + dim
+                entries[pos] = entries.get(pos, 0) + dim
     table = BettiTable.from_entries(entries)
     low = min(g.degree for g in ideal.generators)
     if table.entry(0, low) <= 0:

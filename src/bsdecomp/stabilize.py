@@ -18,6 +18,7 @@ from .decompose import (
     Chain,
     Decomposition,
     _chain_through,
+    _check_chain_order,
     _greedy_peel,
     _peel_along_chain,
     chain_decompose,
@@ -42,7 +43,7 @@ from .polynomials import (
     interpolate_consecutive,
     sign_threshold,
 )
-from .tables import BettiTable, Comparison, DegreeSequence, Window, _json_int, _json_rational, compare
+from .tables import BettiTable, DegreeSequence, Window, _json_int, _json_rational
 
 __all__ = [
     "SymbolicBettiTable",
@@ -86,9 +87,6 @@ class SymbolicBettiTable:
             raise ValueError("a symbolic table needs at least one entry")
         object.__setattr__(self, "entries", fixed)
 
-    def support(self) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted(self.entries))
-
     def entry(self, col: int, offset: int) -> PolynomialQ:
         return self.entries.get((col, offset), PolynomialQ())
 
@@ -119,9 +117,7 @@ class TranslatedDecomposition:
 
     def __post_init__(self):
         terms = tuple(self.terms)
-        for (_, a), (_, b) in zip(terms, terms[1:]):
-            if compare(a, b) is not Comparison.LESS:
-                raise ValueError(f"terms out of chain order: {a.degrees} then {b.degrees}")
+        _check_chain_order(terms)
         object.__setattr__(self, "terms", terms)
 
     def nonzero_terms(self) -> tuple[tuple[PolynomialQ, DegreeSequence], ...]:

@@ -130,19 +130,19 @@ def compare(a: DegreeSequence, b: DegreeSequence) -> Comparison:
     return Comparison.INCOMPARABLE
 
 
+@dataclass(frozen=True, init=False)
 class BettiTable:
     """Nonzero rational entries ``(column, degree) -> beta`` over a window.
 
-    Built only by ``from_entries`` (or ``zero``); immutable once built. The
-    window may carry rows and columns of zero padding beyond the support.
-    Equality compares the window and every entry; ``same_entries`` compares
-    supports only, ignoring that padding.
+    A frozen dataclass with no ``__init__``: built only by ``from_entries``
+    (or ``zero``), which turns every value into a ``Fraction``, and immutable
+    once built. The window may carry rows and columns of zero padding beyond
+    the support. Equality compares the window and every entry;
+    ``same_entries`` compares supports only, ignoring that padding.
     """
 
-    __slots__ = ("window", "_entries")
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BettiTable is immutable")
+    window: Window
+    _entries: dict[tuple[int, int], Fraction]
 
     @classmethod
     def zero(cls, window: Window) -> "BettiTable":
@@ -204,11 +204,6 @@ class BettiTable:
     def same_entries(self, other: "BettiTable") -> bool:
         """Equality of supports, ignoring window padding."""
         return self._entries == other._entries
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BettiTable):
-            return NotImplemented
-        return self.window == other.window and self._entries == other._entries
 
     def __hash__(self) -> int:
         return hash((self.window, tuple(self._entries.items())))

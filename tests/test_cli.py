@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -8,15 +9,16 @@ from bsdecomp import (
     BettiTable,
     Window,
     decomposition_from_json,
+    detect_stabilization,
     enumerate_maximal_chains,
     greedy_decompose,
     table_from_json,
     to_btt_text,
     verify,
 )
-from bsdecomp.cli import main
+from bsdecomp.cli import format_stabilize_summary, load_ideal, main
 from reference_values import EDGE_GENERATORS, NUM_VARS, SMALL_TABLES
-from test_stabilize import doubled_greedy
+from test_stabilize import doubled_chain_expansion, doubled_greedy
 
 PATH_IDEAL = {"variables": NUM_VARS, "generators": list(EDGE_GENERATORS)}
 # offset window of 4 rows x 3 columns, 462 maximal chains
@@ -56,6 +58,16 @@ class TestBetti:
         assert "2: 4 3 -" in out
         assert "3: - 1 1" in out
 
+    def test_pretty_output_bytes(self, ideal_file, capsys):
+        # the README example, P5^3
+        assert main(["betti", "--ideal", ideal_file(PATH_IDEAL), "-k", "3"]) == 0
+        assert capsys.readouterr().out == (
+            "    0  1  2  3\n"
+            "--------------\n"
+            "6: 20 30 12  1\n"
+            "7:  -  3  3  -\n"
+        )
+
     def test_btt_single_variable_power(self, ideal_file, capsys):
         path = ideal_file({"variables": 1, "generators": [[1]]})
         assert main(["betti", "--ideal", path, "-k", "7", "--format", "btt"]) == 0
@@ -91,6 +103,25 @@ class TestBetti:
         # JSON true would otherwise be read as one variable
         assert main(["betti", "--ideal", ideal_file({"variables": True, "generators": [[True]]})]) == 2
         assert "must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "ideal, line",
+        [
+            ({"variables": 0, "generators": [[]]}, "error: need at least one variable, got 0"),
+            (
+                {"variables": 17, "generators": [[1] * 17]},
+                "error: 17 variables exceeds the cap of 16 (a complex on n vertices can have 2^n faces)",
+            ),
+            (
+                {"variables": 2, "generators": ["x1^0*x2"]},
+                "error: exponent must be >= 1 at position 3 in 'x1^0*x2'",
+            ),
+        ],
+        ids=["no-variables", "17-variables", "zero-exponent"],
+    )
+    def test_refused_ideal_stderr(self, ideal_file, capsys, ideal, line):
+        assert main(["betti", "--ideal", ideal_file(ideal)]) == 2
+        assert capsys.readouterr().err == line + "\n"
 
     def test_zero_ideal_is_domain_error(self, ideal_file, capsys):
         assert main(["betti", "--ideal", ideal_file({"variables": 2, "generators": []})]) == 3
@@ -233,6 +264,25 @@ class TestStabilize:
         assert "certificate check failed" in err
         assert "Traceback" not in err
 
+    def test_failed_chain_replay_exit_code(self, ideal_file, capsys, monkeypatch):
+        monkeypatch.setattr(bsdecomp.stabilize, "chain_decompose", doubled_chain_expansion)
+        assert main(["stabilize", "--ideal", ideal_file(MAXIMAL_2VARS), "--kmin", "1", "--kmax", "4"]) == 6
+        assert capsys.readouterr().err == (
+            "error: certificate check failed: numeric chain expansion differs from the symbolic one at k=1\n"
+        )
+
+    def test_summary_with_no_verified_power(self, ideal_file):
+        report = detect_stabilization(load_ideal(ideal_file(MAXIMAL_2VARS)), 1, 4)
+        assert format_stabilize_summary(dataclasses.replace(report, verified_k=())) == (
+            "ideal: 2 minimal generators in 2 variables, equigenerated in degree 1\n"
+            "shape stabilizes at k0 = 1 (observed)\n"
+            "fit: 2 entry polynomials in k, valid from k = 1\n"
+            "positive decomposition: 2 summands, certified for k >= 1\n"
+            "  (0,1) x [k]\n"
+            "  (0) x [1]\n"
+            "verified numerically at no k in range (certified threshold above k_max)\n"
+        )
+
 
 class TestGolden:
     def test_large_window_report_and_summary(self, ideal_file, tmp_path, capsys):
@@ -302,6 +352,14 @@ class TestVerify:
             assert main(["verify", "--table", table, "--decomposition", str(path)]) == code
         assert "not an exact rational" in capsys.readouterr().err
 
+    def test_terms_out_of_chain_order(self, table_file, tmp_path, capsys):
+        table = table_file({(0, 0): 1, (1, 1): 1})
+        path = tmp_path / "d.json"
+        terms = [{"degrees": [0], "coefficient": "1"}, {"degrees": [0, 1], "coefficient": "1"}]
+        path.write_text(json.dumps({"window": [0, 0, 1], "terms": terms}), encoding="utf-8")
+        assert main(["verify", "--table", table, "--decomposition", str(path)]) == 2
+        assert capsys.readouterr().err == "error: terms out of chain order: (0,) then (0, 1)\n"
+
     def test_repeated_key_is_parse_error(self, table_file, tmp_path, capsys):
         # json.loads alone keeps the second "window", and the file would verify
         table = table_file({(0, 0): 1, (1, 1): 1})
@@ -319,6 +377,21 @@ class TestParser:
 
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (["betti", "-k", "abc"], "bsdecomp betti: error: argument -k/--power: not an integer: 'abc'"),
+            (
+                ["stabilize", "--kmin", "1", "--kmax", "x"],
+                "bsdecomp stabilize: error: argument --kmax: not an integer: 'x'",
+            ),
+        ],
+        ids=["power", "kmax"],
+    )
+    def test_non_integer_argument(self, ideal_file, capsys, argv, line):
+        assert main(argv[:1] + ["--ideal", ideal_file(PATH_IDEAL)] + argv[1:]) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == line
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bsdecomp.decompose
 from bsdecomp import (
     BettiTable,
+    CertificateError,
     Chain,
     Comparison,
     DegreeSequence,
@@ -165,6 +167,12 @@ class TestEnumerateMaximalChains:
         chains = list(enumerate_maximal_chains(Window(2, 2, 0)))
         assert len(chains) == 1
         assert chains[0].elements == (DegreeSequence((2,)),)
+
+    def test_short_chain_is_a_certificate_error(self, monkeypatch):
+        # a cover relation that skipped ranks would reach the top too early
+        monkeypatch.setattr(bsdecomp.decompose, "cover_successors", lambda s, w: [DegreeSequence((w.max_row,))])
+        with pytest.raises(CertificateError, match="a maximal chain of 4 elements has 2"):
+            next(enumerate_maximal_chains(Window(0, 1, 1)))
 
 
 class TestGreedy:

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -74,6 +75,25 @@ def doubled_greedy(table):
     """A wrong numeric greedy decomposition: every coefficient doubled."""
     decomposition = greedy_decompose(table)
     return Decomposition(tuple((2 * c, s) for c, s in decomposition.terms), decomposition.source_window)
+
+
+def doubled_chain_expansion(table, chain):
+    """A wrong numeric chain expansion: every coefficient doubled."""
+    expansion = chain_decompose(table, chain)
+    return Decomposition(tuple((2 * c, s) for c, s in expansion.terms), expansion.source_window)
+
+
+def negated_symbolic_expansion(table, chain):
+    """A wrong symbolic chain expansion: every coefficient negated."""
+    expansion = symbolic_chain_decompose(table, chain)
+    terms = tuple((-w, s) for w, s in expansion.terms)
+    return TranslatedDecomposition(terms, expansion.gen_degree, expansion.certified_from, expansion.offset_window)
+
+
+def doubled_fit(tables, gen_degree, degree_bound):
+    """A wrong family fit: every entry polynomial doubled."""
+    fit = fit_family(tables, gen_degree, degree_bound)
+    return SymbolicBettiTable(gen_degree, {pos: w * 2 for pos, w in fit.entries.items()}, fit.valid_from)
 
 
 def scanned_positive_chain(table, window):
@@ -390,6 +410,31 @@ class TestCertificates:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "CertificateError"
+
+    @pytest.mark.parametrize(
+        "stage, broken, message",
+        [
+            ("symbolic_chain_decompose", negated_symbolic_expansion, "expansion has an eventually negative coefficient"),
+            ("fit_family", doubled_fit, "the fitted family differs from the Betti table at k=1"),
+            ("chain_decompose", doubled_chain_expansion, "numeric chain expansion differs from the symbolic one at k=1"),
+        ],
+        ids=["positive-chain-sign", "replay-fit", "replay-chain"],
+    )
+    def test_broken_stage_is_caught(self, monkeypatch, stage, broken, message):
+        monkeypatch.setattr(bsdecomp.stabilize, stage, broken)
+        with pytest.raises(CertificateError, match=message):
+            detect_stabilization(TWO_EDGES, 1, 6)
+
+    def test_package_has_no_assert_statements(self):
+        # python -O strips assert statements, so every check in the package raises instead
+        package = Path(bsdecomp.__file__).resolve().parent
+        found = [
+            f"{path.name}:{node.lineno}"
+            for path in sorted(package.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Assert)
+        ]
+        assert found == []
 
 
 class TestReportJson:
