@@ -61,48 +61,42 @@ def _bottom(window: Window) -> DegreeSequence:
     return DegreeSequence(tuple(range(window.min_row, window.min_row + window.max_col + 1)))
 
 
-def _is_maximal(elements: tuple[DegreeSequence, ...], window: Window) -> bool:
-    if len(elements) != window.dimension:
-        return False
-    if elements[0] != _bottom(window) or elements[-1].degrees != (window.max_row,):
-        return False
-    return all(b in cover_successors(a, window) for a, b in zip(elements, elements[1:]))
-
-
 @dataclass(frozen=True)
 class Chain:
-    """Strictly increasing degree sequences inside a window.
-
-    ``maximal`` records whether the chain walks the window's full cover poset
-    from the bottom sequence (min_row, min_row+1, ...) to the single top
-    degree (max_row); only maximal chains span enough pure diagrams to expand
-    arbitrary tables.
+    """A maximal chain of a window: degree sequences from the bottom
+    (min_row, min_row+1, ...) up to the single top degree (max_row), each a
+    cover successor of the one before; only such chains span enough pure
+    diagrams to expand arbitrary tables. ``from_sequences`` refuses any other
+    chain; the chain walks here build theirs one cover at a time.
     """
 
     elements: tuple[DegreeSequence, ...]
     window: Window
-    maximal: bool
 
     @classmethod
     def from_sequences(cls, sequences, window: Window | None = None) -> "Chain":
+        """Raises ValueError unless ``sequences`` form a maximal chain of
+        ``window`` (default: their hull). A path of covers from the bottom
+        strictly increases, stays in the window and, as each cover raises the
+        rank by one, has window.dimension elements once it reaches the top."""
         elems = tuple(
             s if isinstance(s, DegreeSequence) else DegreeSequence(tuple(s)) for s in sequences
         )
         if not elems:
             raise ValueError("a chain needs at least one element")
-        for a, b in zip(elems, elems[1:]):
-            if compare(a, b) is not Comparison.LESS:
-                raise ValueError(f"not strictly increasing: {a.degrees} then {b.degrees}")
         if window is None:
             window = Window.hull((i, d) for e in elems for i, d in enumerate(e))
-        for e in elems:
-            if not e.fits(window):
-                raise ValueError(f"sequence {e.degrees} does not fit the window")
-        return cls(elems, window, _is_maximal(elems, window))
+        if (
+            elems[0] != _bottom(window)
+            or elems[-1].degrees != (window.max_row,)
+            or any(b not in cover_successors(a, window) for a, b in zip(elems, elems[1:]))
+        ):
+            raise ValueError("the chain is not maximal for its window")
+        return cls(elems, window)
 
     def shift(self, offset: int) -> "Chain":
         """Translate every degree and the window rows by a constant."""
-        return Chain(tuple(e.shift(offset) for e in self.elements), self.window.shift(offset), self.maximal)
+        return Chain(tuple(e.shift(offset) for e in self.elements), self.window.shift(offset))
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -127,7 +121,7 @@ def enumerate_maximal_chains(window: Window) -> Iterator[Chain]:
         if tail.degrees == top:
             if len(path) != size:
                 raise CertificateError(f"a maximal chain of {size} elements has {len(path)}")
-            yield Chain(tuple(path), window, True)
+            yield Chain(tuple(path), window)
             return
         for successor in cover_successors(tail, window):
             path.append(successor)
@@ -154,7 +148,7 @@ def _chain_through(sequences, window: Window) -> Chain:
         while path[-1] != target:
             successors = cover_successors(path[-1], window)
             path.append(next(s for s in successors if compare(s, target) in _AT_MOST))
-    return Chain(tuple(path), window, True)
+    return Chain(tuple(path), window)
 
 
 def _check_chain_order(terms: tuple) -> None:
@@ -266,8 +260,6 @@ def chain_decompose(table: BettiTable, chain: Chain) -> Decomposition:
     coefficients may be negative. NoSolution signals a table whose support
     escapes the chain's window.
     """
-    if not chain.maximal:
-        raise ValueError("chain expansion needs a maximal chain")
     coefficients = _peel_along_chain(dict(table.iter_support()), chain.elements, Fraction(0))
     return Decomposition(tuple(zip(coefficients, chain.elements)), chain.window)
 

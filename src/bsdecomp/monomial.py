@@ -76,8 +76,9 @@ class Monomial:
 def parse_monomial(text: str, num_vars: int) -> Monomial:
     """Parse ``x1*x3^2`` style input; repeated factors accumulate.
 
-    Variables are x1..x<num_vars>, exponents are positive integers, factors
-    are joined by ``*``. Errors report the character position.
+    Variables are x1..x<num_vars>, exponents are positive integers, both in
+    ASCII digits, factors are joined by ``*``. Errors report the character
+    position.
     """
     exps = [0] * num_vars
     pos = 0
@@ -91,7 +92,7 @@ def parse_monomial(text: str, num_vars: int) -> Monomial:
     def parse_int(what: str) -> int:
         nonlocal pos
         start = pos
-        while pos < end and text[pos].isdigit():
+        while pos < end and "0" <= text[pos] <= "9":
             pos += 1
         if pos == start:
             raise ParseError(f"expected {what} at position {start} in {text!r}")

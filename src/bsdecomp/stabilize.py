@@ -66,8 +66,9 @@ class SymbolicBettiTable:
     """Betti table family beta(I^k): entry polynomials indexed by offsets.
 
     ``entries`` maps (column i, degree offset j) to a nonzero polynomial in k;
-    the table of I^k has beta_{i, gen_degree*k + j}(k) there. ``valid_from``
-    is the first k the fit was checked against.
+    the table of I^k has beta_{i, gen_degree*k + j}(k) there; a key that is
+    not a pair of integers (a float, a boolean) raises TypeError.
+    ``valid_from`` is the first k the fit was checked against.
     """
 
     gen_degree: int
@@ -77,12 +78,12 @@ class SymbolicBettiTable:
     def __post_init__(self):
         fixed = {}
         for key, poly in self.entries.items():
-            i, j = key
+            i, j = map(_json_int, key)
             if i < 0:
                 raise ValueError(f"negative column {i}")
             if not isinstance(poly, PolynomialQ) or not poly:
                 raise ValueError(f"entry at {key} must be a nonzero PolynomialQ")
-            fixed[(int(i), int(j))] = poly
+            fixed[(i, j)] = poly
         if not fixed:
             raise ValueError("a symbolic table needs at least one entry")
         object.__setattr__(self, "entries", fixed)
@@ -236,8 +237,6 @@ def symbolic_chain_decompose(table: SymbolicBettiTable, chain: Chain) -> Transla
     ``valid_from`` because the identity is linear, with no sign decisions
     involved. NoSolution signals family support outside the chain window.
     """
-    if not chain.maximal:
-        raise ValueError("chain expansion needs a maximal chain")
     coefficients = _peel_along_chain(dict(table.entries), chain.elements, PolynomialQ())
     return TranslatedDecomposition(
         tuple(zip(coefficients, chain.elements)), table.gen_degree, table.valid_from, chain.window

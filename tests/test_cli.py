@@ -116,8 +116,20 @@ class TestBetti:
                 {"variables": 2, "generators": ["x1^0*x2"]},
                 "error: exponent must be >= 1 at position 3 in 'x1^0*x2'",
             ),
+            ({"variables": 2, "generators": ["x1²"]}, "error: expected '*' at position 2 in 'x1²'"),
+            ({"variables": 2, "generators": ["x²"]}, "error: expected variable index at position 1 in 'x²'"),
+            ({"variables": 2, "generators": ["x1^²"]}, "error: expected exponent at position 3 in 'x1^²'"),
+            ({"variables": 2, "generators": ["x١"]}, "error: expected variable index at position 1 in 'x١'"),
         ],
-        ids=["no-variables", "17-variables", "zero-exponent"],
+        ids=[
+            "no-variables",
+            "17-variables",
+            "zero-exponent",
+            "superscript-after-index",
+            "superscript-index",
+            "superscript-exponent",
+            "arabic-indic-index",
+        ],
     )
     def test_refused_ideal_stderr(self, ideal_file, capsys, ideal, line):
         assert main(["betti", "--ideal", ideal_file(ideal)]) == 2

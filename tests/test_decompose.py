@@ -111,34 +111,35 @@ class TestCoverSuccessors:
 
 class TestChain:
     def test_from_sequences_infers_hull_window(self):
-        chain = Chain.from_sequences([(0, 1), (0, 2), (1, 2)])
+        chain = Chain.from_sequences([(0, 1), (0, 2), (1, 2), (1,)])
         assert chain.window == Window(0, 1, 1)
-        assert not chain.maximal
 
     def test_rejects_non_increasing(self):
-        with pytest.raises(ValueError, match="strictly increasing"):
+        with pytest.raises(ValueError, match="not maximal"):
             Chain.from_sequences([(0, 2), (0, 1)])
-        with pytest.raises(ValueError, match="strictly increasing"):
+        with pytest.raises(ValueError, match="not maximal"):
             Chain.from_sequences([(0, 1), (0, 1)])
         with pytest.raises(ValueError):
             Chain.from_sequences([])
 
     def test_rejects_sequences_outside_window(self):
-        with pytest.raises(ValueError, match="fit"):
+        with pytest.raises(ValueError, match="not maximal"):
             Chain.from_sequences([(0, 1), (0, 5)], Window(0, 2, 1))
 
     def test_maximal_flag(self):
         full = Chain.from_sequences([(0, 1), (0, 2), (1, 2), (1,)], Window(0, 1, 1))
-        assert full.maximal
-        partial = Chain.from_sequences([(0, 1), (0, 2), (1,)], Window(0, 1, 1))
-        assert not partial.maximal
+        assert full == next(enumerate_maximal_chains(Window(0, 1, 1)))
+        # a chain that skips an element, misses the bottom or misses the top
+        for partial in ([(0, 1), (0, 2), (1,)], [(0, 2), (1, 2), (1,)], [(0, 1), (0, 2), (1, 2)]):
+            with pytest.raises(ValueError, match="not maximal"):
+                Chain.from_sequences(partial, Window(0, 1, 1))
 
     def test_shift(self):
         chain = Chain.from_sequences([(0, 1), (0, 2), (1, 2), (1,)], Window(0, 1, 1))
         shifted = chain.shift(6)
         assert shifted.window == Window(6, 7, 1)
         assert shifted.elements[0].degrees == (6, 7)
-        assert shifted.maximal
+        assert Chain.from_sequences(shifted.elements, shifted.window) == shifted
 
 
 class TestEnumerateMaximalChains:
@@ -157,7 +158,7 @@ class TestEnumerateMaximalChains:
     def test_chain_shape_invariants(self, window):
         seen = set()
         for chain in enumerate_maximal_chains(window):
-            assert chain.maximal
+            assert Chain.from_sequences(chain.elements, chain.window) == chain
             assert len(chain) == window.dimension
             assert chain.elements not in seen
             seen.add(chain.elements)
@@ -317,9 +318,8 @@ class TestChainDecompose:
         assert any(c < 0 for c in decomposition.coefficients)
 
     def test_requires_maximal_chain(self):
-        chain = Chain.from_sequences([(0, 1), (1, 2)], Window(0, 1, 1))
-        with pytest.raises(ValueError, match="maximal"):
-            chain_decompose(BettiTable.from_entries({(0, 0): 1}, Window(0, 1, 1)), chain)
+        with pytest.raises(ValueError, match="not maximal"):
+            Chain.from_sequences([(0, 1), (1, 2)], Window(0, 1, 1))
 
     def test_table_outside_window(self):
         chain = next(enumerate_maximal_chains(Window(0, 1, 1)))
@@ -341,14 +341,18 @@ class TestColumnFormula:
                         assert formula == decomposition.coefficients[index]
 
     def test_none_when_neighbors_touch_different_positions(self):
-        chain = Chain.from_sequences([(0, 1), (0, 2), (1, 2)], Window(0, 1, 1))
+        # (0, 1) -> (0, 2) bumps column 1, (0, 2) -> (1, 2) bumps column 0
+        chain = Chain.from_sequences([(0, 1), (0, 2), (1, 2), (1,)], Window(0, 1, 1))
         table = BettiTable.from_entries({(0, 0): 1}, Window(0, 1, 1))
         assert coefficient_column_formula(table, chain, 1) is None
 
     def test_none_when_a_neighbor_is_a_drop(self):
-        chain = Chain.from_sequences([(0, 2), (1, 2), (1,)], Window(0, 1, 1))
+        bump, drop = enumerate_maximal_chains(Window(0, 1, 1))
         table = BettiTable.from_entries({(0, 0): 1}, Window(0, 1, 1))
-        assert coefficient_column_formula(table, chain, 1) is None
+        # the move after (1, 2) in the first chain is a drop, and so are the moves
+        # into and out of (0,) in the second
+        for chain, index in ((bump, 2), (drop, 1), (drop, 2)):
+            assert coefficient_column_formula(table, chain, index) is None
 
     def test_rejects_endpoints(self):
         chain = next(enumerate_maximal_chains(Window(0, 1, 1)))

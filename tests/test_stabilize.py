@@ -55,6 +55,8 @@ from reference_values import (
     poly,
 )
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
 
 @pytest.fixture(scope="module")
 def family_fit():
@@ -117,6 +119,12 @@ class TestSymbolicBettiTable:
             SymbolicBettiTable(2, {(-1, 0): poly(1)}, 1)
         with pytest.raises(ValueError, match="at least one"):
             SymbolicBettiTable(2, {}, 1)
+
+    @pytest.mark.parametrize("key", [(0.5, 0), (True, 0)])
+    def test_refuses_non_integer_keys(self, key):
+        # int() once read (0.5, 0) as (0, 0), silently replacing that entry
+        with pytest.raises(TypeError, match="integer"):
+            SymbolicBettiTable(2, {(0, 0): poly(1), key: poly(2)}, 1)
 
     def test_offset_window(self):
         table = SymbolicBettiTable(GEN_DEGREE, ENTRY_POLYNOMIALS, VALID_FROM)
@@ -253,10 +261,9 @@ class TestSymbolicChain:
         zero_terms = [s.degrees for w, s in expansion.terms if not w]
         assert zero_terms == [(0, 1, 2, 4)]
 
-    def test_requires_maximal_chain(self, family_fit):
-        partial = Chain.from_sequences([(0, 1, 2, 3), (1,)], Window(0, 1, 3))
-        with pytest.raises(ValueError, match="maximal"):
-            symbolic_chain_decompose(family_fit, partial)
+    def test_requires_maximal_chain(self):
+        with pytest.raises(ValueError, match="not maximal"):
+            Chain.from_sequences([(0, 1, 2, 3), (1,)], Window(0, 1, 3))
 
     def test_support_outside_window(self, family_fit):
         small = next(enumerate_maximal_chains(Window(0, 1, 1)))
@@ -510,6 +517,15 @@ class TestReportJson:
         obj = report_to_json(path_report)
         obj["fit"]["(00,0)"] = {"coefficients": ["7"], "text": "7"}
         with pytest.raises(ParseError, match="fit key '\\(00,0\\)'"):
+            report_from_json(obj)
+
+    @pytest.mark.parametrize("cut", ["ends", "first"])
+    def test_rejects_a_chain_that_is_not_maximal(self, cut):
+        obj = json.loads((GOLDEN / "stabilize-p5.report.json").read_text(encoding="utf-8"))
+        chain = obj["positive_chain"]
+        assert len(chain) == 8
+        obj["positive_chain"] = [chain[0], chain[-1]] if cut == "ends" else [[0, 1, 2, 3]]
+        with pytest.raises(ParseError, match="not maximal"):
             report_from_json(obj)
 
     @pytest.mark.parametrize("part", ["fit", "term"])
