@@ -36,16 +36,12 @@ from .monomial import (
     MAX_VARIABLES,
     Monomial,
     MonomialIdeal,
-    SimplicialComplex,
     betti_table,
     ideal_from_json,
     ideal_to_json,
     is_equigenerated,
-    lcm_closure,
     parse_monomial,
     power,
-    reduced_homology_dims,
-    upper_koszul_complex,
 )
 from .polynomials import (
     PolynomialQ,

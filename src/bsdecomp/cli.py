@@ -24,7 +24,7 @@ from .decompose import (
 from .errors import CertificateError, DomainError, NotStabilizedError, ParseError
 from .monomial import MonomialIdeal, betti_table, ideal_from_json, power
 from .stabilize import StabilizationReport, detect_stabilization, report_json_text
-from .tables import BettiTable, Window, _text_rows, parse_btt_text, table_to_json, to_btt_text
+from .tables import _INTEGER, BettiTable, Window, _text_rows, parse_btt_text, table_to_json, to_btt_text
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -34,14 +34,18 @@ EXIT_VERIFICATION = 5
 EXIT_CERTIFICATE = 6
 
 
+def _integer(text: str) -> int:
+    """An argparse type: an integer in the spelling ``.btt`` files use."""
+    if not _INTEGER.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def _int_at_least(low: int):
     """An argparse type: an integer no less than ``low``."""
 
     def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        value = _integer(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
         return value
@@ -231,8 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec.set_defaults(func=cmd_decompose)
 
     p_chains = sub.add_parser("chains", help="enumerate maximal chains of a window")
-    p_chains.add_argument("min_row", type=int, help="least row (degree offset)")
-    p_chains.add_argument("max_row", type=int, help="greatest row")
+    p_chains.add_argument("min_row", type=_integer, help="least row (degree offset)")
+    p_chains.add_argument("max_row", type=_integer, help="greatest row")
     p_chains.add_argument("max_col", type=_int_at_least(0), help="last column")
     p_chains.add_argument("--count-only", action="store_true", help="print only the count")
     p_chains.set_defaults(func=cmd_chains)

@@ -237,13 +237,6 @@ def _lattice(ideal: MonomialIdeal):
                     stack.append((b + (c,), below, kept + (achiever,), reached))
 
 
-def lcm_closure(ideal: MonomialIdeal) -> frozenset[Monomial]:
-    """All lcms of nonempty generator subsets."""
-    if ideal.is_zero:
-        raise ZeroIdealError("the zero ideal has no lcm closure")
-    return frozenset(Monomial(b) for b, *_ in _lattice(ideal))
-
-
 def _full_simplex(divisors: int, reach: int) -> bool:
     """True when a divisor attains b_v at no v in supp(b). Such a g has
     g_v < b_v on all of supp(b), so its facet {v : g_v < b_v} is supp(b) and
@@ -312,77 +305,6 @@ def _maximal_facets(divisors: int, achievers) -> list[int]:
         if not any(f & k == f for k in maximal):
             maximal.append(f)
     return maximal
-
-
-@dataclass(frozen=True)
-class SimplicialComplex:
-    """Abstract simplicial complex on vertices 0..vertex_count-1.
-
-    ``faces`` must be closed under taking subsets. The empty complex (no
-    faces, the void complex) and the complex whose only face is the empty set
-    are distinct objects with different homology.
-    """
-
-    vertex_count: int
-    faces: frozenset[frozenset[int]]
-
-    def __post_init__(self):
-        n = _exact_int(self.vertex_count)
-        if n < 0:
-            raise ValueError("negative vertex count")
-        faces = frozenset(frozenset(f) for f in self.faces)
-        for f in faces:
-            for v in f:
-                if not 0 <= _exact_int(v) < n:
-                    raise ValueError(f"vertex {v} out of range 0..{n - 1}")
-            for v in f:
-                if f - {v} not in faces:
-                    raise ValueError(f"faces are not subset-closed at {sorted(f)}")
-        object.__setattr__(self, "vertex_count", n)
-        object.__setattr__(self, "faces", faces)
-
-    @classmethod
-    def from_facets(cls, vertex_count: int, facets) -> "SimplicialComplex":
-        faces: set[frozenset[int]] = set()
-        for facet in facets:
-            fs = frozenset(facet)
-            for r in range(len(fs) + 1):
-                faces.update(frozenset(c) for c in itertools.combinations(sorted(fs), r))
-        return cls(vertex_count, frozenset(faces))
-
-    @property
-    def is_void(self) -> bool:
-        return not self.faces
-
-
-def upper_koszul_complex(ideal: MonomialIdeal, multidegree: Monomial) -> SimplicialComplex:
-    """Upper-Koszul complex of the ideal at a multidegree.
-
-    Vertices are variable indexes 0..n-1; sigma is a face when x^b / x^sigma
-    is divisible by some generator (in particular sigma must stay inside the
-    support of b). Void when b itself is outside the ideal.
-    """
-    if ideal.num_vars != multidegree.num_vars:
-        raise ValueError("variable count mismatch")
-    divisors = 0
-    achievers = [0] * ideal.num_vars
-    for i, g in enumerate(ideal.generators):
-        if g.divides(multidegree):
-            divisors |= 1 << i
-            for v, (e, c) in enumerate(zip(g.exponents, multidegree.exponents)):
-                if e == c:
-                    achievers[v] |= 1 << i
-    facets = _maximal_facets(divisors, achievers)
-    return SimplicialComplex.from_facets(
-        ideal.num_vars, [[v for v in range(ideal.num_vars) if f >> v & 1] for f in facets]
-    )
-
-
-def reduced_homology_dims(complex_: SimplicialComplex) -> list[int]:
-    """Reduced rational homology dimensions, indexed so that slot i holds
-    dim H~_{i-1}; the length is vertex_count + 1. Void complexes are all zero."""
-    masks = [sum(1 << v for v in face) for face in complex_.faces]
-    return _homology_from_masks(masks, complex_.vertex_count)
 
 
 def _boundary(face: int) -> dict[int, int]:

@@ -437,7 +437,9 @@ def report_from_json(obj) -> StabilizationReport:
 
     Stage-level certification thresholds are not serialized separately, so the
     rebuilt decomposition carries the report-level ``certified_from`` (a valid,
-    possibly looser, bound).
+    possibly looser, bound). Claims that need no Betti table are checked again:
+    the terms are eventually positive and the fit's expansion along the chain,
+    and verified_k increases strictly from certified_from on.
     """
     if not isinstance(obj, dict):
         raise ParseError("report JSON must be an object")
@@ -465,6 +467,12 @@ def report_from_json(obj) -> StabilizationReport:
         raise
     except (KeyError, ValueError, TypeError, AttributeError, DegreeSequenceError) as exc:
         raise ParseError(f"bad report JSON: {exc}") from exc
+    if not all(eventually_positive(w) for w, _ in positive.terms):
+        raise ParseError("bad report JSON: a positive decomposition coefficient is not eventually positive")
+    if symbolic_chain_decompose(fit, chain).nonzero_terms() != positive.terms:
+        raise ParseError("bad report JSON: the terms are not the fit's expansion along positive_chain")
+    if any(k < certified for k in verified) or any(a >= b for a, b in zip(verified, verified[1:])):
+        raise ParseError(f"bad report JSON: verified_k must rise strictly from certified_from {certified}")
     return StabilizationReport(
         ideal=ideal,
         gen_degree=gen_degree,

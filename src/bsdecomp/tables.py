@@ -12,6 +12,7 @@ padding the shorter one with +infinity, so shorter sequences sit higher.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import index as _exact_int
@@ -21,6 +22,11 @@ from .errors import DegreeSequenceError, ParseError
 
 Rational = Fraction
 _ZERO = Fraction(0)
+
+# the one spelling of numbers read from text (.btt, JSON strings, the CLI);
+# int() and Fraction() would also take "1_0", non-ASCII digits, "0.5", "1e2"
+_INTEGER = re.compile(r"[-+]?[0-9]+")
+_RATIONAL = re.compile(r"[-+]?[0-9]+(/[0-9]+)?")
 
 
 @dataclass(frozen=True)
@@ -98,12 +104,6 @@ class DegreeSequence:
 
     def shift(self, offset: int) -> "DegreeSequence":
         return DegreeSequence(tuple(d + offset for d in self.degrees))
-
-    def fits(self, window: Window) -> bool:
-        """Whether every position (i, d_i) lies inside the window."""
-        if len(self.degrees) > window.max_col + 1:
-            return False
-        return all(window.contains(i, d) for i, d in enumerate(self.degrees))
 
     def __repr__(self) -> str:
         return f"DegreeSequence{self.degrees}"
@@ -284,6 +284,14 @@ def to_btt_text(table: BettiTable) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _text_rational(text: str) -> Fraction:
+    """A rational spelled ``[-+]?[0-9]+(/[0-9]+)?``; ValueError for any other
+    text, ZeroDivisionError for a zero denominator."""
+    if not _RATIONAL.fullmatch(text):
+        raise ValueError("not an integer or a fraction n/d in ASCII digits")
+    return Fraction(text)
+
+
 def parse_btt_text(text: str) -> BettiTable:
     """Parse the .btt format; ``#`` starts a comment, blank lines are skipped."""
     rows: list[tuple[int, list[str]]] = []
@@ -296,10 +304,10 @@ def parse_btt_text(text: str) -> BettiTable:
     header_line, header = rows[0]
     if len(header) != 3:
         raise ParseError(f"line {header_line}: header needs 3 integers, got {len(header)}")
-    try:
-        min_row, max_row, max_col = (int(x) for x in header)
-    except ValueError as exc:
-        raise ParseError(f"line {header_line}: bad header: {exc}") from exc
+    bad = [x for x in header if not _INTEGER.fullmatch(x)]
+    if bad:
+        raise ParseError(f"line {header_line}: bad header: not an integer: {bad[0]!r}")
+    min_row, max_row, max_col = map(int, header)
     try:
         window = Window(min_row, max_row, max_col)
     except ValueError as exc:
@@ -313,7 +321,7 @@ def parse_btt_text(text: str) -> BettiTable:
             raise ParseError(f"line {lineno}: expected {max_col + 1} entries, got {len(tokens)}")
         for i, tok in enumerate(tokens):
             try:
-                entries[(i, i + row)] = Fraction(tok)
+                entries[(i, i + row)] = _text_rational(tok)
             except (ValueError, ZeroDivisionError) as exc:
                 raise ParseError(f"line {lineno}: bad entry {tok!r}: {exc}") from exc
     return BettiTable.from_entries(entries, window)
@@ -331,7 +339,7 @@ def _json_rational(value) -> Fraction:
     if isinstance(value, bool) or not isinstance(value, (str, int)):
         raise ParseError(f"{value!r} is not an exact rational (a string or an integer)")
     try:
-        return Fraction(value)
+        return _text_rational(value) if isinstance(value, str) else Fraction(value)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad rational {value!r}: {exc}") from exc
 

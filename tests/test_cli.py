@@ -225,6 +225,18 @@ class TestChains:
         assert main(["chains", "3", "1", "2"]) == 2
         assert main(["chains", "0", "1", "-2"]) == 2
 
+    @pytest.mark.parametrize("bad", ["\u0661", "1_0"])
+    @pytest.mark.parametrize("slot", [0, 1, 2])
+    def test_integers_are_ascii_digits(self, capsys, bad, slot):
+        # int() would read these as 1 and 10
+        argv = ["0", "1", "1"]
+        argv[slot] = bad
+        assert main(["chains", *argv, "--count-only"]) == 2
+        captured = capsys.readouterr()
+        name = ("min_row", "max_row", "max_col")[slot]
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == f"bsdecomp chains: error: argument {name}: not an integer: {bad!r}"
+
 
 class TestStabilize:
     def test_small_family_stdout(self, ideal_file, capsys):

@@ -14,18 +14,15 @@ from bsdecomp import (
     Monomial,
     MonomialIdeal,
     ParseError,
-    SimplicialComplex,
     ZeroIdealError,
     betti_table,
     ideal_from_json,
     ideal_to_json,
     is_equigenerated,
-    lcm_closure,
     parse_monomial,
     power,
-    reduced_homology_dims,
-    upper_koszul_complex,
 )
+from bsdecomp.monomial import _faces_of, _homology_from_masks, _lattice, _maximal_facets
 from oracles import reduced_homology_oracle, taylor_betti_table
 from reference_values import MINIMAL_GENERATOR_COUNTS, SMALL_TABLES, path_edge_ideal
 
@@ -55,7 +52,7 @@ def edge_ideals(draw, max_vars=4, max_gens=5):
     return MonomialIdeal(n, tuple(Monomial(e) for e in gens))
 
 
-def brute_lcm_closure(ideal):
+def brute_lcm_lattice(ideal):
     """lcm of every nonempty generator subset, by definition."""
     closure = set()
     for r in range(1, len(ideal.generators) + 1):
@@ -77,6 +74,36 @@ def brute_koszul_faces(ideal, b):
             if any(g.divides(reduced) for g in ideal.generators):
                 faces.add(frozenset(sigma))
     return frozenset(faces)
+
+
+def brute_masks(ideal, b):
+    """(divisors, achievers) at multidegree b, by definition: the mask of the
+    generators dividing b, and for each variable v the mask of those divisors
+    g with g_v = b_v."""
+    gens = ideal.generators
+    divisors = sum(1 << i for i, g in enumerate(gens) if g.divides(b))
+    achievers = [
+        sum(1 << i for i, g in enumerate(gens) if divisors >> i & 1 and g.exponents[v] == c)
+        for v, c in enumerate(b.exponents)
+    ]
+    return divisors, achievers
+
+
+def vertex_sets(masks):
+    """Faces as vertex sets, from faces as vertex bitmasks."""
+    return frozenset(frozenset(v for v in range(m.bit_length()) if m >> v & 1) for m in masks)
+
+
+def koszul_faces(ideal, b):
+    """Faces of the upper-Koszul complex at b, from the maximal facets that
+    ``betti_table`` refines; no facets is the void complex, with no faces."""
+    facets = _maximal_facets(*brute_masks(ideal, b))
+    return vertex_sets(_faces_of(tuple(facets))) if facets else frozenset()
+
+
+def facet_masks(facets):
+    """Vertex bitmasks of facets given as vertex lists."""
+    return tuple(sum(1 << v for v in f) for f in facets)
 
 
 class TestMonomial:
@@ -186,105 +213,82 @@ class TestEquigenerated:
 
 
 class TestLcmClosure:
-    def test_zero_ideal_rejected(self):
-        with pytest.raises(ZeroIdealError):
-            lcm_closure(MonomialIdeal(2, ()))
-
     def test_matches_subset_enumeration(self):
         rng = random.Random(31)
         for _ in range(25):
             ideal = random_ideal(rng, rng.randint(1, 4), rng.randint(1, 5))
-            assert lcm_closure(ideal) == brute_lcm_closure(ideal)
+            assert {Monomial(b) for b, *_ in _lattice(ideal)} == brute_lcm_lattice(ideal)
 
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(edge_ideals())
     @example(MonomialIdeal(2, (m(0, 0),)))
     def test_walk_matches_definition(self, ideal):
-        gens = ideal.generators
         points = []
-        for b, divisors, achievers, reach in bsdecomp.monomial._lattice(ideal):
+        for b, divisors, achievers, reach in _lattice(ideal):
             point = Monomial(b)
-            assert divisors == sum(1 << i for i, g in enumerate(gens) if g.divides(point))
-            assert list(achievers) == [
-                sum(1 << i for i, g in enumerate(gens) if divisors >> i & 1 and g.exponents[v] == c)
-                for v, c in enumerate(b)
-            ]
+            assert (divisors, list(achievers)) == brute_masks(ideal, point)
             # the divisors attaining b_v at some v with b_v > 0
             assert reach == sum(
                 1 << i
-                for i, g in enumerate(gens)
+                for i, g in enumerate(ideal.generators)
                 if g.divides(point) and any(0 < c == g.exponents[v] for v, c in enumerate(b))
             )
             points.append(point)
         # each point once: a repeat would count its homology twice
         assert len(points) == len(set(points))
-        assert set(points) == brute_lcm_closure(ideal)
+        assert set(points) == brute_lcm_lattice(ideal)
 
     def test_closure_size_can_beat_subset_count(self):
         # 10 generators but far fewer than 2^10 - 1 distinct lcms
         ideal = power(path_edge_ideal(), 2)
-        closure = lcm_closure(ideal)
         assert len(ideal.generators) == 10
-        assert len(closure) < 2 ** 10 - 1
-        assert all(isinstance(x, Monomial) for x in closure)
+        assert sum(1 for _ in _lattice(ideal)) < 2 ** 10 - 1
 
 
-class TestSimplicialComplex:
-    def test_subset_closure_enforced(self):
-        with pytest.raises(ValueError, match="subset-closed"):
-            SimplicialComplex(2, frozenset({frozenset({0, 1})}))
-        with pytest.raises(ValueError, match="out of range"):
-            SimplicialComplex(1, frozenset({frozenset(), frozenset({3})}))
-
+class TestFacesOf:
     def test_from_facets(self):
-        c = SimplicialComplex.from_facets(3, [{0, 1}, {2}])
-        assert frozenset({0, 1}) in c.faces
-        assert frozenset({0}) in c.faces
-        assert frozenset() in c.faces
-        assert len(c.faces) == 5
+        assert sorted(_faces_of((0b011, 0b100))) == [0, 1, 2, 3, 4]
 
     def test_void_vs_empty_face(self):
-        void = SimplicialComplex(2, frozenset())
-        point_free = SimplicialComplex(2, frozenset({frozenset()}))
-        assert void.is_void
-        assert not point_free.is_void
+        # the void complex has no faces; {empty set} has H~_{-1} = Q
+        assert _homology_from_masks([], 2) == [0, 0, 0]
+        assert _homology_from_masks([0], 2) == [1, 0, 0]
+        # no facets span {empty set}, not the void complex
+        assert _faces_of(()) == [0]
 
 
 class TestUpperKoszul:
     def test_generator_multidegree_gives_irrelevant_complex(self):
         ideal = MonomialIdeal(3, (m(1, 1, 0), m(0, 1, 1)))
-        c = upper_koszul_complex(ideal, m(1, 1, 0))
-        assert c.faces == frozenset({frozenset()})
-        assert reduced_homology_dims(c)[0] == 1
+        facets = _maximal_facets(*brute_masks(ideal, m(1, 1, 0)))
+        assert facets == [0]
+        assert _homology_from_masks(_faces_of(tuple(facets)), 3)[0] == 1
 
     def test_pair_lcm_gives_two_points(self):
         ideal = MonomialIdeal(3, (m(1, 1, 0), m(0, 1, 1)))
-        c = upper_koszul_complex(ideal, m(1, 1, 1))
-        assert c.faces == frozenset({frozenset(), frozenset({0}), frozenset({2})})
-        dims = reduced_homology_dims(c)
+        facets = tuple(_maximal_facets(*brute_masks(ideal, m(1, 1, 1))))
+        assert vertex_sets(_faces_of(facets)) == {frozenset(), frozenset({0}), frozenset({2})}
+        dims = _homology_from_masks(_faces_of(facets), 3)
         assert dims[1] == 1 and sum(dims) == 1
 
     def test_outside_ideal_is_void(self):
         ideal = MonomialIdeal(2, (m(2, 0),))
-        c = upper_koszul_complex(ideal, m(1, 1))
-        assert c.is_void
-
-    def test_variable_count_mismatch(self):
-        with pytest.raises(ValueError):
-            upper_koszul_complex(MonomialIdeal(2, (m(1, 0),)), m(1, 0, 0))
+        assert _maximal_facets(*brute_masks(ideal, m(1, 1))) == []
+        assert brute_koszul_faces(ideal, m(1, 1)) == frozenset()
 
     @settings(derandomize=True, max_examples=40, deadline=None)
     @given(edge_ideals(), st.data())
     def test_matches_definition(self, ideal, data):
         # every lattice point, then multidegrees off the lattice whose
-        # exponents exceed every generator's, so no generator reaches them
-        points = list(lcm_closure(ideal))
+        # exponents exceed every generator's, so no generator reaches them,
+        # and b = 0, outside every ideal but the unit ideal
+        points = [Monomial(b) for b, *_ in _lattice(ideal)] + [Monomial((0,) * ideal.num_vars)]
         tops = [max(g.exponents[v] for g in ideal.generators) for v in range(ideal.num_vars)]
         for _ in range(3):
             extra = data.draw(st.tuples(*[st.integers(1, 20)] * ideal.num_vars))
             points.append(Monomial(tuple(t + e for t, e in zip(tops, extra))))
         for b in points:
-            assert upper_koszul_complex(ideal, b).faces == brute_koszul_faces(ideal, b)
+            assert koszul_faces(ideal, b) == brute_koszul_faces(ideal, b)
 
 
 def has_apex(faces, num_vars):
@@ -339,36 +343,33 @@ class TestConeFromMasks:
 
 class TestReducedHomology:
     def test_known_complexes(self):
-        void = SimplicialComplex(3, frozenset())
-        assert reduced_homology_dims(void) == [0, 0, 0, 0]
+        assert _homology_from_masks([], 3) == [0, 0, 0, 0]  # void
+        assert _homology_from_masks(_faces_of(()), 3) == [1, 0, 0, 0]  # {empty set}
 
-        empty_face = SimplicialComplex(3, frozenset({frozenset()}))
-        assert reduced_homology_dims(empty_face) == [1, 0, 0, 0]
+        two_points = facet_masks([{0}, {1}])
+        assert _homology_from_masks(_faces_of(two_points), 2) == [0, 1, 0]
 
-        two_points = SimplicialComplex.from_facets(2, [{0}, {1}])
-        assert reduced_homology_dims(two_points) == [0, 1, 0]
+        hollow_triangle = facet_masks([{0, 1}, {1, 2}, {0, 2}])
+        assert _homology_from_masks(_faces_of(hollow_triangle), 3) == [0, 0, 1, 0]
 
-        hollow_triangle = SimplicialComplex.from_facets(3, [{0, 1}, {1, 2}, {0, 2}])
-        assert reduced_homology_dims(hollow_triangle) == [0, 0, 1, 0]
+        solid_triangle = facet_masks([{0, 1, 2}])
+        assert _homology_from_masks(_faces_of(solid_triangle), 3) == [0, 0, 0, 0]
 
-        solid_triangle = SimplicialComplex.from_facets(3, [{0, 1, 2}])
-        assert reduced_homology_dims(solid_triangle) == [0, 0, 0, 0]
-
-        square = SimplicialComplex.from_facets(4, [{0, 1}, {1, 2}, {2, 3}, {0, 3}])
-        assert reduced_homology_dims(square) == [0, 0, 1, 0, 0]
+        square = facet_masks([{0, 1}, {1, 2}, {2, 3}, {0, 3}])
+        assert _homology_from_masks(_faces_of(square), 4) == [0, 0, 1, 0, 0]
 
     def test_disjoint_union_adds_components(self):
-        three_points = SimplicialComplex.from_facets(3, [{0}, {1}, {2}])
-        assert reduced_homology_dims(three_points)[1] == 2
+        three_points = facet_masks([{0}, {1}, {2}])
+        assert _homology_from_masks(_faces_of(three_points), 3)[1] == 2
 
     def test_euler_characteristic_identity(self):
         rng = random.Random(63)
         for _ in range(30):
             n = rng.randint(1, 5)
             facets = [rng.sample(range(n), rng.randint(1, n)) for _ in range(rng.randint(1, 4))]
-            c = SimplicialComplex.from_facets(n, facets)
-            face_side = sum((-1) ** (len(f) - 1) for f in c.faces)
-            dims = reduced_homology_dims(c)
+            faces = _faces_of(facet_masks(facets))
+            face_side = sum((-1) ** (f.bit_count() - 1) for f in faces)
+            dims = _homology_from_masks(faces, n)
             homology_side = sum((-1) ** (slot - 1) * d for slot, d in enumerate(dims))
             assert face_side == homology_side
 
@@ -382,9 +383,9 @@ class TestReducedHomology:
                 # the boundary of a simplex: a sphere, unless other facets fill it
                 hollow = rng.sample(range(n), rng.randint(3, 5))
                 facets += itertools.combinations(hollow, len(hollow) - 1)
-            c = SimplicialComplex.from_facets(n, facets)
-            dims = reduced_homology_dims(c)
-            assert dims == reduced_homology_oracle(c.faces, n)
+            faces = _faces_of(facet_masks(facets))
+            dims = _homology_from_masks(faces, n)
+            assert dims == reduced_homology_oracle(vertex_sets(faces), n)
             nonzero_slots.update(slot for slot, d in enumerate(dims) if d)
         # the draw exercises homology above H~_0, not only components
         assert {1, 2, 3, 4} <= nonzero_slots
@@ -395,10 +396,10 @@ class TestReducedHomology:
             {0, 1, 3}, {0, 1, 5}, {0, 2, 4}, {0, 2, 5}, {0, 3, 4},
             {1, 2, 3}, {1, 2, 4}, {1, 4, 5}, {2, 3, 5}, {3, 4, 5},
         ]
-        rp2 = SimplicialComplex.from_facets(6, triangles)
-        assert sum(len(f) == 2 for f in rp2.faces) == 15
-        assert reduced_homology_dims(rp2) == [0] * 7
-        assert reduced_homology_oracle(rp2.faces, 6) == [0] * 7
+        faces = _faces_of(facet_masks(triangles))
+        assert sum(f.bit_count() == 2 for f in faces) == 15
+        assert _homology_from_masks(faces, 6) == [0] * 7
+        assert reduced_homology_oracle(vertex_sets(faces), 6) == [0] * 7
 
 
 class TestBettiTable:

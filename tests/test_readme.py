@@ -1,13 +1,17 @@
-"""The README's Library snippet runs as written and shows what it returns.
+"""The README's Library section runs as written and names no missing API.
 
 Each expression statement in the ```python block carries its value as a
 comment, at the end of its line or alone on the line after it; the test
-evaluates the expression and compares its repr with that comment.
+evaluates the expression and compares its repr with that comment. Each name
+the prose around it puts in backticks must exist in the package.
 """
 
 import ast
+import builtins
 import re
 from pathlib import Path
+
+import bsdecomp
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -46,3 +50,38 @@ def test_library_snippet_values():
         "3",
         "'1 + 11/6*k + k^2 + 1/6*k^3'",
     ]
+
+
+def library_prose_names() -> list[str]:
+    """The names in backticks in the prose of the Library section. A call
+    such as ``Window.shift(offset)`` gives its dotted name; a token that is
+    no name, such as ``min_row..max_row``, is skipped."""
+    section = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    section = re.split(r"^## ", section, flags=re.M)[0]
+    prose = re.sub(r"^```.*?^```$", "", section, flags=re.M | re.S)
+    names = []
+    for token in re.findall(r"`([^`\n]+)`", prose):
+        match = re.fullmatch(r"([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)(?:\(.*\))?", token)
+        if match:
+            names.append(match[1])
+    return names
+
+
+def resolves(name: str) -> bool:
+    """A dotted attribute of the package, a method of a class it exports, or
+    a builtin."""
+    obj = bsdecomp
+    try:
+        for part in name.split("."):
+            obj = getattr(obj, part)
+        return True
+    except AttributeError:
+        pass
+    exported = [v for k, v in vars(bsdecomp).items() if isinstance(v, type) and not k.startswith("_")]
+    return any(callable(getattr(cls, name, None)) for cls in exported) or hasattr(builtins, name)
+
+
+def test_library_prose_names_resolve():
+    names = library_prose_names()
+    assert {"BettiTable.from_entries", "iter_support", "ValueError"} <= set(names)
+    assert [name for name in names if not resolves(name)] == []

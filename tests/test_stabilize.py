@@ -528,6 +528,39 @@ class TestReportJson:
         with pytest.raises(ParseError, match="not maximal"):
             report_from_json(obj)
 
+    @pytest.mark.parametrize("name", ["stabilize-p5", "stabilize-chains"])
+    def test_golden_reports_read_back(self, name):
+        text = (GOLDEN / f"{name}.report.json").read_text(encoding="utf-8")
+        assert report_json_text(report_from_json(json.loads(text))) == text
+
+    @pytest.mark.parametrize(
+        "mutation, message",
+        [
+            ("offsets", "expansion along positive_chain"),
+            ("coefficient", "expansion along positive_chain"),
+            ("sign", "not eventually positive"),
+            ("below", "verified_k"),
+            ("repeat", "verified_k"),
+        ],
+    )
+    def test_rejects_claims_that_do_not_hold(self, mutation, message):
+        obj = json.loads((GOLDEN / "stabilize-p5.report.json").read_text(encoding="utf-8"))
+        term = obj["positive_decomposition"]["terms"][2]
+        assert term["offsets"] == [0, 1, 3] and term["coefficient_poly"]["coefficients"] == ["0", "6"]
+        if mutation == "offsets":
+            term["offsets"] = [0, 1, 4]
+        elif mutation == "coefficient":
+            term["coefficient_poly"]["coefficients"] = ["0", "7"]
+        elif mutation == "sign":
+            term["coefficient_poly"]["coefficients"] = ["0", "-6"]
+        elif mutation == "below":
+            assert obj["certified_from"] == 3
+            obj["verified_k"] = [2] + obj["verified_k"]
+        else:
+            obj["verified_k"] = [3, 4, 4, 5]
+        with pytest.raises(ParseError, match=f"bad report JSON: .*{message}"):
+            report_from_json(obj)
+
     @pytest.mark.parametrize("part", ["fit", "term"])
     def test_rejects_float_coefficients(self, path_report, part):
         obj = report_to_json(path_report)

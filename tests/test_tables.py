@@ -83,10 +83,6 @@ class TestDegreeSequence:
     def test_shift_and_fits(self):
         d = DegreeSequence((0, 1, 3))
         assert d.shift(6).degrees == (6, 7, 9)
-        assert d.fits(Window(0, 1, 3))
-        assert d.fits(Window(0, 1, 2))
-        assert not d.fits(Window(0, 0, 3))
-        assert not DegreeSequence((0, 1, 2, 3)).fits(Window(0, 1, 2))
 
 
 class TestCompare:
@@ -246,6 +242,12 @@ class TestSerialization:
             parse_btt_text("")
         with pytest.raises(ParseError, match="data rows"):
             parse_btt_text("0 1 0\n1\n")
+        # numbers are ASCII digits with an optional sign and denominator, no more
+        for bad in ("1_0", "\u0661", "0.5", "1e2"):
+            with pytest.raises(ParseError, match="line 1: bad header"):
+                parse_btt_text(f"0 0 {bad}\n1 2\n")
+            with pytest.raises(ParseError, match="line 2: bad entry"):
+                parse_btt_text(f"0 0 1\n{bad} 2\n")
 
     def test_btt_round_trip_random(self):
         # every fourth table is all zero; the others leave their bottom row,
@@ -307,6 +309,10 @@ class TestSerialization:
         # Fraction(0.1) would read 3602879701896397/36028797018963968
         for bad in (0.1, 1.0, True, None, [1]):
             with pytest.raises(ParseError, match="not an exact rational"):
+                table_from_json({"window": [0, 0, 1], "rows": [[bad, "1"]]})
+        # int() and Fraction() would read each of these
+        for bad in ("\u0663/2", "1_0", "0.5", "1e2", " 3"):
+            with pytest.raises(ParseError, match="bad rational"):
                 table_from_json({"window": [0, 0, 1], "rows": [[bad, "1"]]})
         table = table_from_json({"window": [0, 0, 1], "rows": [[3, "1/10"]]})
         assert table.entry(0, 0) == 3 and table.entry(1, 1) == Fraction(1, 10)
