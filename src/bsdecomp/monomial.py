@@ -196,22 +196,30 @@ def is_equigenerated(ideal: MonomialIdeal) -> int | None:
 
 def _lattice(ideal: MonomialIdeal):
     """Walk the lcm lattice of the generators, yielding ``(b, divisors,
-    achievers, reach)`` for each point: the exponent tuple b, the bitmask of
-    the generators dividing b (bit i is generator i), for each variable v the
-    mask of those divisors g with g_v = b_v, and the mask of the divisors that
-    attain b_v for at least one v with b_v > 0 (the union of the achiever
-    masks over the support of b).
+    achievers)`` for each point whose upper-Koszul complex is not the full
+    simplex on a nonempty supp(b): the exponent tuple b, the bitmask of the
+    generators dividing b (bit i is generator i), and for each variable v the
+    mask of those divisors g with g_v = b_v.
 
     b is fixed one variable at a time, to a value some divisor so far takes
     there. A prefix is cut as soon as a fixed variable loses all its achievers:
     b is a lattice point exactly when it is the lcm of its divisors, that is
-    when every achiever mask is nonempty. ``reach`` follows the divisors down
-    and gains each new achiever mask at a positive value; a divisor outside it
-    spans the full simplex on supp(b) (``_full_simplex``). Depth first over an
-    explicit stack, so the lattice streams instead of being held.
+    when every achiever mask is nonempty.
+
+    The walk also carries ``reach``, the divisors attaining b_v at some fixed
+    v with b_v > 0, and cuts a prefix when ``reach`` is nonzero and a divisor
+    outside it is idle, zero on every variable still to fix. Such a g
+    divides every completion and attains no later b_v > 0, so at each
+    lattice point below it has g_v < b_v on all of supp(b), which is
+    nonempty since ``reach`` is: its facet {v : g_v < b_v} is supp(b), and
+    the complex is the full simplex there, a cone. At a leaf every generator
+    is idle, so no such point is yielded; b = 0 has ``reach`` zero and stays,
+    the unit ideal's {empty set} complex with beta_{0,0} = 1. Depth first
+    over an explicit stack, so the lattice streams instead of being held.
     """
+    n = ideal.num_vars
     levels = []  # per variable: (value c, generators with g_v = c, with g_v <= c)
-    for v in range(ideal.num_vars):
+    for v in range(n):
         by_value: dict[int, int] = {}
         for i, g in enumerate(ideal.generators):
             by_value[g.exponents[v]] = by_value.get(g.exponents[v], 0) | 1 << i
@@ -221,33 +229,32 @@ def _lattice(ideal: MonomialIdeal):
             le |= by_value[c]
             level.append((c, by_value[c], le))
         levels.append(level)
+    # idle[j]: the generators with g_v = 0 for every v >= j
+    idle = [
+        sum(1 << i for i, g in enumerate(ideal.generators) if not any(g.exponents[j:]))
+        for j in range(n + 1)
+    ]
     stack = [((), (1 << len(ideal.generators)) - 1, (), 0)]
     while stack:
         b, divisors, achievers, reach = stack.pop()
-        if len(b) == ideal.num_vars:
-            yield b, divisors, achievers, reach
+        depth = len(b)
+        if depth == n:
+            yield b, divisors, achievers
             continue
-        for c, eq, le in levels[len(b)]:
+        for c, eq, le in levels[depth]:
             achiever = divisors & eq
             if achiever:
                 below = divisors & le
-                kept = tuple(a & below for a in achievers)
-                if all(kept):
-                    reached = reach & below | achiever if c else reach & below
-                    stack.append((b + (c,), below, kept + (achiever,), reached))
-
-
-def _full_simplex(divisors: int, reach: int) -> bool:
-    """True when a divisor attains b_v at no v in supp(b). Such a g has
-    g_v < b_v on all of supp(b), so its facet {v : g_v < b_v} is supp(b) and
-    the complex is the full simplex on supp(b), a cone when supp(b) is
-    nonempty, which on a lattice point is when ``reach`` is. (At b = 0 the
-    complex is {empty set}, with beta_{0,0} = 1.)
-
-    ``_apex_witness`` decides every point this decides; this is the fast path
-    for the commonest cones, one mask test on what the walk carries.
-    """
-    return bool(reach and divisors & ~reach)
+                reached = reach & below | achiever if c else reach & below
+                if reached and below & ~reached & idle[depth + 1]:
+                    continue  # every lattice point below is a full simplex
+                if below == divisors:
+                    kept = achievers
+                else:
+                    kept = tuple(a & below for a in achievers)
+                    if not all(kept):
+                        continue
+                stack.append((b + (c,), below, kept + (achiever,), reached))
 
 
 def _apex_witness(divisors: int, achievers) -> bool:
@@ -263,9 +270,8 @@ def _apex_witness(divisors: int, achievers) -> bool:
     {u : A_v inside A_u}, which is inside S_g for every g in A_v. Hence F_h
     contains F_g and v for each g in A_v, while every other divisor's facet
     already contains v: every facet lies in one that contains v, so v is an
-    apex. A divisor that ``_full_simplex`` finds is a witness for any v with
-    A_v != D, since A_u = D off supp(b). At b = 0 every A_v is D, so the
-    complex {empty set} is never skipped.
+    apex. At b = 0 every A_v is D, so the complex {empty set} is never
+    skipped.
     """
     for a in achievers:
         if a == divisors:
@@ -366,12 +372,11 @@ def betti_table(ideal: MonomialIdeal) -> BettiTable:
 
     Walks the lcm lattice of the generators over generator bitmasks, so no
     Monomial is built per point. A cone has no reduced homology, so b is
-    skipped as soon as its complex is shown to be one. Most cones are found
-    from the walk's masks alone: first when a divisor attains b_v at no v in
-    supp(b), so the complex is the full simplex on supp(b) (``_full_simplex``);
-    then when, for some v, a divisor lies outside the achiever mask A_v and
-    every A_u that does not contain A_v, which makes v an apex
-    (``_apex_witness``, which also covers the first case but costs a loop).
+    skipped as soon as its complex is shown to be one. The walk itself never
+    reaches a full simplex on a nonempty supp(b) (``_lattice``). Of the
+    points it yields, most cones are found from its masks alone: when, for
+    some v, a divisor lies outside the achiever mask A_v and every A_u that
+    does not contain A_v, v is an apex (``_apex_witness``).
     The remaining points keep the maximal facets {v : g_v < b_v} of the
     generators g dividing b, found by refining those divisors by the
     variables where they reach b, and are skipped when those facets share a
@@ -384,8 +389,8 @@ def betti_table(ideal: MonomialIdeal) -> BettiTable:
         raise ZeroIdealError("the zero ideal has no Betti table")
     memo: dict[tuple, list[int]] = {}
     entries: dict[tuple[int, int], int] = {}
-    for b, divisors, achievers, reach in _lattice(ideal):
-        if _full_simplex(divisors, reach) or _apex_witness(divisors, achievers):
+    for b, divisors, achievers in _lattice(ideal):
+        if _apex_witness(divisors, achievers):
             continue  # a cone, shown from the walk's masks
         facets = _maximal_facets(divisors, achievers)
         if functools.reduce(operator.and_, facets):

@@ -438,8 +438,10 @@ def report_from_json(obj) -> StabilizationReport:
     Stage-level certification thresholds are not serialized separately, so the
     rebuilt decomposition carries the report-level ``certified_from`` (a valid,
     possibly looser, bound). Claims that need no Betti table are checked again:
-    the terms are eventually positive and the fit's expansion along the chain,
-    and verified_k increases strictly from certified_from on.
+    every fit entry has a positive leading coefficient and a sign threshold
+    below certified_from, the terms are eventually positive and the fit's
+    expansion along the chain, and verified_k increases strictly from
+    certified_from on.
     """
     if not isinstance(obj, dict):
         raise ParseError("report JSON must be an object")
@@ -467,6 +469,9 @@ def report_from_json(obj) -> StabilizationReport:
         raise
     except (KeyError, ValueError, TypeError, AttributeError, DegreeSequenceError) as exc:
         raise ParseError(f"bad report JSON: {exc}") from exc
+    for position, poly in fit.entries.items():
+        if not eventually_positive(poly) or sign_threshold(poly) >= certified:
+            raise ParseError(f"bad report JSON: fit entry {position} is not certified positive from {certified} on")
     if not all(eventually_positive(w) for w, _ in positive.terms):
         raise ParseError("bad report JSON: a positive decomposition coefficient is not eventually positive")
     if symbolic_chain_decompose(fit, chain).nonzero_terms() != positive.terms:

@@ -53,15 +53,21 @@ def edge_ideals(draw, max_vars=4, max_gens=5):
 
 
 def brute_lcm_lattice(ideal):
-    """lcm of every nonempty generator subset, by definition."""
+    """lcm of every nonempty generator subset, by definition, one generator
+    at a time: the subsets holding g are {g} and each earlier subset plus g."""
     closure = set()
-    for r in range(1, len(ideal.generators) + 1):
-        for combo in itertools.combinations(ideal.generators, r):
-            acc = combo[0]
-            for g in combo[1:]:
-                acc = acc.lcm(g)
-            closure.add(acc)
-    return frozenset(closure)
+    for g in ideal.generators:
+        closure |= {tuple(map(max, b, g.exponents)) for b in closure} | {g.exponents}
+    return frozenset(Monomial(b) for b in closure)
+
+
+def is_full_simplex(ideal, b):
+    """supp(b) is nonempty and a generator has g_v < b_v on all of it, so its
+    simplex {v : g_v < b_v} is every face sigma inside supp(b)."""
+    support = [v for v, c in enumerate(b.exponents) if c]
+    return bool(support) and any(
+        g.divides(b) and all(g.exponents[v] < b.exponents[v] for v in support) for g in ideal.generators
+    )
 
 
 def brute_koszul_faces(ideal, b):
@@ -214,29 +220,25 @@ class TestEquigenerated:
 
 class TestLcmClosure:
     def test_matches_subset_enumeration(self):
+        # the walk yields the lattice points that are not full simplices
         rng = random.Random(31)
         for _ in range(25):
             ideal = random_ideal(rng, rng.randint(1, 4), rng.randint(1, 5))
-            assert {Monomial(b) for b, *_ in _lattice(ideal)} == brute_lcm_lattice(ideal)
+            expected = {b for b in brute_lcm_lattice(ideal) if not is_full_simplex(ideal, b)}
+            assert {Monomial(b) for b, *_ in _lattice(ideal)} == expected
 
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(edge_ideals())
     @example(MonomialIdeal(2, (m(0, 0),)))
     def test_walk_matches_definition(self, ideal):
         points = []
-        for b, divisors, achievers, reach in _lattice(ideal):
+        for b, divisors, achievers in _lattice(ideal):
             point = Monomial(b)
             assert (divisors, list(achievers)) == brute_masks(ideal, point)
-            # the divisors attaining b_v at some v with b_v > 0
-            assert reach == sum(
-                1 << i
-                for i, g in enumerate(ideal.generators)
-                if g.divides(point) and any(0 < c == g.exponents[v] for v, c in enumerate(b))
-            )
             points.append(point)
         # each point once: a repeat would count its homology twice
         assert len(points) == len(set(points))
-        assert set(points) == brute_lcm_lattice(ideal)
+        assert set(points) == {b for b in brute_lcm_lattice(ideal) if not is_full_simplex(ideal, b)}
 
     def test_closure_size_can_beat_subset_count(self):
         # 10 generators but far fewer than 2^10 - 1 distinct lcms
@@ -282,7 +284,7 @@ class TestUpperKoszul:
         # every lattice point, then multidegrees off the lattice whose
         # exponents exceed every generator's, so no generator reaches them,
         # and b = 0, outside every ideal but the unit ideal
-        points = [Monomial(b) for b, *_ in _lattice(ideal)] + [Monomial((0,) * ideal.num_vars)]
+        points = list(brute_lcm_lattice(ideal)) + [Monomial((0,) * ideal.num_vars)]
         tops = [max(g.exponents[v] for g in ideal.generators) for v in range(ideal.num_vars)]
         for _ in range(3):
             extra = data.draw(st.tuples(*[st.integers(1, 20)] * ideal.num_vars))
@@ -308,37 +310,39 @@ class TestConeFromMasks:
     # every lattice point has b_3 = 0; at (2, 2, 0), x1*x2 spans the full simplex on supp b
     @example(MonomialIdeal(3, (m(2, 0, 0), m(1, 1, 0), m(0, 2, 0))))
     def test_skipped_points_have_an_apex(self, ideal):
-        for b, divisors, achievers, reach in bsdecomp.monomial._lattice(ideal):
-            full = bsdecomp.monomial._full_simplex(divisors, reach)
-            witnessed = bsdecomp.monomial._apex_witness(divisors, achievers)
-            if full or witnessed:
-                assert has_apex(brute_koszul_faces(ideal, Monomial(b)), ideal.num_vars), b
-            # a divisor with g_v < b_v on all of supp(b) != {} spans the full simplex there
-            assert full == (
-                any(b)
-                and any(
-                    all(g.exponents[v] < c for v, c in enumerate(b) if c)
-                    for i, g in enumerate(ideal.generators)
-                    if divisors >> i & 1
-                )
-            ), b
-            # the apex test decides every full simplex: the first test is only a fast path
-            assert witnessed or not full, b
+        walked = {}
+        for b, divisors, achievers in bsdecomp.monomial._lattice(ideal):
+            walked[Monomial(b)] = bsdecomp.monomial._apex_witness(divisors, achievers)
+        lattice = brute_lcm_lattice(ideal)
+        assert walked.keys() <= lattice
+        for b in lattice:
+            faces = brute_koszul_faces(ideal, b)
+            support = frozenset(v for v, c in enumerate(b.exponents) if c)
+            full = bool(support) and support in faces
+            # the walk skips exactly the full simplices on a nonempty supp(b)
+            assert full == (b not in walked), b
+            if full or walked[b]:
+                assert has_apex(faces, ideal.num_vars), b
 
     def test_both_tests_fire_on_a_path_power(self, path_ideal):
-        # P5^4: full simplices, then apex witnesses among the rest, then the
-        # shared-vertex check on the refined facets, then the points left
-        full = witnessed = shared = rest = 0
-        for b, divisors, achievers, reach in bsdecomp.monomial._lattice(power(path_ideal, 4)):
-            if bsdecomp.monomial._full_simplex(divisors, reach):
-                full += 1
-            elif bsdecomp.monomial._apex_witness(divisors, achievers):
+        # P5^4: the walk skips the full simplices; of the points it yields,
+        # apex witnesses, then the shared-vertex check on the refined facets,
+        # then the points left
+        ideal = power(path_ideal, 4)
+        walked = witnessed = shared = rest = 0
+        for b, divisors, achievers in bsdecomp.monomial._lattice(ideal):
+            walked += 1
+            if bsdecomp.monomial._apex_witness(divisors, achievers):
                 witnessed += 1
             elif functools.reduce(operator.and_, bsdecomp.monomial._maximal_facets(divisors, achievers)):
                 shared += 1
             else:
                 rest += 1
-        assert (full, witnessed, shared, rest) == (194, 134, 34, 155)
+        assert (walked, len(brute_lcm_lattice(ideal))) == (323, 517)
+        assert (witnessed, shared, rest) == (134, 34, 155)
+        # P5^8: the prune leaves 2,832 of the 7,809 lattice points
+        ideal = power(path_ideal, 8)
+        assert (sum(1 for _ in bsdecomp.monomial._lattice(ideal)), len(brute_lcm_lattice(ideal))) == (2832, 7809)
 
 
 class TestReducedHomology:

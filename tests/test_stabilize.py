@@ -561,6 +561,34 @@ class TestReportJson:
         with pytest.raises(ParseError, match=f"bad report JSON: .*{message}"):
             report_from_json(obj)
 
+    @pytest.mark.parametrize("mutation", ["negated", "threshold"])
+    def test_rejects_a_fit_entry_not_positive_from_certified_from(self, mutation):
+        obj = json.loads((GOLDEN / "stabilize-p5.report.json").read_text(encoding="utf-8"))
+        assert obj["certified_from"] == 3
+        entry = obj["fit"]["(0,0)"]
+        assert entry["coefficients"] == ["1", "11/6", "1", "1/6"]
+        if mutation == "negated":
+            entry["coefficients"] = ["-1", "-11/6", "-1", "-1/6"]
+        else:
+            # 1 + 11/6*k - 9*k^2 + 7/6*k^3 is negative from k = 1 to 7
+            entry["coefficients"] = ["1", "11/6", "-9", "7/6"]
+        # the terms become the changed fit's expansion, so the expansion check passes
+        fit = SymbolicBettiTable(
+            obj["r"],
+            {
+                bsdecomp.stabilize._fit_position(key): PolynomialQ(tuple(map(Fraction, e["coefficients"])))
+                for key, e in obj["fit"].items()
+            },
+            valid_from=obj["k0_observed"],
+        )
+        chain = Chain.from_sequences(obj["positive_chain"], window=fit.offset_window())
+        obj["positive_decomposition"]["terms"] = [
+            {"offsets": list(s.degrees), "coefficient_poly": bsdecomp.stabilize._poly_json(w)}
+            for w, s in symbolic_chain_decompose(fit, chain).nonzero_terms()
+        ]
+        with pytest.raises(ParseError, match=r"bad report JSON: fit entry \(0, 0\) is not certified positive from 3 on"):
+            report_from_json(obj)
+
     @pytest.mark.parametrize("part", ["fit", "term"])
     def test_rejects_float_coefficients(self, path_report, part):
         obj = report_to_json(path_report)
