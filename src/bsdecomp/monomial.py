@@ -54,12 +54,6 @@ class Monomial:
     def divides(self, other: "Monomial") -> bool:
         return all(a <= b for a, b in zip(self.exponents, other.exponents, strict=True))
 
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        return Monomial(tuple(a + b for a, b in zip(self.exponents, other.exponents, strict=True)))
-
-    def lcm(self, other: "Monomial") -> "Monomial":
-        return Monomial(tuple(max(a, b) for a, b in zip(self.exponents, other.exponents, strict=True)))
-
     def text(self) -> str:
         parts = []
         for v, e in enumerate(self.exponents):
@@ -174,16 +168,13 @@ class MonomialIdeal:
 
 
 def power(ideal: MonomialIdeal, k: int) -> MonomialIdeal:
-    """k-th power: products of k generators with repetition, minimalized."""
+    """k-th power: products of k generators with repetition, minimalized; a
+    product is summed on exponent tuples, one Monomial per distinct one."""
     if k < 1:
         raise ValueError(f"power must be >= 1, got {k}")
-    products = set()
-    for combo in itertools.combinations_with_replacement(ideal.generators, k):
-        acc = combo[0]
-        for g in combo[1:]:
-            acc = acc * g
-        products.add(acc)
-    return MonomialIdeal(ideal.num_vars, tuple(products))
+    exponents = [g.exponents for g in ideal.generators]
+    products = {tuple(map(sum, zip(*combo))) for combo in itertools.combinations_with_replacement(exponents, k)}
+    return MonomialIdeal(ideal.num_vars, tuple(Monomial(p) for p in products))
 
 
 def is_equigenerated(ideal: MonomialIdeal) -> int | None:
@@ -342,20 +333,6 @@ def _homology_from_masks(masks: list[int], num_vertices: int) -> list[int]:
     return out
 
 
-def _renumbered(masks: list[int]) -> tuple[int, tuple[int, ...]]:
-    """(count, sorted masks) with the bits the masks use renumbered 0..count-1.
-
-    Homology only sees the face structure, so complexes that differ in where
-    their vertices sit get one memo key.
-    """
-    used = functools.reduce(operator.or_, masks)
-    slots = []
-    while used:
-        slots.append(used & -used)
-        used &= used - 1
-    return len(slots), tuple(sorted(sum(1 << t for t, s in enumerate(slots) if m & s) for m in masks))
-
-
 def _faces_of(facets: tuple[int, ...]) -> list[int]:
     """Every submask of every facet: the faces of the complex they span."""
     faces = {0}
@@ -380,14 +357,13 @@ def betti_table(ideal: MonomialIdeal) -> BettiTable:
     The remaining points keep the maximal facets {v : g_v < b_v} of the
     generators g dividing b, found by refining those divisors by the
     variables where they reach b, and are skipped when those facets share a
-    vertex. Otherwise homology is memoized on the facets with their vertices
-    renumbered densely, which collapses the many isomorphic complexes a power
-    family produces; faces are listed only on a memo miss. Dimensions
-    accumulate by total degree. Deterministic for a given ideal.
+    vertex. Otherwise homology is memoized on the set of maximal facets, and
+    faces are listed only on a memo miss. Dimensions accumulate by total
+    degree. Deterministic for a given ideal.
     """
     if ideal.is_zero:
         raise ZeroIdealError("the zero ideal has no Betti table")
-    memo: dict[tuple, list[int]] = {}
+    memo: dict[tuple[int, ...], list[int]] = {}
     entries: dict[tuple[int, int], int] = {}
     for b, divisors, achievers in _lattice(ideal):
         if _apex_witness(divisors, achievers):
@@ -395,10 +371,10 @@ def betti_table(ideal: MonomialIdeal) -> BettiTable:
         facets = _maximal_facets(divisors, achievers)
         if functools.reduce(operator.and_, facets):
             continue  # the facets share a vertex: a cone, with no reduced homology
-        key = _renumbered(facets)
+        key = tuple(sorted(facets))
         dims = memo.get(key)
         if dims is None:
-            dims = memo[key] = _homology_from_masks(_faces_of(key[1]), key[0])
+            dims = memo[key] = _homology_from_masks(_faces_of(key), ideal.num_vars)
         degree = sum(b)
         for i, dim in enumerate(dims):
             if dim:

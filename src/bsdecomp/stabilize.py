@@ -438,13 +438,25 @@ def report_from_json(obj) -> StabilizationReport:
     Stage-level certification thresholds are not serialized separately, so the
     rebuilt decomposition carries the report-level ``certified_from`` (a valid,
     possibly looser, bound). Claims that need no Betti table are checked again:
-    every fit entry has a positive leading coefficient and a sign threshold
-    below certified_from, the terms are eventually positive and the fit's
-    expansion along the chain, and verified_k increases strictly from
-    certified_from on.
+    k0_observed is at most certified_from, every fit entry has a positive
+    leading coefficient and a sign threshold below certified_from, the terms
+    are eventually positive and the fit's expansion along the chain, and
+    verified_k increases strictly from certified_from on. Each polynomial's
+    coefficients must be a list, and its ``text`` the one they spell.
     """
     if not isinstance(obj, dict):
         raise ParseError("report JSON must be an object")
+    # (text as written, polynomial), checked last so that an edited
+    # coefficient is reported by the claim it breaks
+    texts = []
+
+    def poly_from_json(body) -> PolynomialQ:
+        if not isinstance(body["coefficients"], list):
+            raise ParseError(f"bad report JSON: coefficients {body['coefficients']!r} are not a list")
+        poly = PolynomialQ(tuple(map(_json_rational, body["coefficients"])))
+        texts.append((body["text"], poly))
+        return poly
+
     try:
         ideal = ideal_from_json(obj["ideal"])
         gen_degree = _json_int(obj["r"])
@@ -452,12 +464,12 @@ def report_from_json(obj) -> StabilizationReport:
         certified = _json_int(obj["certified_from"])
         fit_entries = {}
         for key, body in obj["fit"].items():
-            fit_entries[_fit_position(key)] = PolynomialQ(tuple(map(_json_rational, body["coefficients"])))
+            fit_entries[_fit_position(key)] = poly_from_json(body)
         fit = SymbolicBettiTable(gen_degree, fit_entries, valid_from=k0)
         chain = Chain.from_sequences(obj["positive_chain"], window=fit.offset_window())
         terms = tuple(
             (
-                PolynomialQ(tuple(map(_json_rational, t["coefficient_poly"]["coefficients"]))),
+                poly_from_json(t["coefficient_poly"]),
                 DegreeSequence(tuple(t["offsets"])),
             )
             for t in obj["positive_decomposition"]["terms"]
@@ -469,6 +481,8 @@ def report_from_json(obj) -> StabilizationReport:
         raise
     except (KeyError, ValueError, TypeError, AttributeError, DegreeSequenceError) as exc:
         raise ParseError(f"bad report JSON: {exc}") from exc
+    if k0 > certified:
+        raise ParseError(f"bad report JSON: k0_observed {k0} exceeds certified_from {certified}")
     for position, poly in fit.entries.items():
         if not eventually_positive(poly) or sign_threshold(poly) >= certified:
             raise ParseError(f"bad report JSON: fit entry {position} is not certified positive from {certified} on")
@@ -478,6 +492,9 @@ def report_from_json(obj) -> StabilizationReport:
         raise ParseError("bad report JSON: the terms are not the fit's expansion along positive_chain")
     if any(k < certified for k in verified) or any(a >= b for a, b in zip(verified, verified[1:])):
         raise ParseError(f"bad report JSON: verified_k must rise strictly from certified_from {certified}")
+    for text, poly in texts:
+        if text != poly.text():
+            raise ParseError(f"bad report JSON: text {text!r} is not {poly.text()!r}")
     return StabilizationReport(
         ideal=ideal,
         gen_degree=gen_degree,

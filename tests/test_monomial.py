@@ -120,12 +120,12 @@ class TestMonomial:
         assert a.text() == "x1^2*x3"
         assert m(0, 0).text() == "1"
 
-    def test_divides_lcm_mul(self):
+    def test_divides(self):
         a, b = m(1, 2, 0), m(0, 1, 3)
-        assert not a.divides(b)
-        assert m(0, 1, 0).divides(a)
-        assert a.lcm(b) == m(1, 2, 3)
-        assert a * b == m(1, 3, 3)
+        assert not a.divides(b) and not b.divides(a)
+        assert m(0, 1, 0).divides(a) and a.divides(a)
+        assert a.divides(m(1, 2, 3)) and b.divides(m(1, 3, 3))
+        assert m(0, 0, 0).divides(b)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -208,6 +208,29 @@ class TestPower:
     def test_power_of_power(self):
         ideal = path_edge_ideal()
         assert power(power(ideal, 2), 3) == power(ideal, 6)
+
+    def test_matches_k_fold_sums(self):
+        # I^k is minimally generated by the minimal k-fold sums of the
+        # exponent vectors of any generating set, repeats allowed
+        rng = random.Random(41)
+        degrees = set()
+        for _ in range(40):
+            n = rng.randint(1, 4)
+            drawn = [tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(1, 5))]
+            ideal = MonomialIdeal(n, tuple(Monomial(e) for e in drawn))
+            degrees.add(is_equigenerated(ideal))
+            for k in range(1, 5):
+                sums = {
+                    tuple(sum(e[v] for e in combo) for v in range(n)) for combo in itertools.product(drawn, repeat=k)
+                }
+                minimal = sorted(
+                    s for s in sums if not any(t != s and all(a <= b for a, b in zip(t, s)) for t in sums)
+                )
+                assert [g.exponents for g in power(ideal, k).generators] == minimal
+        assert None in degrees  # some ideals mix generator degrees
+        for n in range(1, 5):
+            for k in range(1, 5):
+                assert power(MonomialIdeal(n, ()), k).is_zero
 
 
 class TestEquigenerated:

@@ -1,6 +1,8 @@
 import ast
 import json
 import os
+import random
+import re
 import subprocess
 import sys
 import textwrap
@@ -41,6 +43,7 @@ from bsdecomp import (
     symbolic_chain_decompose,
     symbolic_greedy_decompose,
 )
+from bsdecomp.linalg import matrix_rank
 from reference_values import (
     ALTERNATE_CHAIN_OFFSETS,
     ALTERNATE_TERMS,
@@ -386,6 +389,25 @@ class TestDetectStabilization:
         assert info.value.offender is not None
         assert info.value.offender[0] == 2
 
+    def test_fit_degrees_within_kodiyalam_bound(self):
+        # Kodiyalam (Proc. AMS 1993): beta_i(I^k) is eventually a polynomial in
+        # k of degree at most l(I) - 1, and each graded entry lies between 0
+        # and beta_i; for an equigenerated monomial ideal the analytic spread
+        # l(I) is the rank of the generator exponent matrix
+        rng = random.Random(1993)
+        for _ in range(40):
+            n, d = rng.randint(2, 4), rng.randint(2, 3)
+            gens = []
+            for _ in range(rng.randint(2, 5)):
+                exps = [0] * n
+                for _ in range(d):
+                    exps[rng.randrange(n)] += 1
+                gens.append(Monomial(tuple(exps)))
+            ideal = MonomialIdeal(n, tuple(gens))
+            spread = matrix_rank([dict(enumerate(g.exponents)) for g in ideal.generators])
+            report = detect_stabilization(ideal, 1, 7)
+            assert max(p.degree() for p in report.fit.entries.values()) <= spread - 1, ideal
+
 
 class TestCertificates:
     def test_broken_numeric_greedy_is_caught(self, monkeypatch):
@@ -587,6 +609,32 @@ class TestReportJson:
             for w, s in symbolic_chain_decompose(fit, chain).nonzero_terms()
         ]
         with pytest.raises(ParseError, match=r"bad report JSON: fit entry \(0, 0\) is not certified positive from 3 on"):
+            report_from_json(obj)
+
+    @pytest.mark.parametrize(
+        "mutation, message",
+        [
+            ("string", "coefficients '06' are not a list"),
+            ("fit-text", "text '1 + k' is not '1 + 11/6*k + k^2 + 1/6*k^3'"),
+            ("term-text", "text '7*k' is not '6*k'"),
+            ("k0", "k0_observed 6 exceeds certified_from 3"),
+        ],
+    )
+    def test_rejects_what_report_to_json_never_writes(self, mutation, message):
+        # each mutation reads back without error unless these checks refuse it
+        obj = json.loads((GOLDEN / "stabilize-p5.report.json").read_text(encoding="utf-8"))
+        poly = obj["positive_decomposition"]["terms"][2]["coefficient_poly"]
+        assert poly == {"coefficients": ["0", "6"], "text": "6*k"}
+        if mutation == "string":
+            poly["coefficients"] = "06"  # used to be read digit by digit, as 0 + 6k
+        elif mutation == "fit-text":
+            obj["fit"]["(0,0)"]["text"] = "1 + k"
+        elif mutation == "term-text":
+            poly["text"] = "7*k"
+        else:
+            assert obj["certified_from"] == 3
+            obj["k0_observed"] = 6
+        with pytest.raises(ParseError, match=re.escape(f"bad report JSON: {message}")):
             report_from_json(obj)
 
     @pytest.mark.parametrize("part", ["fit", "term"])
