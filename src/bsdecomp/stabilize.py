@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping
 
 from .decompose import (
@@ -27,7 +27,6 @@ from .decompose import (
 from .errors import (
     AmbiguousOrMissingChainError,
     CertificateError,
-    DegreeSequenceError,
     NoSolutionError,
     NotDecomposableError,
     NotEquigeneratedError,
@@ -270,24 +269,23 @@ def positive_family_chain(
         raise AmbiguousOrMissingChainError(
             "no maximal chain of the window has eventually nonnegative coefficients"
         ) from exc
-    chain, _, threshold = _positive_chain(table, greedy, window)
-    return chain, threshold
+    chain, expansion = _positive_chain(table, greedy, window)
+    return chain, max((sign_threshold(w) for w, _ in expansion.nonzero_terms()), default=0)
 
 
 def _positive_chain(
     table: SymbolicBettiTable, greedy: TranslatedDecomposition, window: Window
-) -> tuple[Chain, TranslatedDecomposition, int]:
-    """First chain of the window through the greedy sequences, the family's
-    expansion along it (checked to be the greedy terms padded with zeros),
-    and the positivity threshold of its nonzero coefficients."""
+) -> tuple[Chain, TranslatedDecomposition]:
+    """First chain of the window through the greedy sequences, and the
+    family's expansion along it, checked to be the greedy terms padded with
+    zeros."""
     chain = _chain_through([s for _, s in greedy.terms], window)
     expansion = symbolic_chain_decompose(table, chain)
     if not all(eventually_nonnegative(w) for w, _ in expansion.terms):
         raise CertificateError("the positive chain's expansion has an eventually negative coefficient")
     if expansion.nonzero_terms() != greedy.terms:
         raise CertificateError("the positive chain's expansion differs from the symbolic greedy terms")
-    threshold = max((sign_threshold(w) for w, _ in expansion.nonzero_terms()), default=0)
-    return chain, expansion, threshold
+    return chain, expansion
 
 
 _REPORT_NOTES = (
@@ -311,6 +309,26 @@ class StabilizationReport:
     certified_from: int
     verified_k: tuple[int, ...]
     notes: str = _REPORT_NOTES
+
+
+def _report(
+    ideal: MonomialIdeal, fit: SymbolicBettiTable, verified_k: tuple[int, ...] = (), notes: str = _REPORT_NOTES
+) -> tuple[StabilizationReport, TranslatedDecomposition]:
+    """The report a fit gives, and the fit's expansion along its positive chain.
+
+    ``certified_from`` is the symbolic greedy's, and it also bounds the
+    chain's signs: each nonzero chain coefficient is a greedy coefficient
+    (``_positive_chain`` checks this), which is a positive multiple of a fit
+    entry or of a difference of two candidates at an earlier step. The
+    greedy bound takes in the sign threshold of every fit entry and, through
+    eventual_min, of every such difference.
+    """
+    positive = symbolic_greedy_decompose(fit)
+    chain, expansion = _positive_chain(fit, positive, fit.offset_window())
+    report = StabilizationReport(
+        ideal, fit.gen_degree, fit.valid_from, fit, chain, positive, positive.certified_from, verified_k, notes
+    )
+    return report, expansion
 
 
 def detect_stabilization(
@@ -361,31 +379,21 @@ def detect_stabilization(
             offender=(k0 - 1, i, gen_degree * (k0 - 1) + off),
         )
     fit = fit_family({k: tables[k] for k in range(k0, k_max + 1)}, gen_degree, bound)
-    positive = symbolic_greedy_decompose(fit)
-    chain, expansion, chain_threshold = _positive_chain(fit, positive, fit.offset_window())
-    certified = max(positive.certified_from, chain_threshold + 1)
+    report, expansion = _report(ideal, fit)
     verified = []
-    for k in range(max(k_min, certified), k_max + 1):
+    # certified_from >= k0 >= k_min, so every replayed table was computed
+    for k in range(report.certified_from, k_max + 1):
         table_k = tables[k]
         if not fit.evaluate(k).same_entries(table_k):
             raise CertificateError(f"the fitted family differs from the Betti table at k={k}")
         numeric_greedy = greedy_decompose(table_k)
-        if numeric_greedy.terms != positive.evaluate(k).terms:
+        if numeric_greedy.terms != report.positive.evaluate(k).terms:
             raise CertificateError(f"numeric greedy decomposition differs from the symbolic one at k={k}")
-        numeric_chain = chain_decompose(table_k, chain.shift(gen_degree * k))
+        numeric_chain = chain_decompose(table_k, report.positive_chain.shift(gen_degree * k))
         if numeric_chain.terms != expansion.evaluate(k, keep_zero_terms=True).terms:
             raise CertificateError(f"numeric chain expansion differs from the symbolic one at k={k}")
         verified.append(k)
-    return StabilizationReport(
-        ideal=ideal,
-        gen_degree=gen_degree,
-        k0_observed=k0,
-        fit=fit,
-        positive_chain=chain,
-        positive=positive,
-        certified_from=certified,
-        verified_k=tuple(verified),
-    )
+    return replace(report, verified_k=tuple(verified))
 
 
 def _poly_json(poly: PolynomialQ) -> dict:
@@ -433,16 +441,16 @@ def _fit_position(key: str) -> tuple[int, int]:
 
 
 def report_from_json(obj) -> StabilizationReport:
-    """Rebuild a report from its JSON form.
+    """Rebuild a report from its JSON form by re-deriving its claims from its fit.
 
-    Stage-level certification thresholds are not serialized separately, so the
-    rebuilt decomposition carries the report-level ``certified_from`` (a valid,
-    possibly looser, bound). Claims that need no Betti table are checked again:
-    k0_observed is at most certified_from, every fit entry has a positive
-    leading coefficient and a sign threshold below certified_from, the terms
-    are eventually positive and the fit's expansion along the chain, and
-    verified_k increases strictly from certified_from on. Each polynomial's
-    coefficients must be a list, and its ``text`` the one they spell.
+    Past the grammar (integers that are not booleans or floats, fit keys
+    spelled as ``report_to_json`` writes them, coefficient lists with the
+    ``text`` they spell, a maximal chain, string ``notes``), ``r`` must be
+    the degree of every generator and ``k0_observed`` at least 1. The
+    builder ``detect_stabilization`` uses then rebuilds the report from
+    (ideal, fit, verified_k, notes): ``certified_from`` (never a looser
+    one), ``positive_chain`` and the terms must be the ones it derives, and
+    ``verified_k`` the consecutive run from ``certified_from``.
     """
     if not isinstance(obj, dict):
         raise ParseError("report JSON must be an object")
@@ -462,47 +470,38 @@ def report_from_json(obj) -> StabilizationReport:
         gen_degree = _json_int(obj["r"])
         k0 = _json_int(obj["k0_observed"])
         certified = _json_int(obj["certified_from"])
-        fit_entries = {}
-        for key, body in obj["fit"].items():
-            fit_entries[_fit_position(key)] = poly_from_json(body)
-        fit = SymbolicBettiTable(gen_degree, fit_entries, valid_from=k0)
+        entries = {_fit_position(key): poly_from_json(body) for key, body in obj["fit"].items()}
+        fit = SymbolicBettiTable(gen_degree, entries, valid_from=k0)
         chain = Chain.from_sequences(obj["positive_chain"], window=fit.offset_window())
         terms = tuple(
-            (
-                poly_from_json(t["coefficient_poly"]),
-                DegreeSequence(tuple(t["offsets"])),
-            )
+            (poly_from_json(t["coefficient_poly"]), DegreeSequence(tuple(t["offsets"])))
             for t in obj["positive_decomposition"]["terms"]
         )
-        positive = TranslatedDecomposition(terms, gen_degree, certified, fit.offset_window())
         verified = tuple(_json_int(k) for k in obj["verified_k"])
-        notes = str(obj["notes"])
+        notes = obj["notes"]
     except ParseError:
         raise
-    except (KeyError, ValueError, TypeError, AttributeError, DegreeSequenceError) as exc:
+    except (KeyError, ValueError, TypeError, AttributeError) as exc:
         raise ParseError(f"bad report JSON: {exc}") from exc
-    if k0 > certified:
-        raise ParseError(f"bad report JSON: k0_observed {k0} exceeds certified_from {certified}")
-    for position, poly in fit.entries.items():
-        if not eventually_positive(poly) or sign_threshold(poly) >= certified:
-            raise ParseError(f"bad report JSON: fit entry {position} is not certified positive from {certified} on")
-    if not all(eventually_positive(w) for w, _ in positive.terms):
-        raise ParseError("bad report JSON: a positive decomposition coefficient is not eventually positive")
-    if symbolic_chain_decompose(fit, chain).nonzero_terms() != positive.terms:
-        raise ParseError("bad report JSON: the terms are not the fit's expansion along positive_chain")
-    if any(k < certified for k in verified) or any(a >= b for a, b in zip(verified, verified[1:])):
-        raise ParseError(f"bad report JSON: verified_k must rise strictly from certified_from {certified}")
+    if not isinstance(notes, str):
+        raise ParseError(f"bad report JSON: notes {notes!r} is not a string")
+    if is_equigenerated(ideal) != gen_degree:
+        raise ParseError(f"bad report JSON: r {gen_degree} is not the degree of every generator")
+    if k0 < 1:
+        raise ParseError(f"bad report JSON: k0_observed {k0} is below 1")
+    try:
+        report, _ = _report(ideal, fit, verified, notes)
+    except NotDecomposableError as exc:
+        raise ParseError(f"bad report JSON: fit: {exc}") from exc
+    if certified != report.certified_from:
+        raise ParseError(f"bad report JSON: certified_from {certified} is not {report.certified_from}, the fit's")
+    if chain != report.positive_chain:
+        raise ParseError("bad report JSON: positive_chain is not the first chain through the fit's greedy terms")
+    if terms != report.positive.terms:
+        raise ParseError("bad report JSON: positive_decomposition is not the fit's expansion along positive_chain")
+    if verified != tuple(range(certified, certified + len(verified))):
+        raise ParseError(f"bad report JSON: verified_k must run consecutively from certified_from {certified}")
     for text, poly in texts:
         if text != poly.text():
             raise ParseError(f"bad report JSON: text {text!r} is not {poly.text()!r}")
-    return StabilizationReport(
-        ideal=ideal,
-        gen_degree=gen_degree,
-        k0_observed=k0,
-        fit=fit,
-        positive_chain=chain,
-        positive=positive,
-        certified_from=certified,
-        verified_k=verified,
-        notes=notes,
-    )
+    return report

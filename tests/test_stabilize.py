@@ -40,6 +40,7 @@ from bsdecomp import (
     report_from_json,
     report_json_text,
     report_to_json,
+    sign_threshold,
     symbolic_chain_decompose,
     symbolic_greedy_decompose,
 )
@@ -112,6 +113,20 @@ def scanned_positive_chain(table, window):
 
 
 TWO_EDGES = MonomialIdeal(3, (Monomial((1, 1, 0)), Monomial((0, 1, 1))))
+
+
+def random_equigenerated_ideals():
+    """40 seeded random equigenerated ideals in 2-4 variables, degree 2-3."""
+    rng = random.Random(1993)
+    for _ in range(40):
+        n, d = rng.randint(2, 4), rng.randint(2, 3)
+        gens = []
+        for _ in range(rng.randint(2, 5)):
+            exps = [0] * n
+            for _ in range(d):
+                exps[rng.randrange(n)] += 1
+            gens.append(Monomial(tuple(exps)))
+        yield MonomialIdeal(n, tuple(gens))
 
 
 class TestSymbolicBettiTable:
@@ -394,16 +409,7 @@ class TestDetectStabilization:
         # k of degree at most l(I) - 1, and each graded entry lies between 0
         # and beta_i; for an equigenerated monomial ideal the analytic spread
         # l(I) is the rank of the generator exponent matrix
-        rng = random.Random(1993)
-        for _ in range(40):
-            n, d = rng.randint(2, 4), rng.randint(2, 3)
-            gens = []
-            for _ in range(rng.randint(2, 5)):
-                exps = [0] * n
-                for _ in range(d):
-                    exps[rng.randrange(n)] += 1
-                gens.append(Monomial(tuple(exps)))
-            ideal = MonomialIdeal(n, tuple(gens))
+        for ideal in random_equigenerated_ideals():
             spread = matrix_rank([dict(enumerate(g.exponents)) for g in ideal.generators])
             report = detect_stabilization(ideal, 1, 7)
             assert max(p.degree() for p in report.fit.entries.values()) <= spread - 1, ideal
@@ -466,10 +472,25 @@ class TestCertificates:
         assert found == []
 
 
+def assert_round_trips(report):
+    assert report_from_json(report_to_json(report)) == report
+    assert report.certified_from == report.positive.certified_from
+    # the greedy bound also covers the signs of the chain's coefficients
+    assert all(sign_threshold(w) < report.certified_from for w, _ in report.positive.terms)
+
+
 class TestReportJson:
     def test_round_trip(self, path_report):
-        rebuilt = report_from_json(report_to_json(path_report))
-        assert rebuilt == path_report
+        goldens = [
+            report_from_json(json.loads((GOLDEN / f"{name}.report.json").read_text(encoding="utf-8")))
+            for name in ("stabilize-p5", "stabilize-chains")
+        ]
+        for report in [path_report, *goldens]:
+            assert_round_trips(report)
+
+    def test_round_trip_random_ideals(self):
+        for ideal in random_equigenerated_ideals():
+            assert_round_trips(detect_stabilization(ideal, 1, 7))
 
     def test_json_text_shape(self, path_report):
         text = report_json_text(path_report)
@@ -560,15 +581,19 @@ class TestReportJson:
         [
             ("offsets", "expansion along positive_chain"),
             ("coefficient", "expansion along positive_chain"),
-            ("sign", "not eventually positive"),
+            pytest.param("sign", "positive_decomposition is not the fit's", id="sign"),
             ("below", "verified_k"),
             ("repeat", "verified_k"),
+            ("gap", "verified_k must run consecutively from certified_from 3"),
+            ("loose", "certified_from 5 is not 3, the fit's"),
+            ("second-chain", "positive_chain is not the first chain through the fit's greedy terms"),
         ],
     )
     def test_rejects_claims_that_do_not_hold(self, mutation, message):
         obj = json.loads((GOLDEN / "stabilize-p5.report.json").read_text(encoding="utf-8"))
         term = obj["positive_decomposition"]["terms"][2]
         assert term["offsets"] == [0, 1, 3] and term["coefficient_poly"]["coefficients"] == ["0", "6"]
+        assert obj["certified_from"] == 3 and obj["verified_k"] == [3, 4, 5, 6, 7, 8]
         if mutation == "offsets":
             term["offsets"] = [0, 1, 4]
         elif mutation == "coefficient":
@@ -576,15 +601,31 @@ class TestReportJson:
         elif mutation == "sign":
             term["coefficient_poly"]["coefficients"] = ["0", "-6"]
         elif mutation == "below":
-            assert obj["certified_from"] == 3
             obj["verified_k"] = [2] + obj["verified_k"]
-        else:
+        elif mutation == "repeat":
             obj["verified_k"] = [3, 4, 4, 5]
+        elif mutation == "gap":
+            obj["verified_k"] = [3, 5, 8]
+        elif mutation == "loose":
+            obj["certified_from"], obj["verified_k"] = 5, [5, 6, 7, 8]
+        else:
+            fit = report_from_json(json.loads(json.dumps(obj))).fit
+            qualifying = [
+                chain
+                for chain in enumerate_maximal_chains(fit.offset_window())
+                if all(eventually_nonnegative(w) for w, _ in symbolic_chain_decompose(fit, chain).terms)
+            ]
+            assert len(qualifying) == 2
+            obj["positive_chain"] = [list(s.degrees) for s in qualifying[1].elements]
         with pytest.raises(ParseError, match=f"bad report JSON: .*{message}"):
             report_from_json(obj)
 
     @pytest.mark.parametrize("mutation", ["negated", "threshold"])
     def test_rejects_a_fit_entry_not_positive_from_certified_from(self, mutation):
+        message = {
+            "negated": "fit: entry -1 - 11/6*k - k^2 - 1/6*k^3 is eventually negative",
+            "threshold": "certified_from 3 is not 10, the fit's",
+        }[mutation]
         obj = json.loads((GOLDEN / "stabilize-p5.report.json").read_text(encoding="utf-8"))
         assert obj["certified_from"] == 3
         entry = obj["fit"]["(0,0)"]
@@ -594,7 +635,7 @@ class TestReportJson:
         else:
             # 1 + 11/6*k - 9*k^2 + 7/6*k^3 is negative from k = 1 to 7
             entry["coefficients"] = ["1", "11/6", "-9", "7/6"]
-        # the terms become the changed fit's expansion, so the expansion check passes
+        # the terms become the changed fit's expansion, so only the fit is wrong
         fit = SymbolicBettiTable(
             obj["r"],
             {
@@ -608,7 +649,7 @@ class TestReportJson:
             {"offsets": list(s.degrees), "coefficient_poly": bsdecomp.stabilize._poly_json(w)}
             for w, s in symbolic_chain_decompose(fit, chain).nonzero_terms()
         ]
-        with pytest.raises(ParseError, match=r"bad report JSON: fit entry \(0, 0\) is not certified positive from 3 on"):
+        with pytest.raises(ParseError, match=re.escape(f"bad report JSON: {message}")):
             report_from_json(obj)
 
     @pytest.mark.parametrize(
@@ -617,7 +658,13 @@ class TestReportJson:
             ("string", "coefficients '06' are not a list"),
             ("fit-text", "text '1 + k' is not '1 + 11/6*k + k^2 + 1/6*k^3'"),
             ("term-text", "text '7*k' is not '6*k'"),
-            ("k0", "k0_observed 6 exceeds certified_from 3"),
+            pytest.param("k0", "certified_from 3 is not 6, the fit's", id="k0"),
+            ("k0-zero", "k0_observed 0 is below 1"),
+            ("k0-negative", "k0_observed -3 is below 1"),
+            ("r", "r 3 is not the degree of every generator"),
+            ("mixed", "r 2 is not the degree of every generator"),
+            ("notes-int", "notes 5 is not a string"),
+            ("notes-null", "notes None is not a string"),
         ],
     )
     def test_rejects_what_report_to_json_never_writes(self, mutation, message):
@@ -631,9 +678,16 @@ class TestReportJson:
             obj["fit"]["(0,0)"]["text"] = "1 + k"
         elif mutation == "term-text":
             poly["text"] = "7*k"
-        else:
+        elif mutation.startswith("k0"):
             assert obj["certified_from"] == 3
-            obj["k0_observed"] = 6
+            obj["k0_observed"] = {"k0": 6, "k0-zero": 0, "k0-negative": -3}[mutation]
+        elif mutation == "r":
+            assert obj["r"] == 2
+            obj["r"] = 3
+        elif mutation == "mixed":
+            obj["ideal"]["generators"] = [[2, 0, 0, 0, 0], [0, 0, 0, 0, 3]]
+        else:
+            obj["notes"] = 5 if mutation == "notes-int" else None
         with pytest.raises(ParseError, match=re.escape(f"bad report JSON: {message}")):
             report_from_json(obj)
 
