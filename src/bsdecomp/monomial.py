@@ -8,7 +8,8 @@ F_g = {v : g_v < b_v} over the generators g dividing b (Miller and Sturmfels,
 Combinatorial Commutative Algebra, Thm 1.34), so it is given by its maximal
 facets. Multidegrees outside the lcm lattice of the generators contribute
 nothing (Gasharov, Peeva and Welker 1999), so the scan runs over that lattice
-only.
+only. Homology is taken on the strong-collapse core of each complex, which has
+its homotopy type (Barmak and Minian, Discrete Comput. Geom. 47, 2012).
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from .errors import CertificateError, ParseError, ZeroIdealError
 from .linalg import matrix_rank
 from .tables import BettiTable, _json_int
 
-# a complex on n vertices can have 2^n faces, and a memo miss expands them all;
-# the lattice walk's generator and variable bitmasks need no cap of their own
+# a complex on n vertices can have 2^n faces, all listed on a memo miss when it
+# is its own strong-collapse core; the walk's bitmasks need no cap of their own
 MAX_VARIABLES = 16
 
 
@@ -297,11 +298,40 @@ def _maximal_facets(divisors: int, achievers) -> list[int]:
             if members != inside:
                 refined.append((members ^ inside, facet))
         classes = refined
+    return _maximal(facet for _, facet in classes)
+
+
+def _maximal(masks) -> list[int]:
+    """The masks that lie in no other, largest first; a repeat is kept once."""
     maximal: list[int] = []
-    for f in sorted((facet for _, facet in classes), key=int.bit_count, reverse=True):
+    for f in sorted(masks, key=int.bit_count, reverse=True):
         if not any(f & k == f for k in maximal):
             maximal.append(f)
     return maximal
+
+
+def _strong_core(facets):
+    """Maximal facets of the strong-collapse core of the complex they span;
+    the facets as given when no vertex is dominated.
+
+    Vertex v is dominated by w when every maximal facet holding v holds w.
+    Deleting v keeps the homotopy type and so the rational homology (Barmak
+    and Minian, Discrete Comput. Geom. 47, 2012), and each other dominator
+    still dominates. A round deletes dominated vertices in turn, each while
+    a dominator is present, so the edge {0, 1} keeps a vertex, not {empty
+    set}; rounds repeat until none is dominated.
+    """
+    while True:
+        vertices = kept = functools.reduce(operator.or_, facets, 0)
+        rest = vertices
+        while rest:
+            v = rest & -rest
+            rest ^= v
+            if functools.reduce(operator.and_, (f for f in facets if f & v)) & kept & ~v:
+                kept ^= v
+        if kept == vertices:
+            return facets
+        facets = _maximal(f & kept for f in facets)
 
 
 def _boundary(face: int) -> dict[int, int]:
@@ -357,9 +387,9 @@ def betti_table(ideal: MonomialIdeal) -> BettiTable:
     The remaining points keep the maximal facets {v : g_v < b_v} of the
     generators g dividing b, found by refining those divisors by the
     variables where they reach b, and are skipped when those facets share a
-    vertex. Otherwise homology is memoized on the set of maximal facets, and
-    faces are listed only on a memo miss. Dimensions accumulate by total
-    degree. Deterministic for a given ideal.
+    vertex. Otherwise homology is memoized on the set of maximal facets; a
+    miss lists only the faces of the strong-collapse core (``_strong_core``).
+    Dimensions accumulate by total degree. Deterministic for a given ideal.
     """
     if ideal.is_zero:
         raise ZeroIdealError("the zero ideal has no Betti table")
@@ -374,7 +404,7 @@ def betti_table(ideal: MonomialIdeal) -> BettiTable:
         key = tuple(sorted(facets))
         dims = memo.get(key)
         if dims is None:
-            dims = memo[key] = _homology_from_masks(_faces_of(key), ideal.num_vars)
+            dims = memo[key] = _homology_from_masks(_faces_of(_strong_core(key)), ideal.num_vars)
         degree = sum(b)
         for i, dim in enumerate(dims):
             if dim:

@@ -22,7 +22,7 @@ from bsdecomp import (
     parse_monomial,
     power,
 )
-from bsdecomp.monomial import _faces_of, _homology_from_masks, _lattice, _maximal_facets
+from bsdecomp.monomial import _faces_of, _homology_from_masks, _lattice, _maximal, _maximal_facets, _strong_core
 from oracles import reduced_homology_oracle, taylor_betti_table
 from reference_values import MINIMAL_GENERATOR_COUNTS, SMALL_TABLES, path_edge_ideal
 
@@ -429,6 +429,52 @@ class TestReducedHomology:
         assert reduced_homology_oracle(vertex_sets(faces), 6) == [0] * 7
 
 
+def core_keeping_homology(facets, n):
+    """The strong-collapse core of the complex the facets span, after checking
+    that its homology is the dense oracle's for the whole complex."""
+    core = _strong_core(_maximal(facets))
+    assert sorted(_maximal(core)) == sorted(core)  # the core's facets are maximal
+    full = reduced_homology_oracle(vertex_sets(_faces_of(facets)), n)
+    assert _homology_from_masks(_faces_of(core), n) == full
+    return core
+
+
+class TestStrongCore:
+    def test_random_complexes_keep_their_homology(self):
+        # drawn as in test_matches_dense_oracle_beyond_five_vertices
+        rng = random.Random(1729)
+        shrunk = 0
+        for _ in range(40):
+            n = rng.randint(6, 10)
+            facets = [rng.sample(range(n), rng.randint(1, 4)) for _ in range(rng.randint(2, 9))]
+            if rng.random() < 0.5:
+                hollow = rng.sample(range(n), rng.randint(3, 5))
+                facets += itertools.combinations(hollow, len(hollow) - 1)
+            masks = facet_masks(facets)
+            core = core_keeping_homology(masks, n)
+            shrunk += len(_faces_of(core)) < len(_faces_of(masks))
+        assert shrunk >= 20
+
+    def test_mutually_dominating_edge_keeps_one_vertex(self):
+        # deleting both ends of {0, 1} would leave {empty set}, with H~_{-1} = Q
+        core = core_keeping_homology(facet_masks([{0, 1}]), 2)
+        assert len(core) == 1 and core[0].bit_count() == 1
+
+    def test_cone_collapses_to_a_vertex(self):
+        cone_over_square = facet_masks([{0, 1, 2}, {0, 2, 3}, {0, 3, 4}, {0, 4, 1}])
+        core = core_keeping_homology(cone_over_square, 5)
+        assert len(core) == 1 and core[0].bit_count() == 1
+
+    def test_minimal_complexes_come_back_unchanged(self):
+        hollow_triangle = facet_masks([{0, 1}, {1, 2}, {0, 2}])
+        real_projective_plane = facet_masks([
+            {0, 1, 3}, {0, 1, 5}, {0, 2, 4}, {0, 2, 5}, {0, 3, 4},
+            {1, 2, 3}, {1, 2, 4}, {1, 4, 5}, {2, 3, 5}, {3, 4, 5},
+        ])
+        for facets, n in ((hollow_triangle, 3), (real_projective_plane, 6), ((0,), 2)):
+            assert sorted(core_keeping_homology(facets, n)) == sorted(facets)
+
+
 class TestBettiTable:
     def test_zero_ideal_rejected(self):
         with pytest.raises(ZeroIdealError):
@@ -470,6 +516,35 @@ class TestBettiTable:
         for _ in range(25):
             ideal = random_ideal(rng, rng.randint(1, 4), rng.randint(1, 6))
             assert betti_table(ideal).same_entries(taylor_betti_table(ideal))
+
+    def test_against_taylor_oracle_on_eight_variables(self, monkeypatch):
+        # shaped like the betti-random benchmark ideals: 5-10 minimal
+        # generators of degrees 2-4, not all of one degree; on 8 variables
+        # many vertices are dominated, so the strong-collapse cores shrink
+        shrunk = []
+        real = bsdecomp.monomial._strong_core
+
+        def recording(facets):
+            core = real(facets)
+            shrunk.append(sorted(core) != sorted(facets))
+            return core
+
+        monkeypatch.setattr(bsdecomp.monomial, "_strong_core", recording)
+        rng = random.Random(150908)
+        checked = 0
+        while checked < 5:
+            gens = []
+            for _ in range(10):
+                exps = [0] * 8
+                for _ in range(rng.randint(2, 4)):
+                    exps[rng.randrange(8)] += 1
+                gens.append(Monomial(tuple(exps)))
+            ideal = MonomialIdeal(8, tuple(gens))
+            if len(ideal.generators) < 5 or is_equigenerated(ideal) is not None:
+                continue
+            assert betti_table(ideal).same_entries(taylor_betti_table(ideal))
+            checked += 1
+        assert any(shrunk)
 
 
 class TestIdealJson:
