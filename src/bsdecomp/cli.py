@@ -9,6 +9,7 @@ an internal certificate check fails.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -54,8 +55,12 @@ def _int_at_least(low: int):
 
 
 def _read_text(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    """The file as UTF-8 text; its callers prefix any ``ParseError`` with the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8: {exc.reason} at byte {exc.start}") from exc
 
 
 def _unique_keys(pairs):
@@ -74,6 +79,8 @@ def _load_json(path: str):
         return json.loads(_read_text(path), object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"{path}: JSON nested too deeply") from exc
     except ParseError as exc:
         raise ParseError(f"{path}: {exc}") from exc
 
@@ -213,7 +220,11 @@ def cmd_verify(args) -> int:
     return EXIT_VERIFICATION
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on first use and then shared by every call in
+    the process; callers must not mutate it. ``parse_args`` keeps no state
+    between calls, so each call parses as if on a fresh parser."""
     parser = argparse.ArgumentParser(
         prog="bsdecomp",
         description="Exact Betti tables of monomial ideal powers and their "

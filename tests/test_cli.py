@@ -16,7 +16,7 @@ from bsdecomp import (
     to_btt_text,
     verify,
 )
-from bsdecomp.cli import format_stabilize_summary, load_ideal, main
+from bsdecomp.cli import build_parser, format_stabilize_summary, load_ideal, main
 from reference_values import EDGE_GENERATORS, NUM_VARS, SMALL_TABLES
 from test_stabilize import doubled_chain_expansion, doubled_greedy
 
@@ -420,3 +420,103 @@ class TestParser:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "betti" in capsys.readouterr().out
+
+
+class TestSharedParser:
+    """``main`` reuses one parser per process, so no call may see another's."""
+
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["betti"],
+            ["betti", "--ideal", "ideal.json", "-k", "0"],
+            ["chains", "0", "1", "x"],
+            ["frobnicate"],
+            ["-h"],
+            ["betti", "-h"],
+        ],
+        ids=["no-ideal", "power-zero", "chains-integer", "unknown-command", "help", "betti-help"],
+    )
+    def test_usage_paths_repeat_exactly(self, capsys, argv):
+        runs = []
+        for _ in range(2):
+            code = main(argv)
+            runs.append((code, *capsys.readouterr()))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == (0 if "-h" in argv else 2)
+
+    def test_out_does_not_leak(self, ideal_file, tmp_path, capsys):
+        ideal = ideal_file(PATH_IDEAL)
+        out = tmp_path / "table.txt"
+        assert main(["betti", "--ideal", ideal, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert main(["betti", "--ideal", ideal]) == 0
+        assert capsys.readouterr().out == out.read_text(encoding="utf-8")
+
+    def test_chain_does_not_leak(self, table_file, tmp_path, capsys):
+        # the chain expansion takes a negative entry; the greedy path refuses it
+        table = table_file({(0, 0): 1, (1, 1): -2})
+        chain = next(enumerate_maximal_chains(Window(0, 0, 1)))
+        chain_path = tmp_path / "chain.json"
+        chain_path.write_text(json.dumps([list(s.degrees) for s in chain.elements]), encoding="utf-8")
+        assert main(["decompose", "--table", table, "--chain", str(chain_path)]) == 0
+        capsys.readouterr()
+        assert main(["decompose", "--table", table]) == 3
+        assert "negative" in capsys.readouterr().err
+
+
+class TestUnreadableInput:
+    """Bytes that are not UTF-8, and JSON nested past the parser's depth, are
+    parse errors (exit 2) that name the file, never a traceback."""
+
+    @pytest.fixture
+    def files(self, tmp_path, ideal_file, table_file):
+        chain = tmp_path / "chain.json"
+        chain.write_text("[[0, 1], [0]]", encoding="utf-8")
+        decomposition = tmp_path / "decomposition.json"
+        decomposition.write_text(
+            json.dumps({"window": [0, 0, 1], "terms": [{"degrees": [0, 1], "coefficient": "1"}]}),
+            encoding="utf-8",
+        )
+        return {
+            "ideal": ideal_file(MAXIMAL_2VARS),
+            "table": table_file({(0, 0): 1, (1, 1): 1}),
+            "chain": str(chain),
+            "decomposition": str(decomposition),
+        }
+
+    COMMANDS = {
+        "betti-ideal": (["betti", "--ideal", "{ideal}"], "ideal"),
+        "decompose-table": (["decompose", "--table", "{table}"], "table"),
+        "decompose-chain": (["decompose", "--table", "{table}", "--chain", "{chain}"], "chain"),
+        "verify-table": (["verify", "--table", "{table}", "--decomposition", "{decomposition}"], "table"),
+        "verify-decomposition": (
+            ["verify", "--table", "{table}", "--decomposition", "{decomposition}"],
+            "decomposition",
+        ),
+        "stabilize-ideal": (["stabilize", "--ideal", "{ideal}", "--kmin", "1", "--kmax", "4"], "ideal"),
+    }
+
+    def run(self, files, capsys, name, content):
+        argv, slot = self.COMMANDS[name]
+        assert main([arg.format(**files) for arg in argv]) == 0
+        capsys.readouterr()
+        Path(files[slot]).write_bytes(content)
+        assert main([arg.format(**files) for arg in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {files[slot]}: ")
+        assert "Traceback" not in err
+        return err
+
+    @pytest.mark.parametrize("name", list(COMMANDS))
+    def test_non_utf8_bytes(self, files, capsys, name):
+        err = self.run(files, capsys, name, b"\xff" + Path(files[self.COMMANDS[name][1]]).read_bytes())
+        assert "not UTF-8: invalid start byte at byte 0" in err
+
+    @pytest.mark.parametrize("name", ["betti-ideal", "decompose-chain", "verify-decomposition"])
+    def test_deeply_nested_json(self, files, capsys, name):
+        err = self.run(files, capsys, name, b"[" * 100_000 + b"]" * 100_000)
+        assert err.endswith(": JSON nested too deeply\n")
