@@ -83,6 +83,8 @@ def _load_json(path: str):
         raise ParseError(f"{path}: JSON nested too deeply") from exc
     except ParseError as exc:
         raise ParseError(f"{path}: {exc}") from exc
+    except ValueError as exc:  # an integer longer than Python converts from text
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def load_ideal(path: str) -> MonomialIdeal:

@@ -91,7 +91,10 @@ def parse_monomial(text: str, num_vars: int) -> Monomial:
             pos += 1
         if pos == start:
             raise ParseError(f"expected {what} at position {start} in {text!r}")
-        return int(text[start:pos])
+        try:
+            return int(text[start:pos])
+        except ValueError as exc:  # longer than Python converts from text
+            raise ParseError(f"{what} at position {start}: {exc}") from exc
 
     skip_ws()
     if pos >= end:
@@ -188,15 +191,19 @@ def is_equigenerated(ideal: MonomialIdeal) -> int | None:
 
 def _lattice(ideal: MonomialIdeal):
     """Walk the lcm lattice of the generators, yielding ``(b, divisors,
-    achievers)`` for each point whose upper-Koszul complex is not the full
+    classes)`` for each point whose upper-Koszul complex is not the full
     simplex on a nonempty supp(b): the exponent tuple b, the bitmask of the
-    generators dividing b (bit i is generator i), and for each variable v the
-    mask of those divisors g with g_v = b_v.
+    generators dividing b (bit i is generator i), and those divisors grouped
+    by S_g = {v : g_v = b_v}, as a flat list ``[members, S, members, S,
+    ...]`` with one class per distinct S.
 
-    b is fixed one variable at a time, to a value some divisor so far takes
-    there. A prefix is cut as soon as a fixed variable loses all its achievers:
-    b is a lattice point exactly when it is the lcm of its divisors, that is
-    when every achiever mask is nonempty.
+    b is fixed one variable at a time, to a value c some divisor so far takes
+    there. A child keeps the divisors with g_v <= c and splits each class into
+    those with g_v = c, which gain v in S, then the rest. So the classes come
+    in one order for a given set of S, and ``classes[1::2]`` is a key that
+    needs no sort. A prefix is cut as soon as a fixed variable lies in no
+    class's S: b is a lattice point exactly when it is the lcm of its
+    divisors, that is when some divisor attains each b_v.
 
     The walk also carries ``reach``, the divisors attaining b_v at some fixed
     v with b_v > 0, and cuts a prefix when ``reach`` is nonzero and a divisor
@@ -226,13 +233,15 @@ def _lattice(ideal: MonomialIdeal):
         sum(1 << i for i, g in enumerate(ideal.generators) if not any(g.exponents[j:]))
         for j in range(n + 1)
     ]
-    stack = [((), (1 << len(ideal.generators)) - 1, (), 0)]
+    everyone = (1 << len(ideal.generators)) - 1
+    stack = [((), everyone, [everyone, 0], 0)]
     while stack:
-        b, divisors, achievers, reach = stack.pop()
+        b, divisors, classes, reach = stack.pop()
         depth = len(b)
         if depth == n:
-            yield b, divisors, achievers
+            yield b, divisors, classes
             continue
+        bit = 1 << depth
         for c, eq, le in levels[depth]:
             achiever = divisors & eq
             if achiever:
@@ -240,65 +249,20 @@ def _lattice(ideal: MonomialIdeal):
                 reached = reach & below | achiever if c else reach & below
                 if reached and below & ~reached & idle[depth + 1]:
                     continue  # every lattice point below is a full simplex
-                if below == divisors:
-                    kept = achievers
-                else:
-                    kept = tuple(a & below for a in achievers)
-                    if not all(kept):
-                        continue
-                stack.append((b + (c,), below, kept + (achiever,), reached))
-
-
-def _apex_witness(divisors: int, achievers) -> bool:
-    """True when, for some v, a divisor lies outside W_v below, which makes v
-    an apex of the upper-Koszul complex at b. False means undecided, not "not
-    a cone".
-
-    Write A_v for the achiever mask of v and S_g = {v : g in A_v} for a
-    divisor g, so that its facet is F_g = {v : g_v < b_v}, the complement of
-    S_g. Let W_v = A_v | (the union of the A_u with A_v not inside A_u). A
-    divisor h outside W_v is an apex witness for v: h is not in A_v, so v is
-    in F_h; and h misses every A_u that does not contain A_v, so S_h is inside
-    {u : A_v inside A_u}, which is inside S_g for every g in A_v. Hence F_h
-    contains F_g and v for each g in A_v, while every other divisor's facet
-    already contains v: every facet lies in one that contains v, so v is an
-    apex. At b = 0 every A_v is D, so the complex {empty set} is never
-    skipped.
-    """
-    for a in achievers:
-        if a == divisors:
-            continue  # no divisor lies outside A_v
-        witness = divisors & ~a
-        for other in achievers:
-            if a & ~other:
-                witness &= ~other
-                if not witness:
-                    break
-        else:
-            return True
-    return False
-
-
-def _maximal_facets(divisors: int, achievers) -> list[int]:
-    """Maximal facets of the upper-Koszul complex at b, as variable bitmasks.
-
-    The facet of a divisor g is {v : g_v < b_v}: the variables whose achiever
-    mask misses g. Refining the divisors by each achiever mask leaves one
-    class per distinct facet, so no divisor is visited alone. Empty when no
-    generator divides b (the void complex); ``[0]`` when b is itself a
-    minimal generator (the complex whose only face is the empty set).
-    """
-    classes = [(divisors, (1 << len(achievers)) - 1)]
-    for v, achiever in enumerate(achievers):
-        refined = []
-        for members, facet in classes:
-            inside = members & achiever
-            if inside:
-                refined.append((inside, facet & ~(1 << v)))
-            if members != inside:
-                refined.append((members ^ inside, facet))
-        classes = refined
-    return _maximal(facet for _, facet in classes)
+                split = []
+                covered = 0
+                pairs = iter(classes)
+                for members, same in zip(pairs, pairs):
+                    members &= below
+                    if members:
+                        covered |= same
+                        inside = members & eq
+                        if inside:
+                            split += (inside, same | bit)
+                        if members != inside:
+                            split += (members ^ inside, same)
+                if covered == bit - 1:
+                    stack.append((b + (c,), below, split, reached))
 
 
 def _maximal(masks) -> list[int]:
@@ -363,7 +327,7 @@ def _homology_from_masks(masks: list[int], num_vertices: int) -> list[int]:
     return out
 
 
-def _faces_of(facets: tuple[int, ...]) -> list[int]:
+def _faces_of(facets) -> list[int]:
     """Every submask of every facet: the faces of the complex they span."""
     faces = {0}
     for f in facets:
@@ -374,42 +338,48 @@ def _faces_of(facets: tuple[int, ...]) -> list[int]:
     return list(faces)
 
 
+def _key_homology(key: tuple[int, ...], num_vars: int) -> tuple[()] | list[int]:
+    """Reduced homology of the complex at a point the walk yields, from its
+    key, the distinct S_g: their complements cut to the maximal facets.
+    ``()`` when those share a vertex, a cone, which has none; otherwise the
+    dimensions, taken on the faces of the strong-collapse core."""
+    facets = _maximal(((1 << num_vars) - 1) ^ same for same in key)
+    if functools.reduce(operator.and_, facets):
+        return ()
+    return _homology_from_masks(_faces_of(_strong_core(facets)), num_vars)
+
+
 def betti_table(ideal: MonomialIdeal) -> BettiTable:
     """Exact graded Betti table of the ideal (as a module, not its quotient).
 
     Walks the lcm lattice of the generators over generator bitmasks, so no
-    Monomial is built per point. A cone has no reduced homology, so b is
-    skipped as soon as its complex is shown to be one. The walk itself never
-    reaches a full simplex on a nonempty supp(b) (``_lattice``). Of the
-    points it yields, most cones are found from its masks alone: when, for
-    some v, a divisor lies outside the achiever mask A_v and every A_u that
-    does not contain A_v, v is an apex (``_apex_witness``).
-    The remaining points keep the maximal facets {v : g_v < b_v} of the
-    generators g dividing b, found by refining those divisors by the
-    variables where they reach b, and are skipped when those facets share a
-    vertex. Otherwise homology is memoized on the set of maximal facets; a
-    miss lists only the faces of the strong-collapse core (``_strong_core``).
-    Dimensions accumulate by total degree. Deterministic for a given ideal.
+    Monomial is built per point, and never reaches a full simplex on a
+    nonempty supp(b) (``_lattice``). The complex at a yielded b is the union
+    of the simplices {v : g_v < b_v}, the complements of the sets S_g the
+    walk groups its divisors by, so it is fixed by the walk's key, the
+    distinct S_g in walk order. Each point looks its key up in a memo. On a
+    miss only, the complements are cut to the maximal facets; when those
+    share a vertex the complex is a cone, with no reduced homology, and the
+    key is stored as ``()``. Otherwise homology is taken on the faces of the
+    strong-collapse core (``_key_homology``). So a cone costs one dict hit
+    after its key is first seen. Dimensions accumulate by total degree.
+    Deterministic for a given ideal.
     """
     if ideal.is_zero:
         raise ZeroIdealError("the zero ideal has no Betti table")
-    memo: dict[tuple[int, ...], list[int]] = {}
+    memo: dict[tuple[int, ...], tuple[()] | list[int]] = {}
     entries: dict[tuple[int, int], int] = {}
-    for b, divisors, achievers in _lattice(ideal):
-        if _apex_witness(divisors, achievers):
-            continue  # a cone, shown from the walk's masks
-        facets = _maximal_facets(divisors, achievers)
-        if functools.reduce(operator.and_, facets):
-            continue  # the facets share a vertex: a cone, with no reduced homology
-        key = tuple(sorted(facets))
+    for b, _, classes in _lattice(ideal):
+        key = tuple(classes[1::2])
         dims = memo.get(key)
         if dims is None:
-            dims = memo[key] = _homology_from_masks(_faces_of(_strong_core(key)), ideal.num_vars)
-        degree = sum(b)
-        for i, dim in enumerate(dims):
-            if dim:
-                pos = (i, degree)
-                entries[pos] = entries.get(pos, 0) + dim
+            dims = memo[key] = _key_homology(key, ideal.num_vars)
+        if dims:
+            degree = sum(b)
+            for i, dim in enumerate(dims):
+                if dim:
+                    pos = (i, degree)
+                    entries[pos] = entries.get(pos, 0) + dim
     table = BettiTable.from_entries(entries)
     low = min(g.degree for g in ideal.generators)
     if table.entry(0, low) <= 0:

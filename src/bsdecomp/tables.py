@@ -307,8 +307,8 @@ def parse_btt_text(text: str) -> BettiTable:
     bad = [x for x in header if not _INTEGER.fullmatch(x)]
     if bad:
         raise ParseError(f"line {header_line}: bad header: not an integer: {bad[0]!r}")
-    min_row, max_row, max_col = map(int, header)
-    try:
+    try:  # int() refuses an integer longer than Python converts from text
+        min_row, max_row, max_col = map(int, header)
         window = Window(min_row, max_row, max_col)
     except ValueError as exc:
         raise ParseError(f"line {header_line}: {exc}") from exc

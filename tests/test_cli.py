@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -29,6 +30,8 @@ C5_IDEAL = {"variables": 5, "generators": ["x1*x2", "x2*x3", "x3*x4", "x4*x5", "
 GOLDEN = Path(__file__).resolve().parent / "golden"
 BENCH_EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected"
 MAXIMAL_2VARS = {"variables": 2, "generators": [[1, 0], [0, 1]]}
+# one digit past what int() converts from text, so json.loads and int() refuse it
+LONG_INTEGER = "1" * (sys.get_int_max_str_digits() + 1)
 
 
 @pytest.fixture
@@ -98,6 +101,16 @@ class TestBetti:
         path.write_text("{not json", encoding="utf-8")
         assert main(["betti", "--ideal", str(path)]) == 2
         assert "invalid JSON" in capsys.readouterr().err
+
+    def test_overlong_integer_is_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "long.json"
+        path.write_text('{"variables": 2, "generators": [[%s, 0]]}' % LONG_INTEGER, encoding="utf-8")
+        assert main(["betti", "--ideal", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: Exceeds the limit")
+
+    def test_overlong_exponent_is_parse_error(self, ideal_file, capsys):
+        assert main(["betti", "--ideal", ideal_file({"variables": 2, "generators": ["x1^" + LONG_INTEGER]})]) == 2
+        assert capsys.readouterr().err.startswith("error: exponent at position 3: Exceeds the limit")
 
     def test_boolean_variable_count_is_parse_error(self, ideal_file, capsys):
         # JSON true would otherwise be read as one variable
@@ -202,6 +215,12 @@ class TestDecompose:
         path.write_text("0 0\n", encoding="utf-8")
         assert main(["decompose", "--table", str(path)]) == 2
         assert "bad.btt" in capsys.readouterr().err
+
+    def test_overlong_header_integer_is_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "long.btt"
+        path.write_text(f"0 0 {LONG_INTEGER}\n1\n", encoding="utf-8")
+        assert main(["decompose", "--table", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: line 1: Exceeds the limit")
 
 
 class TestChains:

@@ -2,6 +2,7 @@ import functools
 import itertools
 import operator
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -22,7 +23,7 @@ from bsdecomp import (
     parse_monomial,
     power,
 )
-from bsdecomp.monomial import _faces_of, _homology_from_masks, _lattice, _maximal, _maximal_facets, _strong_core
+from bsdecomp.monomial import _faces_of, _homology_from_masks, _key_homology, _lattice, _maximal, _strong_core
 from oracles import reduced_homology_oracle, taylor_betti_table
 from reference_values import MINIMAL_GENERATOR_COUNTS, SMALL_TABLES, path_edge_ideal
 
@@ -82,17 +83,27 @@ def brute_koszul_faces(ideal, b):
     return frozenset(faces)
 
 
-def brute_masks(ideal, b):
-    """(divisors, achievers) at multidegree b, by definition: the mask of the
-    generators dividing b, and for each variable v the mask of those divisors
-    g with g_v = b_v."""
-    gens = ideal.generators
-    divisors = sum(1 << i for i, g in enumerate(gens) if g.divides(b))
-    achievers = [
-        sum(1 << i for i, g in enumerate(gens) if divisors >> i & 1 and g.exponents[v] == c)
-        for v, c in enumerate(b.exponents)
-    ]
-    return divisors, achievers
+def brute_classes(ideal, b):
+    """The generators dividing b grouped by S_g = {v : g_v = b_v}, by
+    definition: {mask of S: mask of the divisors with that S}."""
+    classes = {}
+    for i, g in enumerate(ideal.generators):
+        if g.divides(b):
+            same = sum(1 << v for v, (e, c) in enumerate(zip(g.exponents, b.exponents)) if e == c)
+            classes[same] = classes.get(same, 0) | 1 << i
+    return classes
+
+
+def walk_keys(ideal):
+    """{b: the walk's key at b} for each point it yields."""
+    return {Monomial(b): tuple(classes[1::2]) for b, _, classes in _lattice(ideal)}
+
+
+def walk_facets(ideal):
+    """{b: maximal facets at b} for each point the walk yields, derived from
+    its key: the complements of the distinct S_g, cut to the maximal ones."""
+    full = (1 << ideal.num_vars) - 1
+    return {b: _maximal(full ^ same for same in key) for b, key in walk_keys(ideal).items()}
 
 
 def vertex_sets(masks):
@@ -100,11 +111,9 @@ def vertex_sets(masks):
     return frozenset(frozenset(v for v in range(m.bit_length()) if m >> v & 1) for m in masks)
 
 
-def koszul_faces(ideal, b):
-    """Faces of the upper-Koszul complex at b, from the maximal facets that
-    ``betti_table`` refines; no facets is the void complex, with no faces."""
-    facets = _maximal_facets(*brute_masks(ideal, b))
-    return vertex_sets(_faces_of(tuple(facets))) if facets else frozenset()
+def has_apex(faces, num_vars):
+    """Some vertex v with sigma | {v} a face for every face sigma."""
+    return any(all(f | {v} in faces for f in faces) for v in range(num_vars))
 
 
 def facet_masks(facets):
@@ -255,13 +264,22 @@ class TestLcmClosure:
     @example(MonomialIdeal(2, (m(0, 0),)))
     def test_walk_matches_definition(self, ideal):
         points = []
-        for b, divisors, achievers in _lattice(ideal):
+        for b, divisors, classes in _lattice(ideal):
             point = Monomial(b)
-            assert (divisors, list(achievers)) == brute_masks(ideal, point)
+            expected = brute_classes(ideal, point)
+            assert divisors == functools.reduce(operator.or_, expected.values(), 0)
+            # one class per distinct S, as the definition groups them
+            assert len(set(classes[1::2])) == len(classes) // 2
+            assert set(zip(classes[1::2], classes[::2])) == set(expected.items())
             points.append(point)
         # each point once: a repeat would count its homology twice
         assert len(points) == len(set(points))
         assert set(points) == {b for b in brute_lcm_lattice(ideal) if not is_full_simplex(ideal, b)}
+        # the key is the memo's: it must not depend on the generator order
+        keys = walk_keys(ideal)
+        gens = ideal.generators
+        for order in (gens[::-1], gens[1:] + gens[:1]):
+            assert walk_keys(SimpleNamespace(num_vars=ideal.num_vars, generators=order)) == keys
 
     def test_closure_size_can_beat_subset_count(self):
         # 10 generators but far fewer than 2^10 - 1 distinct lcms
@@ -285,40 +303,41 @@ class TestFacesOf:
 class TestUpperKoszul:
     def test_generator_multidegree_gives_irrelevant_complex(self):
         ideal = MonomialIdeal(3, (m(1, 1, 0), m(0, 1, 1)))
-        facets = _maximal_facets(*brute_masks(ideal, m(1, 1, 0)))
+        facets = walk_facets(ideal)[m(1, 1, 0)]
         assert facets == [0]
-        assert _homology_from_masks(_faces_of(tuple(facets)), 3)[0] == 1
+        assert _homology_from_masks(_faces_of(facets), 3)[0] == 1
 
     def test_pair_lcm_gives_two_points(self):
         ideal = MonomialIdeal(3, (m(1, 1, 0), m(0, 1, 1)))
-        facets = tuple(_maximal_facets(*brute_masks(ideal, m(1, 1, 1))))
+        facets = walk_facets(ideal)[m(1, 1, 1)]
         assert vertex_sets(_faces_of(facets)) == {frozenset(), frozenset({0}), frozenset({2})}
         dims = _homology_from_masks(_faces_of(facets), 3)
         assert dims[1] == 1 and sum(dims) == 1
 
     def test_outside_ideal_is_void(self):
         ideal = MonomialIdeal(2, (m(2, 0),))
-        assert _maximal_facets(*brute_masks(ideal, m(1, 1))) == []
+        assert m(1, 1) not in walk_facets(ideal)
         assert brute_koszul_faces(ideal, m(1, 1)) == frozenset()
 
     @settings(derandomize=True, max_examples=40, deadline=None)
     @given(edge_ideals(), st.data())
     def test_matches_definition(self, ideal, data):
-        # every lattice point, then multidegrees off the lattice whose
-        # exponents exceed every generator's, so no generator reaches them,
-        # and b = 0, outside every ideal but the unit ideal
-        points = list(brute_lcm_lattice(ideal)) + [Monomial((0,) * ideal.num_vars)]
+        # every point the walk yields, from the maximal facets of its key
+        walked = walk_facets(ideal)
+        for b, facets in walked.items():
+            assert vertex_sets(_faces_of(facets)) == brute_koszul_faces(ideal, b)
+        # multidegrees off the lattice whose exponents exceed every
+        # generator's, so no generator reaches them, and b = 0, outside every
+        # ideal but the unit ideal: unless yielded, void or a cone
+        points = [Monomial((0,) * ideal.num_vars)]
         tops = [max(g.exponents[v] for g in ideal.generators) for v in range(ideal.num_vars)]
         for _ in range(3):
             extra = data.draw(st.tuples(*[st.integers(1, 20)] * ideal.num_vars))
             points.append(Monomial(tuple(t + e for t, e in zip(tops, extra))))
         for b in points:
-            assert koszul_faces(ideal, b) == brute_koszul_faces(ideal, b)
-
-
-def has_apex(faces, num_vars):
-    """Some vertex v with sigma | {v} a face for every face sigma."""
-    return any(all(f | {v} in faces for f in faces) for v in range(num_vars))
+            if b not in walked:
+                faces = brute_koszul_faces(ideal, b)
+                assert not faces or has_apex(faces, ideal.num_vars), b
 
 
 class TestConeFromMasks:
@@ -333,9 +352,8 @@ class TestConeFromMasks:
     # every lattice point has b_3 = 0; at (2, 2, 0), x1*x2 spans the full simplex on supp b
     @example(MonomialIdeal(3, (m(2, 0, 0), m(1, 1, 0), m(0, 2, 0))))
     def test_skipped_points_have_an_apex(self, ideal):
-        walked = {}
-        for b, divisors, achievers in bsdecomp.monomial._lattice(ideal):
-            walked[Monomial(b)] = bsdecomp.monomial._apex_witness(divisors, achievers)
+        # each yielded point as betti_table memoizes its key: () for a cone
+        walked = {b: _key_homology(key, ideal.num_vars) for b, key in walk_keys(ideal).items()}
         lattice = brute_lcm_lattice(ideal)
         assert walked.keys() <= lattice
         for b in lattice:
@@ -344,25 +362,17 @@ class TestConeFromMasks:
             full = bool(support) and support in faces
             # the walk skips exactly the full simplices on a nonempty supp(b)
             assert full == (b not in walked), b
-            if full or walked[b]:
+            if full or walked[b] == ():
                 assert has_apex(faces, ideal.num_vars), b
 
     def test_both_tests_fire_on_a_path_power(self, path_ideal):
-        # P5^4: the walk skips the full simplices; of the points it yields,
-        # apex witnesses, then the shared-vertex check on the refined facets,
-        # then the points left
+        # P5^4: the walk skips the full simplices; the points it yields share
+        # their keys, and each distinct key is a cone or reaches homology
         ideal = power(path_ideal, 4)
-        walked = witnessed = shared = rest = 0
-        for b, divisors, achievers in bsdecomp.monomial._lattice(ideal):
-            walked += 1
-            if bsdecomp.monomial._apex_witness(divisors, achievers):
-                witnessed += 1
-            elif functools.reduce(operator.and_, bsdecomp.monomial._maximal_facets(divisors, achievers)):
-                shared += 1
-            else:
-                rest += 1
-        assert (walked, len(brute_lcm_lattice(ideal))) == (323, 517)
-        assert (witnessed, shared, rest) == (134, 34, 155)
+        keys = walk_keys(ideal)
+        assert (sum(1 for _ in _lattice(ideal)), len(keys), len(brute_lcm_lattice(ideal))) == (323, 323, 517)
+        decided = [_key_homology(key, ideal.num_vars) for key in set(keys.values())]
+        assert (len(decided), decided.count(()), len(decided) - decided.count(())) == (86, 55, 31)
         # P5^8: the prune leaves 2,832 of the 7,809 lattice points
         ideal = power(path_ideal, 8)
         assert (sum(1 for _ in bsdecomp.monomial._lattice(ideal)), len(brute_lcm_lattice(ideal))) == (2832, 7809)
