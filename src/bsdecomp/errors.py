@@ -14,7 +14,7 @@ class DomainError(Exception):
 
 
 class ZeroIdealError(DomainError):
-    """The zero ideal has no Betti table, lcm closure, or generator degree."""
+    """The zero ideal has no Betti table; raised by ``betti_table``."""
 
 
 class NotEquigeneratedError(DomainError):

@@ -190,20 +190,20 @@ def is_equigenerated(ideal: MonomialIdeal) -> int | None:
 
 
 def _lattice(ideal: MonomialIdeal):
-    """Walk the lcm lattice of the generators, yielding ``(b, divisors,
-    classes)`` for each point whose upper-Koszul complex is not the full
-    simplex on a nonempty supp(b): the exponent tuple b, the bitmask of the
-    generators dividing b (bit i is generator i), and those divisors grouped
-    by S_g = {v : g_v = b_v}, as a flat list ``[members, S, members, S,
-    ...]`` with one class per distinct S.
+    """Walk the lcm lattice of the generators, yielding ``(degree, classes)``
+    for each point b whose upper-Koszul complex is not the full simplex on a
+    nonempty supp(b): its total degree, and the generators dividing b grouped
+    by S_g = {v : g_v = b_v}, as a dict from the bitmask of S to the bitmask
+    of the divisors with that S (bit i is generator i).
 
     b is fixed one variable at a time, to a value c some divisor so far takes
     there. A child keeps the divisors with g_v <= c and splits each class into
-    those with g_v = c, which gain v in S, then the rest. So the classes come
-    in one order for a given set of S, and ``classes[1::2]`` is a key that
-    needs no sort. A prefix is cut as soon as a fixed variable lies in no
-    class's S: b is a lattice point exactly when it is the lcm of its
-    divisors, that is when some divisor attains each b_v.
+    those with g_v = c, which gain v in S, then the rest; no S holds v yet, so
+    the two keys never collide. So the keys come in one order for a given set
+    of S, and ``tuple(classes)`` is a key that needs no sort. A prefix is cut
+    as soon as a fixed variable lies in no class's S: b is a lattice point
+    exactly when it is the lcm of its divisors, that is when some divisor
+    attains each b_v.
 
     The walk also carries ``reach``, the divisors attaining b_v at some fixed
     v with b_v > 0, and cuts a prefix when ``reach`` is nonzero and a divisor
@@ -234,12 +234,11 @@ def _lattice(ideal: MonomialIdeal):
         for j in range(n + 1)
     ]
     everyone = (1 << len(ideal.generators)) - 1
-    stack = [((), everyone, [everyone, 0], 0)]
+    stack = [(0, 0, everyone, {0: everyone}, 0)]
     while stack:
-        b, divisors, classes, reach = stack.pop()
-        depth = len(b)
+        depth, degree, divisors, classes, reach = stack.pop()
         if depth == n:
-            yield b, divisors, classes
+            yield degree, classes
             continue
         bit = 1 << depth
         for c, eq, le in levels[depth]:
@@ -249,20 +248,19 @@ def _lattice(ideal: MonomialIdeal):
                 reached = reach & below | achiever if c else reach & below
                 if reached and below & ~reached & idle[depth + 1]:
                     continue  # every lattice point below is a full simplex
-                split = []
+                split = {}
                 covered = 0
-                pairs = iter(classes)
-                for members, same in zip(pairs, pairs):
+                for same, members in classes.items():
                     members &= below
                     if members:
                         covered |= same
                         inside = members & eq
                         if inside:
-                            split += (inside, same | bit)
+                            split[same | bit] = inside
                         if members != inside:
-                            split += (members ^ inside, same)
+                            split[same] = members ^ inside
                 if covered == bit - 1:
-                    stack.append((b + (c,), below, split, reached))
+                    stack.append((depth + 1, degree + c, below, split, reached))
 
 
 def _maximal(masks) -> list[int]:
@@ -356,8 +354,8 @@ def betti_table(ideal: MonomialIdeal) -> BettiTable:
     Monomial is built per point, and never reaches a full simplex on a
     nonempty supp(b) (``_lattice``). The complex at a yielded b is the union
     of the simplices {v : g_v < b_v}, the complements of the sets S_g the
-    walk groups its divisors by, so it is fixed by the walk's key, the
-    distinct S_g in walk order. Each point looks its key up in a memo. On a
+    walk groups its divisors by, so it is fixed by the walk's key, the class
+    map's keys in split order. Each point looks its key up in a memo. On a
     miss only, the complements are cut to the maximal facets; when those
     share a vertex the complex is a cone, with no reduced homology, and the
     key is stored as ``()``. Otherwise homology is taken on the faces of the
@@ -369,17 +367,15 @@ def betti_table(ideal: MonomialIdeal) -> BettiTable:
         raise ZeroIdealError("the zero ideal has no Betti table")
     memo: dict[tuple[int, ...], tuple[()] | list[int]] = {}
     entries: dict[tuple[int, int], int] = {}
-    for b, _, classes in _lattice(ideal):
-        key = tuple(classes[1::2])
+    for degree, classes in _lattice(ideal):
+        key = tuple(classes)
         dims = memo.get(key)
         if dims is None:
             dims = memo[key] = _key_homology(key, ideal.num_vars)
-        if dims:
-            degree = sum(b)
-            for i, dim in enumerate(dims):
-                if dim:
-                    pos = (i, degree)
-                    entries[pos] = entries.get(pos, 0) + dim
+        for i, dim in enumerate(dims):
+            if dim:
+                pos = (i, degree)
+                entries[pos] = entries.get(pos, 0) + dim
     table = BettiTable.from_entries(entries)
     low = min(g.degree for g in ideal.generators)
     if table.entry(0, low) <= 0:
@@ -400,11 +396,14 @@ def ideal_from_json(obj) -> MonomialIdeal:
     if not isinstance(obj, dict):
         raise ParseError("ideal JSON must be an object")
     try:
-        n = _json_int(obj["variables"])
+        # the count is checked before a string generator allocates n exponents
+        n = MonomialIdeal(_json_int(obj["variables"]), ()).num_vars
     except KeyError:
         raise ParseError("ideal JSON needs a 'variables' key") from None
     except TypeError as exc:
         raise ParseError(f"'variables' must be an integer: {exc}") from exc
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
     raw_gens = obj.get("generators")
     if not isinstance(raw_gens, list):
         raise ParseError("ideal JSON needs a 'generators' list")

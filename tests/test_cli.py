@@ -121,9 +121,14 @@ class TestBetti:
         "ideal, line",
         [
             ({"variables": 0, "generators": [[]]}, "error: need at least one variable, got 0"),
+            ({"variables": 0, "generators": ["x1"]}, "error: need at least one variable, got 0"),
             (
                 {"variables": 17, "generators": [[1] * 17]},
                 "error: 17 variables exceeds the cap of 16 (a complex on n vertices can have 2^n faces)",
+            ),
+            (
+                {"variables": 100000000000000, "generators": ["x1"]},
+                "error: 100000000000000 variables exceeds the cap of 16 (a complex on n vertices can have 2^n faces)",
             ),
             (
                 {"variables": 2, "generators": ["x1^0*x2"]},
@@ -136,7 +141,9 @@ class TestBetti:
         ],
         ids=[
             "no-variables",
+            "no-variables-string-generator",
             "17-variables",
+            "huge-variables-string-generator",
             "zero-exponent",
             "superscript-after-index",
             "superscript-index",

@@ -94,9 +94,18 @@ def brute_classes(ideal, b):
     return classes
 
 
+def walk_points(ideal):
+    """``(b, degree, classes)`` for each point the walk yields, with b taken
+    as the lcm of the divisors in its classes."""
+    for degree, classes in _lattice(ideal):
+        divisors = functools.reduce(operator.or_, classes.values())
+        gens = [g.exponents for i, g in enumerate(ideal.generators) if divisors >> i & 1]
+        yield Monomial(tuple(map(max, zip(*gens)))), degree, classes
+
+
 def walk_keys(ideal):
     """{b: the walk's key at b} for each point it yields."""
-    return {Monomial(b): tuple(classes[1::2]) for b, _, classes in _lattice(ideal)}
+    return {b: tuple(classes) for b, _, classes in walk_points(ideal)}
 
 
 def walk_facets(ideal):
@@ -257,21 +266,23 @@ class TestLcmClosure:
         for _ in range(25):
             ideal = random_ideal(rng, rng.randint(1, 4), rng.randint(1, 5))
             expected = {b for b in brute_lcm_lattice(ideal) if not is_full_simplex(ideal, b)}
-            assert {Monomial(b) for b, *_ in _lattice(ideal)} == expected
+            points = set()
+            for b, degree, classes in walk_points(ideal):
+                assert degree == b.degree
+                assert classes == brute_classes(ideal, b)
+                points.add(b)
+            assert points == expected
 
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(edge_ideals())
     @example(MonomialIdeal(2, (m(0, 0),)))
     def test_walk_matches_definition(self, ideal):
         points = []
-        for b, divisors, classes in _lattice(ideal):
-            point = Monomial(b)
-            expected = brute_classes(ideal, point)
-            assert divisors == functools.reduce(operator.or_, expected.values(), 0)
+        for b, degree, classes in walk_points(ideal):
+            assert degree == b.degree
             # one class per distinct S, as the definition groups them
-            assert len(set(classes[1::2])) == len(classes) // 2
-            assert set(zip(classes[1::2], classes[::2])) == set(expected.items())
-            points.append(point)
+            assert classes == brute_classes(ideal, b)
+            points.append(b)
         # each point once: a repeat would count its homology twice
         assert len(points) == len(set(points))
         assert set(points) == {b for b in brute_lcm_lattice(ideal) if not is_full_simplex(ideal, b)}
@@ -376,6 +387,32 @@ class TestConeFromMasks:
         # P5^8: the prune leaves 2,832 of the 7,809 lattice points
         ideal = power(path_ideal, 8)
         assert (sum(1 for _ in bsdecomp.monomial._lattice(ideal)), len(brute_lcm_lattice(ideal))) == (2832, 7809)
+
+    @pytest.mark.parametrize(
+        "ideal, powers, counts",
+        [
+            (path_edge_ideal(), range(1, 9), (6934, 581, 371)),
+            (
+                MonomialIdeal(4, (m(1, 1, 1, 0), m(0, 1, 1, 1), m(3, 0, 0, 0), m(0, 0, 0, 3))),
+                range(1, 7),
+                (746, 97, 27),
+            ),
+        ],
+        ids=["P5^1..8", "chains^1..6"],
+    )
+    def test_memo_key_counts_on_the_stabilize_ideals(self, ideal, powers, counts):
+        # points yielded, and distinct memo keys and cone keys summed over
+        # the tables: fixed by the keys' canonical split order
+        points = keys = cones = 0
+        for k in powers:
+            power_k = power(ideal, k)
+            table_keys = set()
+            for _, classes in _lattice(power_k):
+                points += 1
+                table_keys.add(tuple(classes))
+            keys += len(table_keys)
+            cones += sum(_key_homology(key, power_k.num_vars) == () for key in table_keys)
+        assert (points, keys, cones) == counts
 
 
 class TestReducedHomology:
@@ -584,3 +621,9 @@ class TestIdealJson:
             ideal_from_json({"variables": True, "generators": [[1]]})
         with pytest.raises(ParseError, match="exponent vector"):
             ideal_from_json({"variables": 1, "generators": [[True]]})
+        # the count is checked before a string generator allocates an
+        # exponent per variable
+        with pytest.raises(ParseError, match="^100000000000000 variables exceeds the cap of 16 "):
+            ideal_from_json({"variables": 100000000000000, "generators": ["x1"]})
+        with pytest.raises(ParseError, match="^need at least one variable, got 0$"):
+            ideal_from_json({"variables": 0, "generators": ["x1"]})
