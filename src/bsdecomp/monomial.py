@@ -8,8 +8,9 @@ F_g = {v : g_v < b_v} over the generators g dividing b (Miller and Sturmfels,
 Combinatorial Commutative Algebra, Thm 1.34), so it is given by its maximal
 facets. Multidegrees outside the lcm lattice of the generators contribute
 nothing (Gasharov, Peeva and Welker 1999), so the scan runs over that lattice
-only. Homology is taken on the strong-collapse core of each complex, which has
-its homotopy type (Barmak and Minian, Discrete Comput. Geom. 47, 2012).
+only. Homology is read off the strong-collapse core of each complex, which has
+its homotopy type (Barmak and Minian, Discrete Comput. Geom. 47, 2012): a
+vertex and a simplex boundary in closed form, faces and ranks for the rest.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from .linalg import matrix_rank
 from .tables import BettiTable, _json_int
 
 # a complex on n vertices can have 2^n faces, all listed on a memo miss when it
-# is its own strong-collapse core; the walk's bitmasks need no cap of their own
+# is its own strong-collapse core and neither a vertex nor a simplex boundary;
+# the walk's bitmasks need no cap of their own
 MAX_VARIABLES = 16
 
 
@@ -340,11 +342,19 @@ def _key_homology(key: tuple[int, ...], num_vars: int) -> tuple[()] | list[int]:
     """Reduced homology of the complex at a point the walk yields, from its
     key, the distinct S_g: their complements cut to the maximal facets.
     ``()`` when those share a vertex, a cone, which has none; otherwise the
-    dimensions, taken on the faces of the strong-collapse core."""
+    dimensions, slot i holding H~_{i-1}, read off the strong-collapse core:
+    none for one vertex, H~_{V-2} = Q when its V facets each miss one of its
+    V vertices (a simplex boundary), else from its faces and their ranks."""
     facets = _maximal(((1 << num_vars) - 1) ^ same for same in key)
     if functools.reduce(operator.and_, facets):
         return ()
-    return _homology_from_masks(_faces_of(_strong_core(facets)), num_vars)
+    core = _strong_core(facets)
+    vertices = functools.reduce(operator.or_, core)
+    if len(core) == 1 and vertices:
+        return []
+    if len(core) == vertices.bit_count() > 1 and all((vertices ^ f).bit_count() == 1 for f in core):
+        return [0] * (len(core) - 1) + [1]
+    return _homology_from_masks(_faces_of(core), num_vars)
 
 
 def betti_table(ideal: MonomialIdeal) -> BettiTable:
@@ -358,8 +368,9 @@ def betti_table(ideal: MonomialIdeal) -> BettiTable:
     map's keys in split order. Each point looks its key up in a memo. On a
     miss only, the complements are cut to the maximal facets; when those
     share a vertex the complex is a cone, with no reduced homology, and the
-    key is stored as ``()``. Otherwise homology is taken on the faces of the
-    strong-collapse core (``_key_homology``). So a cone costs one dict hit
+    key is stored as ``()``. Otherwise homology is read off the strong-collapse
+    core, in closed form for a vertex or a simplex boundary and from faces
+    and ranks for the rest (``_key_homology``). So a cone costs one dict hit
     after its key is first seen. Dimensions accumulate by total degree.
     Deterministic for a given ideal.
     """

@@ -4,8 +4,9 @@ Everything here deliberately avoids the library's own algorithms: Betti
 numbers come from Taylor-complex strands over the subset lattice of the
 generators (exponential in the generator count, fine for oracle sizes),
 simplicial homology from dense boundary matrices, ranks from fraction-free
-Bareiss elimination over the integers, and determinants from cofactor
-expansion.
+Bareiss elimination over the integers, determinants from cofactor expansion,
+and Hilbert-series numerators from Bigatti's pivot recursion on exponent
+tuples, which reaches ideals far past the Taylor oracle's dozen generators.
 """
 
 from __future__ import annotations
@@ -189,3 +190,51 @@ def taylor_betti_table(ideal: MonomialIdeal) -> BettiTable:
     return BettiTable.from_entries(
         {pos: Fraction(v) for pos, v in taylor_betti_entries(ideal).items()}
     )
+
+
+def _minimal_exponents(gens) -> list[tuple[int, ...]]:
+    """The exponent tuples no other one divides, each once."""
+    kept: list[tuple[int, ...]] = []
+    for g in sorted(set(gens), key=sum):
+        if not any(all(a <= b for a, b in zip(h, g)) for h in kept):
+            kept.append(g)
+    return kept
+
+
+def _add_shifted(p: list[int], q: list[int], shift: int) -> list[int]:
+    """p + t^shift * q on coefficient lists, lowest degree first."""
+    out = p + [0] * max(0, len(q) + shift - len(p))
+    for d, c in enumerate(q):
+        out[d + shift] += c
+    return out
+
+
+def hilbert_numerator(gens) -> list[int]:
+    """Coefficients of K(S/I; t), lowest degree first, where I is generated
+    by the exponent tuples given and the Hilbert series of S/I is
+    K(S/I; t) / (1 - t)^n.
+
+    Bigatti's pivot recursion: for a monomial p, the exact sequence
+    0 -> S/(I : p)(-deg p) -> S/I -> S/(I + (p)) -> 0 gives
+    K(I) = K(I + (p)) + t^{deg p} K(I : p). The pivot is x_v^e: v is the
+    variable that lies in the most generators, among the variables of the
+    generators that are not pure powers, and e is the median exponent of v
+    over those generators. So some generator that is not a pure power has
+    g_v >= e: it leaves I + (p), and it loses degree in I : p, and the
+    recursion ends. It ends at generators with pairwise disjoint supports,
+    whose numerator is the product of the 1 - t^{deg g}.
+    """
+    gens = _minimal_exponents(gens)
+    supports = [{v for v, e in enumerate(g) if e} for g in gens]
+    if sum(map(len, supports)) == len(set().union(*supports)):
+        out = [1]
+        for g in gens:
+            out = _add_shifted(out, [-c for c in out], sum(g))
+        return out
+    mixed = [g for g, s in zip(gens, supports) if len(s) > 1]
+    v = max({u for g in mixed for u, e in enumerate(g) if e}, key=lambda u: sum(g[u] > 0 for g in gens))
+    exponents = sorted(g[v] for g in mixed if g[v])
+    e = exponents[len(exponents) // 2]
+    pivot = tuple(e if u == v else 0 for u in range(len(gens[0])))
+    colon = [tuple(max(0, a - b) for a, b in zip(g, pivot)) for g in gens]
+    return _add_shifted(hilbert_numerator(gens + [pivot]), hilbert_numerator(colon), e)

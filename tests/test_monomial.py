@@ -2,6 +2,7 @@ import functools
 import itertools
 import operator
 import random
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -20,11 +21,12 @@ from bsdecomp import (
     ideal_from_json,
     ideal_to_json,
     is_equigenerated,
+    parse_btt_text,
     parse_monomial,
     power,
 )
 from bsdecomp.monomial import _faces_of, _homology_from_masks, _key_homology, _lattice, _maximal, _strong_core
-from oracles import reduced_homology_oracle, taylor_betti_table
+from oracles import hilbert_numerator, reduced_homology_oracle, taylor_betti_table
 from reference_values import MINIMAL_GENERATOR_COUNTS, SMALL_TABLES, path_edge_ideal
 
 
@@ -128,6 +130,59 @@ def has_apex(faces, num_vars):
 def facet_masks(facets):
     """Vertex bitmasks of facets given as vertex lists."""
     return tuple(sum(1 << v for v in f) for f in facets)
+
+
+def random_complexes(seed, count=40):
+    """``(facet masks, vertex count)`` for random complexes on 6-10 vertices:
+    2-9 facets of 1-4 vertices, and in half of them the boundary of a simplex
+    on 3-5 vertices, a sphere unless other facets fill it."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(6, 10)
+        facets = [rng.sample(range(n), rng.randint(1, 4)) for _ in range(rng.randint(2, 9))]
+        if rng.random() < 0.5:
+            hollow = rng.sample(range(n), rng.randint(3, 5))
+            facets += itertools.combinations(hollow, len(hollow) - 1)
+        yield facet_masks(facets), n
+
+
+def edge_ideal(num_vars, edges):
+    """The edge ideal of a graph on num_vars vertices, edges as index pairs."""
+    return MonomialIdeal(num_vars, tuple(Monomial(tuple(int(v in e) for v in range(num_vars))) for e in edges))
+
+
+CHAINS_IDEAL = MonomialIdeal(4, (m(1, 1, 1, 0), m(0, 1, 1, 1), m(3, 0, 0, 0), m(0, 0, 0, 3)))
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.fixture
+def rank_path(monkeypatch):
+    """The vertex counts of the calls ``_key_homology`` makes to
+    ``_homology_from_masks``: one per complex that reaches faces and ranks."""
+    calls = []
+    real = bsdecomp.monomial._homology_from_masks
+
+    def counting(masks, n):
+        calls.append(n)
+        return real(masks, n)
+
+    monkeypatch.setattr(bsdecomp.monomial, "_homology_from_masks", counting)
+    return calls
+
+
+def decision(key, num_vars, rank_path):
+    """How ``_key_homology`` decides a key: "cone", "vertex" or "sphere" (a
+    simplex boundary, read in closed form), or "rank" (faces and ranks)."""
+    before = len(rank_path)
+    dims = _key_homology(key, num_vars)
+    if dims == ():
+        return "cone"
+    if len(rank_path) > before:
+        return "rank"
+    if dims == []:
+        return "vertex"
+    assert dims == [0] * (len(dims) - 1) + [1]
+    return "sphere"
 
 
 class TestMonomial:
@@ -392,11 +447,7 @@ class TestConeFromMasks:
         "ideal, powers, counts",
         [
             (path_edge_ideal(), range(1, 9), (6934, 581, 371)),
-            (
-                MonomialIdeal(4, (m(1, 1, 1, 0), m(0, 1, 1, 1), m(3, 0, 0, 0), m(0, 0, 0, 3))),
-                range(1, 7),
-                (746, 97, 27),
-            ),
+            (CHAINS_IDEAL, range(1, 7), (746, 97, 27)),
         ],
         ids=["P5^1..8", "chains^1..6"],
     )
@@ -413,6 +464,22 @@ class TestConeFromMasks:
             keys += len(table_keys)
             cones += sum(_key_homology(key, power_k.num_vars) == () for key in table_keys)
         assert (points, keys, cones) == counts
+
+    @pytest.mark.parametrize(
+        "ideal, powers, split",
+        [(path_edge_ideal(), range(1, 9), (371, 78, 77, 55)), (CHAINS_IDEAL, range(1, 7), (27, 0, 59, 11))],
+        ids=["P5^1..8", "chains^1..6"],
+    )
+    def test_how_each_key_is_decided(self, ideal, powers, split, rank_path):
+        # distinct memo keys summed over the tables, as (cones, one-vertex
+        # cores, simplex-boundary cores, cores that reach faces and ranks)
+        decided = []
+        for k in powers:
+            power_k = power(ideal, k)
+            keys = {tuple(classes) for _, classes in _lattice(power_k)}
+            decided += [decision(key, power_k.num_vars, rank_path) for key in keys]
+        assert tuple(map(decided.count, ("cone", "vertex", "sphere", "rank"))) == split
+        assert len(rank_path) == split[3]
 
 
 class TestReducedHomology:
@@ -448,16 +515,9 @@ class TestReducedHomology:
             assert face_side == homology_side
 
     def test_matches_dense_oracle_beyond_five_vertices(self):
-        rng = random.Random(8128)
         nonzero_slots = set()
-        for _ in range(40):
-            n = rng.randint(6, 10)
-            facets = [rng.sample(range(n), rng.randint(1, 4)) for _ in range(rng.randint(2, 9))]
-            if rng.random() < 0.5:
-                # the boundary of a simplex: a sphere, unless other facets fill it
-                hollow = rng.sample(range(n), rng.randint(3, 5))
-                facets += itertools.combinations(hollow, len(hollow) - 1)
-            faces = _faces_of(facet_masks(facets))
+        for masks, n in random_complexes(8128):
+            faces = _faces_of(masks)
             dims = _homology_from_masks(faces, n)
             assert dims == reduced_homology_oracle(vertex_sets(faces), n)
             nonzero_slots.update(slot for slot, d in enumerate(dims) if d)
@@ -488,16 +548,8 @@ def core_keeping_homology(facets, n):
 
 class TestStrongCore:
     def test_random_complexes_keep_their_homology(self):
-        # drawn as in test_matches_dense_oracle_beyond_five_vertices
-        rng = random.Random(1729)
         shrunk = 0
-        for _ in range(40):
-            n = rng.randint(6, 10)
-            facets = [rng.sample(range(n), rng.randint(1, 4)) for _ in range(rng.randint(2, 9))]
-            if rng.random() < 0.5:
-                hollow = rng.sample(range(n), rng.randint(3, 5))
-                facets += itertools.combinations(hollow, len(hollow) - 1)
-            masks = facet_masks(facets)
+        for masks, n in random_complexes(1729):
             core = core_keeping_homology(masks, n)
             shrunk += len(_faces_of(core)) < len(_faces_of(masks))
         assert shrunk >= 20
@@ -520,6 +572,54 @@ class TestStrongCore:
         ])
         for facets, n in ((hollow_triangle, 3), (real_projective_plane, 6), ((0,), 2)):
             assert sorted(core_keeping_homology(facets, n)) == sorted(facets)
+
+
+def key_of(facets, num_vars):
+    """The walk key, distinct S_g, whose complements are the given facets."""
+    return tuple(((1 << num_vars) - 1) ^ f for f in facets)
+
+
+def checked_key_homology(facets, num_vars):
+    """``_key_homology`` on the key of the complex the facets span, after
+    checking it, padded with zeros, against faces and ranks on the core and
+    against the dense oracle on the whole complex."""
+    dims = _key_homology(key_of(facets, num_vars), num_vars)
+    padded = list(dims) + [0] * (num_vars + 1 - len(dims))
+    core = _strong_core(_maximal(facets))
+    assert padded == _homology_from_masks(_faces_of(core), num_vars)
+    assert padded == reduced_homology_oracle(vertex_sets(_faces_of(facets)), num_vars)
+    return dims
+
+
+class TestClosedFormHomology:
+    @pytest.mark.parametrize(
+        "facets, num_vars, core_size, dims, how",
+        [
+            ([{0}, {1}], 2, 2, [0, 1], "sphere"),
+            ([{0, 1}, {1, 2}, {0, 2}], 3, 3, [0, 0, 1], "sphere"),
+            (list(itertools.combinations((0, 2, 3, 5, 7), 4)), 8, 5, [0, 0, 0, 0, 1], "sphere"),
+            ([{0, 1}, {1, 2}, {2, 3}], 4, 1, [], "vertex"),
+            ([()], 3, 1, [1, 0, 0, 0], "rank"),
+        ],
+        ids=["S^0", "hollow-triangle", "4-simplex-boundary-on-5-of-8", "path-to-one-vertex", "empty-set"],
+    )
+    def test_explicit_cores(self, facets, num_vars, core_size, dims, how, rank_path):
+        # no cone among them: () is kept for cones, so the path's one-vertex
+        # core must read as [], not ()
+        masks = facet_masks(facets)
+        assert not functools.reduce(operator.and_, masks)
+        assert len(_strong_core(_maximal(masks))) == core_size
+        assert checked_key_homology(masks, num_vars) == dims
+        assert decision(key_of(masks, num_vars), num_vars, rank_path) == how
+
+    def test_random_complexes(self, rank_path):
+        decided = []
+        for masks, n in random_complexes(1729):
+            dims = checked_key_homology(masks, n)
+            # () exactly for the cones
+            assert (dims == ()) == bool(functools.reduce(operator.and_, _maximal(masks)))
+            decided.append(decision(key_of(masks, n), n, rank_path))
+        assert {"vertex", "sphere", "rank"} <= set(decided)
 
 
 class TestBettiTable:
@@ -564,7 +664,7 @@ class TestBettiTable:
             ideal = random_ideal(rng, rng.randint(1, 4), rng.randint(1, 6))
             assert betti_table(ideal).same_entries(taylor_betti_table(ideal))
 
-    def test_against_taylor_oracle_on_eight_variables(self, monkeypatch):
+    def test_against_taylor_oracle_on_eight_variables(self, monkeypatch, rank_path):
         # shaped like the betti-random benchmark ideals: 5-10 minimal
         # generators of degrees 2-4, not all of one degree; on 8 variables
         # many vertices are dominated, so the strong-collapse cores shrink
@@ -592,6 +692,33 @@ class TestBettiTable:
             assert betti_table(ideal).same_entries(taylor_betti_table(ideal))
             checked += 1
         assert any(shrunk)
+        # one _strong_core call per key that reaches homology; most of those
+        # cores are a vertex or a simplex boundary, read without ranks
+        assert 2 * len(rank_path) < len(shrunk)
+
+    @pytest.mark.parametrize(
+        "ideal, k, golden",
+        [
+            (edge_ideal(6, [(v, v + 1) for v in range(5)]), 7, "betti-p6-7.btt"),
+            (edge_ideal(5, [(v, (v + 1) % 5) for v in range(5)]), 8, "betti-c5-8.btt"),
+        ]
+        + [(path_edge_ideal(), k, None) for k in range(1, 9)],
+        ids=["P6^7", "C5^8"] + [f"P5^{k}" for k in range(1, 9)],
+    )
+    def test_euler_characteristics_match_the_hilbert_series(self, ideal, k, golden, path_tables):
+        # sum_i (-1)^i beta_{i,j} is the t^j coefficient of 1 - K(S/I; t), an
+        # independent check past the Taylor oracle's reach: the golden tables
+        # (which TestGolden compares with `bsdecomp betti`) and P5^1..8
+        if golden is None:
+            table = path_tables(k)
+        else:
+            table = parse_btt_text((GOLDEN / golden).read_text(encoding="utf-8"))
+        numerator = hilbert_numerator([g.exponents for g in power(ideal, k).generators])
+        expected = {j: (j == 0) - c for j, c in enumerate(numerator) if (j == 0) != c}
+        alternating = {}
+        for (i, j), beta in table.iter_support():
+            alternating[j] = alternating.get(j, 0) + (-1) ** i * beta
+        assert {j: x for j, x in alternating.items() if x} == expected
 
 
 class TestIdealJson:
