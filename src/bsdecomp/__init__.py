@@ -42,6 +42,7 @@ from .monomial import (
     is_equigenerated,
     parse_monomial,
     power,
+    power_tables,
 )
 from .polynomials import (
     PolynomialQ,

@@ -11,6 +11,8 @@ nothing (Gasharov, Peeva and Welker 1999), so the scan runs over that lattice
 only. Homology is read off the strong-collapse core of each complex, which has
 its homotopy type (Barmak and Minian, Discrete Comput. Geom. 47, 2012): a
 vertex and a simplex boundary in closed form, faces and ranks for the rest.
+The complex at b is fixed by which generators reach b where, whatever the
+power, so the powers of one ideal share one homology memo (``power_tables``).
 """
 
 from __future__ import annotations
@@ -364,19 +366,31 @@ def betti_table(ideal: MonomialIdeal) -> BettiTable:
     Monomial is built per point, and never reaches a full simplex on a
     nonempty supp(b) (``_lattice``). The complex at a yielded b is the union
     of the simplices {v : g_v < b_v}, the complements of the sets S_g the
-    walk groups its divisors by, so it is fixed by the walk's key, the class
-    map's keys in split order. Each point looks its key up in a memo. On a
-    miss only, the complements are cut to the maximal facets; when those
-    share a vertex the complex is a cone, with no reduced homology, and the
-    key is stored as ``()``. Otherwise homology is read off the strong-collapse
-    core, in closed form for a vertex or a simplex boundary and from faces
-    and ranks for the rest (``_key_homology``). So a cone costs one dict hit
-    after its key is first seen. Dimensions accumulate by total degree.
-    Deterministic for a given ideal.
+    walk groups its divisors by, so the walk's key, the class map's keys in
+    split order, fixes it. Each point looks its key up in a memo kept for
+    this table (``power_tables`` keeps one per family). Only a miss cuts the
+    complements to the maximal facets; when those share a vertex the complex
+    is a cone, with no reduced homology, and the key is stored as ``()``.
+    Otherwise homology is read off the strong-collapse core, in closed form
+    for a vertex or a simplex boundary and from faces and ranks for the rest
+    (``_key_homology``). So a cone costs one dict hit after its key is first
+    seen. Dimensions accumulate by total degree; deterministic for an ideal.
     """
+    return _table(ideal, {})
+
+
+def power_tables(ideal: MonomialIdeal, k_min: int, k_max: int) -> dict[int, BettiTable]:
+    """``betti_table(power(ideal, k))`` for k = k_min..k_max. A memo key names
+    its complex whatever k is, so the powers share one memo, kept for this
+    call only."""
+    memo: dict[tuple[int, ...], tuple[()] | list[int]] = {}
+    return {k: _table(power(ideal, k), memo) for k in range(k_min, k_max + 1)}
+
+
+def _table(ideal: MonomialIdeal, memo: dict[tuple[int, ...], tuple[()] | list[int]]) -> BettiTable:
+    """``betti_table`` on a memo shared only by ideals of one variable count."""
     if ideal.is_zero:
         raise ZeroIdealError("the zero ideal has no Betti table")
-    memo: dict[tuple[int, ...], tuple[()] | list[int]] = {}
     entries: dict[tuple[int, int], int] = {}
     for degree, classes in _lattice(ideal):
         key = tuple(classes)

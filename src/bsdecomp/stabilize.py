@@ -33,7 +33,7 @@ from .errors import (
     NotStabilizedError,
     ParseError,
 )
-from .monomial import MonomialIdeal, betti_table, ideal_from_json, ideal_to_json, is_equigenerated, power
+from .monomial import MonomialIdeal, ideal_from_json, ideal_to_json, is_equigenerated, power_tables
 from .polynomials import (
     PolynomialQ,
     eventual_min,
@@ -366,7 +366,7 @@ def detect_stabilization(
             f"range {k_min}..{k_max} has fewer than {needed} samples needed for "
             f"a certified degree-{bound} fit"
         )
-    tables = {k: betti_table(power(ideal, k)) for k in range(k_min, k_max + 1)}
+    tables = power_tables(ideal, k_min, k_max)
     shapes = {k: _shifted_support(tables[k], gen_degree, k) for k in tables}
     k0 = k_max
     while k0 > k_min and shapes[k0 - 1] == shapes[k_max]:

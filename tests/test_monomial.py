@@ -18,12 +18,14 @@ from bsdecomp import (
     ParseError,
     ZeroIdealError,
     betti_table,
+    detect_stabilization,
     ideal_from_json,
     ideal_to_json,
     is_equigenerated,
     parse_btt_text,
     parse_monomial,
     power,
+    power_tables,
 )
 from bsdecomp.monomial import _faces_of, _homology_from_masks, _key_homology, _lattice, _maximal, _strong_core
 from oracles import hilbert_numerator, reduced_homology_oracle, taylor_betti_table
@@ -466,6 +468,29 @@ class TestConeFromMasks:
         assert (points, keys, cones) == counts
 
     @pytest.mark.parametrize(
+        "ideal, k_max, misses",
+        [(path_edge_ideal(), 8, 102), (CHAINS_IDEAL, 6, 21)],
+        ids=["P5^1..8", "chains^1..6"],
+    )
+    def test_stabilize_takes_homology_once_per_family_key(self, ideal, k_max, misses, monkeypatch):
+        # a key names its complex at every power, so the run shares one memo
+        # across its tables: one homology per distinct key of the family, not
+        # per key of each table (581 and 97 above); a second run counts the
+        # same again, so no memo outlives the call
+        calls = []
+        real = bsdecomp.monomial._key_homology
+
+        def counting(key, num_vars):
+            calls.append(key)
+            return real(key, num_vars)
+
+        monkeypatch.setattr(bsdecomp.monomial, "_key_homology", counting)
+        for run in (1, 2):
+            detect_stabilization(ideal, 1, k_max)
+            assert len(calls) == misses * run
+        assert len(set(calls)) == misses
+
+    @pytest.mark.parametrize(
         "ideal, powers, split",
         [(path_edge_ideal(), range(1, 9), (371, 78, 77, 55)), (CHAINS_IDEAL, range(1, 7), (27, 0, 59, 11))],
         ids=["P5^1..8", "chains^1..6"],
@@ -663,6 +688,22 @@ class TestBettiTable:
         for _ in range(25):
             ideal = random_ideal(rng, rng.randint(1, 4), rng.randint(1, 6))
             assert betti_table(ideal).same_entries(taylor_betti_table(ideal))
+
+    def test_power_tables_match_betti_table(self):
+        # one memo across the powers gives each power the table a memo of its
+        # own does: 2-8 variables, equigenerated or not, and a principal ideal
+        rng = random.Random(2015)
+        ideals = [MonomialIdeal(3, (m(2, 1, 0),))]
+        for num_vars in range(2, 9):
+            ideals.append(random_ideal(rng, num_vars, 5, max_exp=2))
+            edges = list(itertools.combinations(range(num_vars), 2))
+            ideals.append(edge_ideal(num_vars, rng.sample(edges, min(3, len(edges)))))
+        assert {is_equigenerated(ideal) is None for ideal in ideals} == {True, False}
+        for ideal in ideals:
+            tables = power_tables(ideal, 1, 4)
+            assert sorted(tables) == [1, 2, 3, 4]
+            for k, table in tables.items():
+                assert table.same_entries(betti_table(power(ideal, k))), (ideal, k)
 
     def test_against_taylor_oracle_on_eight_variables(self, monkeypatch, rank_path):
         # shaped like the betti-random benchmark ideals: 5-10 minimal
