@@ -196,7 +196,7 @@ def cmd_stabilize(args) -> int:
     if args.kmax < args.kmin:
         raise ParseError(f"empty power range {args.kmin}..{args.kmax}")
     ideal = load_ideal(args.ideal)
-    report = detect_stabilization(ideal, args.kmin, args.kmax, args.degree_bound)
+    report = detect_stabilization(ideal, args.kmin, args.kmax)
     summary = format_stabilize_summary(report)
     if args.out is not None:
         _emit(report_json_text(report), args.out)
@@ -258,12 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_stab.add_argument("--ideal", required=True, help="ideal JSON file")
     p_stab.add_argument("--kmin", type=_int_at_least(1), required=True)
     p_stab.add_argument("--kmax", type=_int_at_least(1), required=True)
-    p_stab.add_argument(
-        "--degree-bound",
-        type=_int_at_least(0),
-        default=None,
-        help="fit degree cap (default: variable count minus one)",
-    )
     p_stab.add_argument("--out", help="write the JSON report to a file")
     p_stab.set_defaults(func=cmd_stabilize)
 

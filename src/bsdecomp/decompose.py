@@ -115,20 +115,20 @@ def enumerate_maximal_chains(window: Window) -> Iterator[Chain]:
     """
     top = (window.max_row,)
     size = window.dimension
-
-    def walk(path: list[DegreeSequence]) -> Iterator[Chain]:
-        tail = path[-1]
-        if tail.degrees == top:
-            if len(path) != size:
-                raise CertificateError(f"a maximal chain of {size} elements has {len(path)}")
+    # depth first over an explicit stack, so a chain may outgrow the recursion
+    # limit; successors are pushed reversed so the first is taken first
+    path: list[DegreeSequence] = []
+    stack = [(0, _bottom(window))]
+    while stack:
+        depth, node = stack.pop()
+        del path[depth:]
+        path.append(node)
+        if node.degrees != top:
+            stack.extend((depth + 1, s) for s in reversed(cover_successors(node, window)))
+        elif len(path) != size:
+            raise CertificateError(f"a maximal chain of {size} elements has {len(path)}")
+        else:
             yield Chain(tuple(path), window)
-            return
-        for successor in cover_successors(tail, window):
-            path.append(successor)
-            yield from walk(path)
-            path.pop()
-
-    yield from walk([_bottom(window)])
 
 
 _AT_MOST = (Comparison.LESS, Comparison.EQUAL)

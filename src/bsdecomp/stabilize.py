@@ -33,6 +33,7 @@ from .errors import (
     NotStabilizedError,
     ParseError,
 )
+from .linalg import matrix_rank
 from .monomial import MonomialIdeal, ideal_from_json, ideal_to_json, is_equigenerated, power_tables
 from .polynomials import (
     PolynomialQ,
@@ -331,21 +332,17 @@ def _report(
     return report, expansion
 
 
-def detect_stabilization(
-    ideal: MonomialIdeal,
-    k_min: int,
-    k_max: int,
-    degree_bound: int | None = None,
-) -> StabilizationReport:
+def detect_stabilization(ideal: MonomialIdeal, k_min: int, k_max: int) -> StabilizationReport:
     """Detect, fit, decompose, and certify the power family of an ideal.
 
     Computes beta(I^k) for k_min..k_max, finds the least k0 from which the
     shifted supports all agree, fits entry polynomials on k0..k_max with one
     held-out sample, runs the symbolic greedy decomposition, locates the
     unique positive chain, and replays every claim numerically at each
-    certified k in range. The degree bound defaults to one below the variable
-    count. A replay that disagrees raises CertificateError, which no
-    interpreter flag disables.
+    certified k in range. The fit degree is at most l(I) - 1, where the
+    analytic spread l(I) is the rank of the generator exponent matrix (at
+    least 0, for the unit ideal). A replay that disagrees raises
+    CertificateError, which no interpreter flag disables.
     """
     if k_min < 1:
         raise ValueError(f"k_min must be >= 1, got {k_min}")
@@ -357,9 +354,8 @@ def detect_stabilization(
             "stabilization needs an equigenerated ideal; generator degrees are "
             + str(sorted({g.degree for g in ideal.generators}))
         )
-    bound = ideal.num_vars - 1 if degree_bound is None else degree_bound
-    if bound < 0:
-        raise ValueError("degree bound must be >= 0")
+    # Kodiyalam (Proc. AMS 1993): beta_i(I^k) is eventually polynomial of degree <= l(I) - 1
+    bound = max(matrix_rank(dict(enumerate(g.exponents)) for g in ideal.generators) - 1, 0)
     needed = bound + 2
     if k_max - k_min + 1 < needed:
         raise NotStabilizedError(

@@ -247,6 +247,11 @@ class TestChains:
         assert main(["chains", "0", "0", "3", "--count-only"]) == 0
         assert capsys.readouterr().out == "1\n"
 
+    @pytest.mark.parametrize("window", [("0", "1200", "0"), ("0", "0", "1200")])
+    def test_chain_longer_than_the_recursion_limit(self, capsys, window):
+        assert main(["chains", *window, "--count-only"]) == 0
+        assert capsys.readouterr().out == "1\n"
+
     def test_bad_window(self, capsys):
         assert main(["chains", "3", "1", "2"]) == 2
         assert main(["chains", "0", "1", "-2"]) == 2
@@ -285,12 +290,16 @@ class TestStabilize:
         assert "positive decomposition" in captured.out
         assert json.loads(out.read_text(encoding="utf-8"))["verified_k"] == [1, 2, 3, 4]
 
-    def test_degree_bound_flag(self, ideal_file, capsys):
+    def test_degree_bound_is_not_an_option(self, ideal_file, capsys):
+        # the fit degree bound comes from the generators
         rc = main(
             ["stabilize", "--ideal", ideal_file(MAXIMAL_2VARS), "--kmin", "1", "--kmax", "4", "--degree-bound", "2"]
         )
-        assert rc == 0
-        assert json.loads(capsys.readouterr().out)["fit"]["(0,0)"]["text"] == "1 + k"
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --degree-bound 2" in captured.err
+        assert "Traceback" not in captured.err
 
     def test_non_equigenerated(self, ideal_file, capsys):
         path = ideal_file({"variables": 2, "generators": [[2, 0], [0, 3]]})

@@ -1,4 +1,5 @@
-"""The README's Library section runs as written and names no missing API.
+"""The README's Library section runs as written and names no missing API,
+and its Command line section names exactly the options the CLI has.
 
 Each expression statement in the ```python block carries its value as a
 comment, at the end of its line or alone on the line after it; the test
@@ -12,6 +13,7 @@ import re
 from pathlib import Path
 
 import bsdecomp
+from bsdecomp.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -85,3 +87,36 @@ def test_library_prose_names_resolve():
     names = library_prose_names()
     assert {"BettiTable.from_entries", "iter_support", "ValueError"} <= set(names)
     assert [name for name in names if not resolves(name)] == []
+
+
+OPTION = re.compile(r"(?<![\w-])--?[A-Za-z][\w-]*")
+
+
+def readme_section(title: str) -> str:
+    section = README.read_text(encoding="utf-8").split(f"\n## {title}\n", 1)[1]
+    return re.split(r"^## ", section, flags=re.M)[0]
+
+
+def subcommand_options(capsys) -> list[tuple[str, ...]]:
+    """The spellings of each option of each subcommand, as its ``--help``
+    prints them in the options list: one line per option, spellings before
+    the help text."""
+    assert main(["--help"]) == 0
+    subcommands = re.search(r"\{([\w,]+)\}", capsys.readouterr().out)[1].split(",")
+    options = []
+    for subcommand in subcommands:
+        assert main([subcommand, "--help"]) == 0
+        for line in capsys.readouterr().out.splitlines():
+            if line.startswith("  -"):
+                options.append(tuple(OPTION.findall(re.split(r"\s{2,}", line.strip())[0])))
+    return options
+
+
+def test_command_line_section_names_exactly_the_options(capsys):
+    options = subcommand_options(capsys)
+    assert ("-k", "--power") in options
+    named = set(OPTION.findall(readme_section("Command line")))
+    assert named - {spelling for option in options for spelling in option} == set()
+    # argparse gives every subcommand -h, --help
+    unnamed = [option for option in options if option != ("-h", "--help") and not named & set(option)]
+    assert unnamed == []

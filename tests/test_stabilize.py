@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import textwrap
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -44,7 +45,7 @@ from bsdecomp import (
     symbolic_chain_decompose,
     symbolic_greedy_decompose,
 )
-from bsdecomp.linalg import matrix_rank
+from oracles import bareiss_rank
 from reference_values import (
     ALTERNATE_CHAIN_OFFSETS,
     ALTERNATE_TERMS,
@@ -385,8 +386,6 @@ class TestDetectStabilization:
             detect_stabilization(ideal, 0, 5)
         with pytest.raises(ValueError, match="empty power range"):
             detect_stabilization(ideal, 5, 4)
-        with pytest.raises(ValueError, match="degree bound"):
-            detect_stabilization(ideal, 1, 8, degree_bound=-1)
 
     def test_non_equigenerated_rejected(self):
         mixed = MonomialIdeal(2, (Monomial((2, 0)), Monomial((0, 3))))
@@ -394,25 +393,43 @@ class TestDetectStabilization:
             detect_stabilization(mixed, 1, 5)
 
     def test_short_range_rejected_before_computing(self):
-        # default degree bound is num_vars - 1 = 4, so 5 samples are too few
-        with pytest.raises(NotStabilizedError, match="fewer than 6 samples"):
-            detect_stabilization(path_edge_ideal(), 1, 5)
+        # the exponent matrix of P5 has rank 4, so the fit has degree <= 3 and
+        # 4 samples are too few
+        with pytest.raises(NotStabilizedError, match="fewer than 5 samples"):
+            detect_stabilization(path_edge_ideal(), 1, 4)
 
     def test_late_stabilization_rejected(self):
         with pytest.raises(NotStabilizedError, match="stabilize only from k=3") as info:
-            detect_stabilization(path_edge_ideal(), 1, 5, degree_bound=3)
+            detect_stabilization(path_edge_ideal(), 1, 5)
         assert info.value.offender is not None
         assert info.value.offender[0] == 2
+
+    def test_chains_ideal_needs_one_sample_past_its_fit_degree(self):
+        # rank 3, so degree <= 2: the supports agree from k = 2, and k = 2..5
+        # is three samples to fit and one held out
+        golden = report_from_json(
+            json.loads((GOLDEN / "stabilize-chains.report.json").read_text(encoding="utf-8"))
+        )
+        assert detect_stabilization(golden.ideal, 1, 5) == replace(golden, verified_k=(4, 5))
+
+    def test_unit_ideal(self):
+        # the exponent matrix has rank 0; the bound stays at degree 0
+        report = detect_stabilization(MonomialIdeal(3, (Monomial((0, 0, 0)),)), 1, 2)
+        assert report.fit.entries == {(0, 0): poly(1)}
+        assert report.verified_k == (1, 2)
 
     def test_fit_degrees_within_kodiyalam_bound(self):
         # Kodiyalam (Proc. AMS 1993): beta_i(I^k) is eventually a polynomial in
         # k of degree at most l(I) - 1, and each graded entry lies between 0
         # and beta_i; for an equigenerated monomial ideal the analytic spread
-        # l(I) is the rank of the generator exponent matrix
+        # l(I) is the rank of the generator exponent matrix. The entry (0, 0)
+        # is mu(I^k), the Hilbert function of the fiber cone, of dimension
+        # l(I), so its degree meets the bound: no smaller bound fits it.
         for ideal in random_equigenerated_ideals():
-            spread = matrix_rank([dict(enumerate(g.exponents)) for g in ideal.generators])
+            spread = bareiss_rank([list(g.exponents) for g in ideal.generators])
             report = detect_stabilization(ideal, 1, 7)
             assert max(p.degree() for p in report.fit.entries.values()) <= spread - 1, ideal
+            assert report.fit.entries[(0, 0)].degree() == max(spread - 1, 0), ideal
 
 
 class TestCertificates:
