@@ -130,14 +130,17 @@ def format_pretty(table: BettiTable) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _count(n: int, noun: str) -> str:
+    return f"{n} {noun}" if n == 1 else f"{n} {noun}s"
+
+
 def format_stabilize_summary(report: StabilizationReport) -> str:
-    gens = len(report.ideal.generators)
     lines = [
-        f"ideal: {gens} minimal generators in {report.ideal.num_vars} variables, "
-        f"equigenerated in degree {report.gen_degree}",
+        f"ideal: {_count(len(report.ideal.generators), 'minimal generator')} in "
+        f"{_count(report.ideal.num_vars, 'variable')}, equigenerated in degree {report.gen_degree}",
         f"shape stabilizes at k0 = {report.k0_observed} (observed)",
-        f"fit: {len(report.fit.entries)} entry polynomials in k, valid from k = {report.fit.valid_from}",
-        f"positive decomposition: {len(report.positive.terms)} summands, "
+        f"fit: {_count(len(report.fit.entries), 'entry polynomial')} in k, valid from k = {report.fit.valid_from}",
+        f"positive decomposition: {_count(len(report.positive.terms), 'summand')}, "
         f"certified for k >= {report.certified_from}",
     ]
     for poly, seq in report.positive.terms:
@@ -293,3 +296,7 @@ def main(argv=None) -> int:
 
 def console_main() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console_main()

@@ -14,7 +14,7 @@ class DomainError(Exception):
 
 
 class ZeroIdealError(DomainError):
-    """The zero ideal has no Betti table; raised by ``betti_table``."""
+    """The zero ideal has no Betti table; raised by ``betti_table`` and ``detect_stabilization``."""
 
 
 class NotEquigeneratedError(DomainError):

@@ -32,6 +32,7 @@ from .errors import (
     NotEquigeneratedError,
     NotStabilizedError,
     ParseError,
+    ZeroIdealError,
 )
 from .linalg import matrix_rank
 from .monomial import MonomialIdeal, ideal_from_json, ideal_to_json, is_equigenerated, power_tables
@@ -124,20 +125,12 @@ class TranslatedDecomposition:
     def nonzero_terms(self) -> tuple[tuple[PolynomialQ, DegreeSequence], ...]:
         return tuple((w, s) for w, s in self.terms if w)
 
-    def evaluate(self, k: int, keep_zero_terms: bool = False) -> Decomposition:
-        """Numeric decomposition at a concrete power.
-
-        Coefficients are evaluated and degree sequences shifted by
-        gen_degree*k; terms whose value is zero are dropped unless
-        ``keep_zero_terms`` asks for the full chain expansion.
-        """
+    def evaluate(self, k: int) -> Decomposition:
+        """Numeric decomposition at a concrete power, term for term: zero values
+        are kept (``.nonzero_terms()`` drops them), sequences shift by gen_degree*k."""
         shift = self.gen_degree * k
-        terms = []
-        for poly, seq in self.terms:
-            value = poly(k)
-            if value or keep_zero_terms:
-                terms.append((value, seq.shift(shift)))
-        return Decomposition(tuple(terms), self.offset_window.shift(shift))
+        terms = tuple((poly(k), seq.shift(shift)) for poly, seq in self.terms)
+        return Decomposition(terms, self.offset_window.shift(shift))
 
 
 def _shifted_support(table: BettiTable, gen_degree: int, k: int) -> frozenset[tuple[int, int]]:
@@ -270,23 +263,20 @@ def positive_family_chain(
         raise AmbiguousOrMissingChainError(
             "no maximal chain of the window has eventually nonnegative coefficients"
         ) from exc
-    chain, expansion = _positive_chain(table, greedy, window)
-    return chain, max((sign_threshold(w) for w, _ in expansion.nonzero_terms()), default=0)
+    chain = _positive_chain(table, greedy, window)
+    return chain, max((sign_threshold(w) for w, _ in greedy.terms), default=0)
 
 
-def _positive_chain(
-    table: SymbolicBettiTable, greedy: TranslatedDecomposition, window: Window
-) -> tuple[Chain, TranslatedDecomposition]:
-    """First chain of the window through the greedy sequences, and the
-    family's expansion along it, checked to be the greedy terms padded with
-    zeros."""
+def _positive_chain(table: SymbolicBettiTable, greedy: TranslatedDecomposition, window: Window) -> Chain:
+    """First chain of the window through the greedy sequences; the family's
+    expansion along it is checked to be the greedy terms padded with zeros."""
     chain = _chain_through([s for _, s in greedy.terms], window)
     expansion = symbolic_chain_decompose(table, chain)
     if not all(eventually_nonnegative(w) for w, _ in expansion.terms):
         raise CertificateError("the positive chain's expansion has an eventually negative coefficient")
     if expansion.nonzero_terms() != greedy.terms:
         raise CertificateError("the positive chain's expansion differs from the symbolic greedy terms")
-    return chain, expansion
+    return chain
 
 
 _REPORT_NOTES = (
@@ -299,23 +289,26 @@ _REPORT_NOTES = (
 
 @dataclass(frozen=True)
 class StabilizationReport:
-    """Everything detect_stabilization established about a power family."""
+    """Everything detect_stabilization established about a power family; the
+    properties ``gen_degree``, ``k0_observed`` and ``certified_from`` read ``fit`` and ``positive``."""
 
     ideal: MonomialIdeal
-    gen_degree: int
-    k0_observed: int
     fit: SymbolicBettiTable
     positive_chain: Chain
     positive: TranslatedDecomposition
-    certified_from: int
     verified_k: tuple[int, ...]
     notes: str = _REPORT_NOTES
+
+    gen_degree = property(lambda self: self.fit.gen_degree)
+    k0_observed = property(lambda self: self.fit.valid_from)
+    certified_from = property(lambda self: self.positive.certified_from)
 
 
 def _report(
     ideal: MonomialIdeal, fit: SymbolicBettiTable, verified_k: tuple[int, ...] = (), notes: str = _REPORT_NOTES
-) -> tuple[StabilizationReport, TranslatedDecomposition]:
-    """The report a fit gives, and the fit's expansion along its positive chain.
+) -> StabilizationReport:
+    """The report a fit gives: its symbolic greedy decomposition and the
+    positive chain through it.
 
     ``certified_from`` is the symbolic greedy's, and it also bounds the
     chain's signs: each nonzero chain coefficient is a greedy coefficient
@@ -325,11 +318,8 @@ def _report(
     eventual_min, of every such difference.
     """
     positive = symbolic_greedy_decompose(fit)
-    chain, expansion = _positive_chain(fit, positive, fit.offset_window())
-    report = StabilizationReport(
-        ideal, fit.gen_degree, fit.valid_from, fit, chain, positive, positive.certified_from, verified_k, notes
-    )
-    return report, expansion
+    chain = _positive_chain(fit, positive, fit.offset_window())
+    return StabilizationReport(ideal, fit, chain, positive, verified_k, notes)
 
 
 def detect_stabilization(ideal: MonomialIdeal, k_min: int, k_max: int) -> StabilizationReport:
@@ -348,6 +338,8 @@ def detect_stabilization(ideal: MonomialIdeal, k_min: int, k_max: int) -> Stabil
         raise ValueError(f"k_min must be >= 1, got {k_min}")
     if k_max < k_min:
         raise ValueError(f"empty power range {k_min}..{k_max}")
+    if not ideal.generators:
+        raise ZeroIdealError("the zero ideal has no Betti table")
     gen_degree = is_equigenerated(ideal)
     if gen_degree is None:
         raise NotEquigeneratedError(
@@ -375,21 +367,21 @@ def detect_stabilization(ideal: MonomialIdeal, k_min: int, k_max: int) -> Stabil
             offender=(k0 - 1, i, gen_degree * (k0 - 1) + off),
         )
     fit = fit_family({k: tables[k] for k in range(k0, k_max + 1)}, gen_degree, bound)
-    report, expansion = _report(ideal, fit)
-    verified = []
+    report = _report(ideal, fit)
     # certified_from >= k0 >= k_min, so every replayed table was computed
-    for k in range(report.certified_from, k_max + 1):
+    report = replace(report, verified_k=tuple(range(report.certified_from, k_max + 1)))
+    for k in report.verified_k:
         table_k = tables[k]
         if not fit.evaluate(k).same_entries(table_k):
             raise CertificateError(f"the fitted family differs from the Betti table at k={k}")
         numeric_greedy = greedy_decompose(table_k)
         if numeric_greedy.terms != report.positive.evaluate(k).terms:
             raise CertificateError(f"numeric greedy decomposition differs from the symbolic one at k={k}")
+        # along the positive chain the expansion is the greedy terms padded with zeros
         numeric_chain = chain_decompose(table_k, report.positive_chain.shift(gen_degree * k))
-        if numeric_chain.terms != expansion.evaluate(k, keep_zero_terms=True).terms:
+        if numeric_chain.nonzero_terms() != numeric_greedy.terms:
             raise CertificateError(f"numeric chain expansion differs from the symbolic one at k={k}")
-        verified.append(k)
-    return replace(report, verified_k=tuple(verified))
+    return report
 
 
 def _poly_json(poly: PolynomialQ) -> dict:
@@ -486,7 +478,7 @@ def report_from_json(obj) -> StabilizationReport:
     if k0 < 1:
         raise ParseError(f"bad report JSON: k0_observed {k0} is below 1")
     try:
-        report, _ = _report(ideal, fit, verified, notes)
+        report = _report(ideal, fit, verified, notes)
     except NotDecomposableError as exc:
         raise ParseError(f"bad report JSON: fit: {exc}") from exc
     if certified != report.certified_from:

@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -158,6 +160,10 @@ class TestBetti:
     def test_zero_ideal_is_domain_error(self, ideal_file, capsys):
         assert main(["betti", "--ideal", ideal_file({"variables": 2, "generators": []})]) == 3
         assert "zero ideal" in capsys.readouterr().err
+        # stabilize refuses it for being zero, not for its (absent) generator degrees
+        argv = ["stabilize", "--ideal", ideal_file({"variables": 2, "generators": []}), "--kmin", "1", "--kmax", "2"]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == "error: the zero ideal has no Betti table\n"
 
 
 class TestDecompose:
@@ -330,6 +336,18 @@ class TestStabilize:
             "error: certificate check failed: numeric chain expansion differs from the symbolic one at k=1\n"
         )
 
+    def test_counts_of_one_are_singular(self, ideal_file, capsys):
+        unit = ideal_file({"variables": 3, "generators": [[0, 0, 0]]})
+        assert main(["stabilize", "--ideal", unit, "--kmin", "1", "--kmax", "2"]) == 0
+        assert capsys.readouterr().err == (
+            "ideal: 1 minimal generator in 3 variables, equigenerated in degree 0\n"
+            "shape stabilizes at k0 = 1 (observed)\n"
+            "fit: 1 entry polynomial in k, valid from k = 1\n"
+            "positive decomposition: 1 summand, certified for k >= 1\n"
+            "  (0) x [1]\n"
+            "verified numerically at k = 1..2\n"
+        )
+
     def test_summary_with_no_verified_power(self, ideal_file):
         report = detect_stabilization(load_ideal(ideal_file(MAXIMAL_2VARS)), 1, 4)
         assert format_stabilize_summary(dataclasses.replace(report, verified_k=())) == (
@@ -455,6 +473,18 @@ class TestParser:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "betti" in capsys.readouterr().out
+
+    def test_module_runs_as_a_script(self):
+        src = str(Path(bsdecomp.stabilize.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        script = [sys.executable, "-m", "bsdecomp.cli"]
+        run = subprocess.run(
+            script + ["chains", "0", "1", "3", "--count-only"], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert (run.returncode, run.stdout) == (0, "14\n"), run.stderr
+        run = subprocess.run(script + ["stabilize"], capture_output=True, text=True, env=env, timeout=120)
+        assert run.returncode == 2
+        assert "the following arguments are required" in run.stderr
 
 
 class TestSharedParser:

@@ -33,3 +33,43 @@ def test_package_imports_only_the_standard_library():
 def test_the_scan_sees_a_third_party_import():
     tree = ast.parse("import numpy\nfrom hypothesis import given\nfrom . import tables\nimport json")
     assert list(imported_modules(tree)) == ["numpy", "hypothesis", "bsdecomp", "json"]
+
+
+def unused_imports(tree: ast.AST) -> list[str]:
+    """Every name an import binds that no ``Name`` node reads. An attribute
+    access such as ``json.dumps`` reads through the ``Name`` at its root, and
+    annotations are parsed as expressions, so both count as uses;
+    ``from __future__`` imports bind no name."""
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [alias.asname or alias.name for alias in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in bound if name not in read]
+
+
+def test_package_modules_use_every_import():
+    # __init__.py imports to re-export, so it is the one module left out
+    unused = [
+        f"{path.name}: {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py"
+        for name in unused_imports(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert unused == []
+
+
+def test_the_scan_sees_an_unused_import():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "from dataclasses import dataclass, replace\n"
+        "from typing import Mapping as M\n"
+        "@dataclass\n"
+        "class A:\n"
+        "    x: M\n"
+        "os.path.join('a')\n"
+    )
+    assert unused_imports(tree) == ["replace"]

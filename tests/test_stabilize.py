@@ -90,6 +90,14 @@ def doubled_chain_expansion(table, chain):
     return Decomposition(tuple((2 * c, s) for c, s in expansion.terms), expansion.source_window)
 
 
+def chain_expansion_with_a_stray_one(table, chain):
+    """A wrong numeric chain expansion: its first zero coefficient set to 1."""
+    expansion = chain_decompose(table, chain)
+    slot = expansion.coefficients.index(0)
+    terms = tuple((1 if i == slot else c, s) for i, (c, s) in enumerate(expansion.terms))
+    return Decomposition(terms, expansion.source_window)
+
+
 def negated_symbolic_expansion(table, chain):
     """A wrong symbolic chain expansion: every coefficient negated."""
     expansion = symbolic_chain_decompose(table, chain)
@@ -211,12 +219,13 @@ class TestFitFamily:
 
 
 class TestTranslatedDecomposition:
-    def test_evaluate_drops_zero_terms_by_default(self):
+    def test_evaluate_keeps_every_term(self):
         d = TranslatedDecomposition(as_terms(ALTERNATE_TERMS), GEN_DEGREE, 3, Window(0, 1, 3))
-        full = d.evaluate(3, keep_zero_terms=True)
-        trimmed = d.evaluate(3)
+        full = d.evaluate(3)
         assert len(full.terms) == len(ALTERNATE_TERMS)
-        assert trimmed.terms == full.nonzero_terms()
+        zero = [s.shift(GEN_DEGREE * 3) for w, s in d.terms if not w]
+        assert len(zero) == 1
+        assert full.nonzero_terms() == tuple((c, s) for c, s in full.terms if s not in zero)
 
     def test_evaluate_matches_reference(self):
         d = TranslatedDecomposition(as_terms(POSITIVE_TERMS), GEN_DEGREE, 3, Window(0, 1, 3))
@@ -294,7 +303,7 @@ class TestSymbolicChain:
         expansion = symbolic_chain_decompose(family_fit, chain)
         for k in (3, 4):
             numeric = chain_decompose(path_tables(k), chain.shift(GEN_DEGREE * k))
-            assert expansion.evaluate(k, keep_zero_terms=True).terms == numeric.terms
+            assert expansion.evaluate(k).terms == numeric.terms
 
 
 class TestPositiveFamilyChain:
@@ -477,6 +486,14 @@ class TestCertificates:
         with pytest.raises(CertificateError, match=message):
             detect_stabilization(TWO_EDGES, 1, 6)
 
+    def test_stray_coefficient_in_a_zero_slot_is_caught(self, path_report, monkeypatch):
+        # the positive chain of P5 has 8 elements and 5 greedy terms, so the
+        # numeric chain expansion has zero slots the greedy terms do not name
+        assert (len(path_report.positive_chain.elements), len(path_report.positive.terms)) == (8, 5)
+        monkeypatch.setattr(bsdecomp.stabilize, "chain_decompose", chain_expansion_with_a_stray_one)
+        with pytest.raises(CertificateError, match="numeric chain expansion differs from the symbolic one at k=3"):
+            detect_stabilization(path_edge_ideal(), 1, 8)
+
     def test_package_has_no_assert_statements(self):
         # python -O strips assert statements, so every check in the package raises instead
         package = Path(bsdecomp.__file__).resolve().parent
@@ -494,6 +511,9 @@ def assert_round_trips(report):
     assert report.certified_from == report.positive.certified_from
     # the greedy bound also covers the signs of the chain's coefficients
     assert all(sign_threshold(w) < report.certified_from for w, _ in report.positive.terms)
+    chain, threshold = positive_family_chain(report.fit)
+    assert chain == report.positive_chain
+    assert threshold < report.certified_from
 
 
 class TestReportJson:
