@@ -20,7 +20,6 @@ from .decompose import (
     verify,
 )
 from .errors import (
-    AmbiguousOrMissingChainError,
     CertificateError,
     DegreeSequenceError,
     DomainError,
@@ -59,7 +58,6 @@ from .stabilize import (
     TranslatedDecomposition,
     detect_stabilization,
     fit_family,
-    positive_family_chain,
     report_from_json,
     report_json_text,
     report_to_json,

@@ -29,10 +29,6 @@ class NoSolutionError(DomainError):
     """A chain expansion has no solution: the table escapes the chain window."""
 
 
-class AmbiguousOrMissingChainError(DomainError):
-    """No maximal chain of the window carries an eventually nonnegative expansion."""
-
-
 class NotStabilizedError(Exception):
     """The sampled power family does not settle into a single polynomial shape.
 
@@ -49,6 +45,7 @@ class CertificateError(Exception):
     """A cross-check the program runs on its own result disagreed.
 
     Raised by the numeric replay of a stabilization report and by the check
-    on the first entry of a Betti table. It points at a defect in the
-    program, not at the input, and is a plain exception, never an assert.
+    that column 0 of a Betti table counts the minimal generators in each
+    degree. It points at a defect in the program, not at the input, and is a
+    plain exception, never an assert.
     """

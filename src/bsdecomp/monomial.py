@@ -17,6 +17,7 @@ power, so the powers of one ideal share one homology memo (``power_tables``).
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import operator
@@ -401,11 +402,12 @@ def _table(ideal: MonomialIdeal, memo: dict[tuple[int, ...], tuple[()] | list[in
             if dim:
                 pos = (i, degree)
                 entries[pos] = entries.get(pos, 0) + dim
-    table = BettiTable.from_entries(entries)
-    low = min(g.degree for g in ideal.generators)
-    if table.entry(0, low) <= 0:
-        raise CertificateError(f"beta_0 in the least generator degree {low} is not positive")
-    return table
+    # beta_{0,j} counts the minimal generators of degree j
+    column = {j: dim for (i, j), dim in entries.items() if i == 0}
+    counts = collections.Counter(g.degree for g in ideal.generators)
+    if column != counts:
+        raise CertificateError(f"beta_0 by degree is {column}, but the minimal generators number {dict(counts)}")
+    return BettiTable.from_entries(entries)
 
 
 def ideal_to_json(ideal: MonomialIdeal) -> dict:

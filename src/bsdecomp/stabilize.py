@@ -25,9 +25,7 @@ from .decompose import (
     greedy_decompose,
 )
 from .errors import (
-    AmbiguousOrMissingChainError,
     CertificateError,
-    NoSolutionError,
     NotDecomposableError,
     NotEquigeneratedError,
     NotStabilizedError,
@@ -45,22 +43,6 @@ from .polynomials import (
     sign_threshold,
 )
 from .tables import BettiTable, DegreeSequence, Window, _json_int, _json_rational
-
-__all__ = [
-    "SymbolicBettiTable",
-    "TranslatedDecomposition",
-    "StabilizationReport",
-    "fit_family",
-    "eventual_min",
-    "symbolic_greedy_decompose",
-    "symbolic_chain_decompose",
-    "positive_family_chain",
-    "detect_stabilization",
-    "report_to_json",
-    "report_json_text",
-    "report_from_json",
-]
-
 
 @dataclass(frozen=True)
 class SymbolicBettiTable:
@@ -88,9 +70,6 @@ class SymbolicBettiTable:
         if not fixed:
             raise ValueError("a symbolic table needs at least one entry")
         object.__setattr__(self, "entries", fixed)
-
-    def entry(self, col: int, offset: int) -> PolynomialQ:
-        return self.entries.get((col, offset), PolynomialQ())
 
     def offset_window(self) -> Window:
         return Window.hull(self.entries)
@@ -236,37 +215,6 @@ def symbolic_chain_decompose(table: SymbolicBettiTable, chain: Chain) -> Transla
     )
 
 
-def positive_family_chain(
-    table: SymbolicBettiTable, window: Window | None = None
-) -> tuple[Chain, int]:
-    """The maximal chain of offsets carrying the positive decomposition.
-
-    Positive decompositions along a chain are unique, so the chains whose
-    expansion coefficients are all eventually nonnegative are those through
-    the symbolic greedy sequences. The first in enumeration order is walked
-    to, and its expansion checked against the greedy terms (CertificateError
-    on a mismatch). Support outside the window raises NoSolution; a family
-    the greedy cannot decompose has no such chain (AmbiguousOrMissingChain).
-
-    Returns the chain and an integer K such that every nonzero coefficient is
-    strictly positive for all k > K.
-    """
-    if window is None:
-        window = table.offset_window()
-    outside = [pos for pos in table.entries if not window.contains(*pos)]
-    if outside:
-        i, j = min(outside)
-        raise NoSolutionError(f"support at column {i}, degree {j} is outside the chain window")
-    try:
-        greedy = symbolic_greedy_decompose(table)
-    except NotDecomposableError as exc:
-        raise AmbiguousOrMissingChainError(
-            "no maximal chain of the window has eventually nonnegative coefficients"
-        ) from exc
-    chain = _positive_chain(table, greedy, window)
-    return chain, max((sign_threshold(w) for w, _ in greedy.terms), default=0)
-
-
 def _positive_chain(table: SymbolicBettiTable, greedy: TranslatedDecomposition, window: Window) -> Chain:
     """First chain of the window through the greedy sequences; the family's
     expansion along it is checked to be the greedy terms padded with zeros."""
@@ -279,14 +227,6 @@ def _positive_chain(table: SymbolicBettiTable, greedy: TranslatedDecomposition, 
     return chain
 
 
-_REPORT_NOTES = (
-    "certified_from certifies the decomposition stage: it assumes every table "
-    "in the family follows the fitted polynomials from the first fitted power "
-    "on. The stabilization point k0 is observed on the sampled range, not "
-    "proven for all k."
-)
-
-
 @dataclass(frozen=True)
 class StabilizationReport:
     """Everything detect_stabilization established about a power family; the
@@ -297,18 +237,21 @@ class StabilizationReport:
     positive_chain: Chain
     positive: TranslatedDecomposition
     verified_k: tuple[int, ...]
-    notes: str = _REPORT_NOTES
 
+    notes = (
+        "certified_from certifies the decomposition stage: it assumes every table "
+        "in the family follows the fitted polynomials from the first fitted power "
+        "on. The stabilization point k0 is observed on the sampled range, not "
+        "proven for all k."
+    )
     gen_degree = property(lambda self: self.fit.gen_degree)
     k0_observed = property(lambda self: self.fit.valid_from)
     certified_from = property(lambda self: self.positive.certified_from)
 
 
-def _report(
-    ideal: MonomialIdeal, fit: SymbolicBettiTable, verified_k: tuple[int, ...] = (), notes: str = _REPORT_NOTES
-) -> StabilizationReport:
-    """The report a fit gives: its symbolic greedy decomposition and the
-    positive chain through it.
+def _report(ideal: MonomialIdeal, fit: SymbolicBettiTable) -> StabilizationReport:
+    """The report a fit gives, with no power verified yet: its symbolic
+    greedy decomposition and the positive chain through it.
 
     ``certified_from`` is the symbolic greedy's, and it also bounds the
     chain's signs: each nonzero chain coefficient is a greedy coefficient
@@ -319,7 +262,7 @@ def _report(
     """
     positive = symbolic_greedy_decompose(fit)
     chain = _positive_chain(fit, positive, fit.offset_window())
-    return StabilizationReport(ideal, fit, chain, positive, verified_k, notes)
+    return StabilizationReport(ideal, fit, chain, positive, ())
 
 
 def detect_stabilization(ideal: MonomialIdeal, k_min: int, k_max: int) -> StabilizationReport:
@@ -415,81 +358,62 @@ def report_json_text(report: StabilizationReport) -> str:
 
 
 def _fit_position(key: str) -> tuple[int, int]:
-    """The (column, offset) of a fit key, spelled exactly as ``report_to_json``
-    writes it, ``"(i,j)"``; one spelling per position, so no two distinct keys
-    of one fit dict can name the same entry. A key repeated word for word in
-    JSON text is merged by ``json.loads`` before this runs; the CLI's loader
-    refuses such repeats."""
+    """The (column, offset) a fit key ``"(i,j)"`` names."""
     match = re.fullmatch(r"\((-?[0-9]+),(-?[0-9]+)\)", key)
-    if match:
-        i, j = int(match[1]), int(match[2])
-        if key == f"({i},{j})":
-            return i, j
-    raise ParseError(f"bad report JSON: fit key {key!r} is not of the form '(i,j)'")
+    if not match:
+        raise ParseError(f"bad report JSON: fit key {key!r} is not of the form '(i,j)'")
+    return int(match[1]), int(match[2])
 
 
 def report_from_json(obj) -> StabilizationReport:
-    """Rebuild a report from its JSON form by re-deriving its claims from its fit.
+    """Read a report back: it must be exactly what ``report_to_json`` writes
+    for its fit.
 
-    Past the grammar (integers that are not booleans or floats, fit keys
-    spelled as ``report_to_json`` writes them, coefficient lists with the
-    ``text`` they spell, a maximal chain, string ``notes``), ``r`` must be
-    the degree of every generator and ``k0_observed`` at least 1. The
-    builder ``detect_stabilization`` uses then rebuilds the report from
-    (ideal, fit, verified_k, notes): ``certified_from`` (never a looser
-    one), ``positive_chain`` and the terms must be the ones it derives, and
-    ``verified_k`` the consecutive run from ``certified_from``.
+    Only what the rebuild needs is parsed: the ideal, ``r`` (the degree of
+    every generator), ``k0_observed`` (at least 1, and a power at which
+    every fit entry is a positive integer), the fit's coefficients and the
+    length of ``verified_k``. The report is rebuilt from (ideal, fit)
+    as ``detect_stabilization`` builds it, with ``verified_k`` that many
+    powers from ``certified_from`` on, and each top-level field of its JSON
+    must equal the input's. Fields compare as sorted JSON text, so that a
+    boolean or a float never passes for an integer; the order of an
+    object's keys does not matter.
     """
     if not isinstance(obj, dict):
         raise ParseError("report JSON must be an object")
-    # (text as written, polynomial), checked last so that an edited
-    # coefficient is reported by the claim it breaks
-    texts = []
-
-    def poly_from_json(body) -> PolynomialQ:
-        if not isinstance(body["coefficients"], list):
-            raise ParseError(f"bad report JSON: coefficients {body['coefficients']!r} are not a list")
-        poly = PolynomialQ(tuple(map(_json_rational, body["coefficients"])))
-        texts.append((body["text"], poly))
-        return poly
-
     try:
         ideal = ideal_from_json(obj["ideal"])
         gen_degree = _json_int(obj["r"])
         k0 = _json_int(obj["k0_observed"])
-        certified = _json_int(obj["certified_from"])
-        entries = {_fit_position(key): poly_from_json(body) for key, body in obj["fit"].items()}
+        entries = {
+            _fit_position(key): PolynomialQ(tuple(map(_json_rational, body["coefficients"])))
+            for key, body in obj["fit"].items()
+        }
         fit = SymbolicBettiTable(gen_degree, entries, valid_from=k0)
-        chain = Chain.from_sequences(obj["positive_chain"], window=fit.offset_window())
-        terms = tuple(
-            (poly_from_json(t["coefficient_poly"]), DegreeSequence(tuple(t["offsets"])))
-            for t in obj["positive_decomposition"]["terms"]
-        )
-        verified = tuple(_json_int(k) for k in obj["verified_k"])
-        notes = obj["notes"]
+        verified_count = len(obj["verified_k"])
     except ParseError:
         raise
     except (KeyError, ValueError, TypeError, AttributeError) as exc:
         raise ParseError(f"bad report JSON: {exc}") from exc
-    if not isinstance(notes, str):
-        raise ParseError(f"bad report JSON: notes {notes!r} is not a string")
     if is_equigenerated(ideal) != gen_degree:
         raise ParseError(f"bad report JSON: r {gen_degree} is not the degree of every generator")
     if k0 < 1:
         raise ParseError(f"bad report JSON: k0_observed {k0} is below 1")
+    # the fit reproduces beta(I^k0), so each entry is a Betti number there
+    if not all(w(k0) > 0 and w(k0).denominator == 1 for w in fit.entries.values()):
+        raise ParseError(f"bad report JSON: fit entries are not all positive integers at k0_observed {k0}")
     try:
-        report = _report(ideal, fit, verified, notes)
+        report = _report(ideal, fit)
     except NotDecomposableError as exc:
         raise ParseError(f"bad report JSON: fit: {exc}") from exc
-    if certified != report.certified_from:
-        raise ParseError(f"bad report JSON: certified_from {certified} is not {report.certified_from}, the fit's")
-    if chain != report.positive_chain:
-        raise ParseError("bad report JSON: positive_chain is not the first chain through the fit's greedy terms")
-    if terms != report.positive.terms:
-        raise ParseError("bad report JSON: positive_decomposition is not the fit's expansion along positive_chain")
-    if verified != tuple(range(certified, certified + len(verified))):
-        raise ParseError(f"bad report JSON: verified_k must run consecutively from certified_from {certified}")
-    for text, poly in texts:
-        if text != poly.text():
-            raise ParseError(f"bad report JSON: text {text!r} is not {poly.text()!r}")
+    first = report.certified_from
+    report = replace(report, verified_k=tuple(range(first, first + verified_count)))
+    written = report_to_json(report)
+    for key in [*written, *(key for key in obj if key not in written)]:
+        try:
+            same = json.dumps(obj[key], sort_keys=True) == json.dumps(written[key], sort_keys=True)
+        except (KeyError, TypeError, ValueError):
+            same = False
+        if not same:
+            raise ParseError(f"bad report JSON: {key} is not what stabilize writes for this fit")
     return report

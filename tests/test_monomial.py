@@ -659,6 +659,16 @@ class TestBettiTable:
         with pytest.raises(CertificateError, match="beta_0"):
             betti_table(MonomialIdeal(2, (m(1, 0), m(0, 1))))
 
+    def test_doubled_generator_count_is_caught(self, monkeypatch):
+        # at a generator's own degree the complex is {empty set}, whose
+        # homology is one copy of Q in degree -1: beta_0 counts generators
+        real = bsdecomp.monomial._key_homology
+        monkeypatch.setattr(
+            bsdecomp.monomial, "_key_homology", lambda key, n: [2] if key == ((1 << n) - 1,) else real(key, n)
+        )
+        with pytest.raises(CertificateError, match="beta_0"):
+            betti_table(MonomialIdeal(2, (m(1, 0), m(0, 1))))
+
     def test_small_path_powers_match_frozen_tables(self, path_ideal):
         for k, entries in SMALL_TABLES.items():
             assert betti_table(power(path_ideal, k)) == BettiTable.from_entries(entries)

@@ -14,7 +14,6 @@ import pytest
 
 import bsdecomp.stabilize
 from bsdecomp import (
-    AmbiguousOrMissingChainError,
     BettiTable,
     CertificateError,
     Chain,
@@ -37,7 +36,7 @@ from bsdecomp import (
     eventually_nonnegative,
     fit_family,
     greedy_decompose,
-    positive_family_chain,
+    ideal_from_json,
     report_from_json,
     report_json_text,
     report_to_json,
@@ -164,14 +163,14 @@ class TestSymbolicBettiTable:
 
     def test_entry_lookup(self):
         table = SymbolicBettiTable(GEN_DEGREE, ENTRY_POLYNOMIALS, VALID_FROM)
-        assert table.entry(1, 2) == poly(0, 1)
-        assert table.entry(0, 9) == poly()
+        assert table.entries[(1, 2)] == poly(0, 1)
+        assert (0, 9) not in table.entries
 
     def test_eventually_negative_entries_are_constructible(self):
         # the constructor only bars identically-zero entries; sign problems
         # surface later, in the greedy run or the fit
         table = SymbolicBettiTable(1, {(0, 0): poly(0, -1)}, 1)
-        assert table.entry(0, 0) == poly(0, -1)
+        assert table.entries == {(0, 0): poly(0, -1)}
 
 
 class TestFitFamily:
@@ -308,32 +307,17 @@ class TestSymbolicChain:
 
 class TestPositiveFamilyChain:
     def test_path_family_chain(self, family_fit):
-        chain, threshold = positive_family_chain(family_fit)
-        assert tuple(s.degrees for s in chain.elements) == POSITIVE_CHAIN_OFFSETS
-        assert threshold == 2
+        report = bsdecomp.stabilize._report(path_edge_ideal(), family_fit)
+        assert tuple(s.degrees for s in report.positive_chain.elements) == POSITIVE_CHAIN_OFFSETS
+        assert max(sign_threshold(w) for w, _ in report.positive.terms) == 2
 
     def test_no_chain_qualifies(self):
         # k * pi(0,2) plus extra weight at (1,2): every expansion of the
         # window needs a negative coefficient somewhere
         table = SymbolicBettiTable(1, {(0, 0): poly(0, 1), (1, 2): poly(0, 3)}, 1)
         assert scanned_positive_chain(table, table.offset_window()) is None
-        with pytest.raises(AmbiguousOrMissingChainError, match="no maximal chain"):
-            positive_family_chain(table)
-
-    @pytest.mark.parametrize("window", [Window(0, 1, 2), Window(1, 1, 3), Window(0, 0, 4)])
-    def test_window_missing_support_has_no_solution(self, family_fit, window):
-        with pytest.raises(NoSolutionError) as scanned:
-            scanned_positive_chain(family_fit, window)
-        with pytest.raises(NoSolutionError) as walked:
-            positive_family_chain(family_fit, window)
-        assert str(walked.value) == str(scanned.value)
-
-    @pytest.mark.parametrize("window", [Window(0, 1, 4), Window(-1, 1, 3)])
-    def test_larger_window_gives_its_first_qualifying_chain(self, family_fit, window):
-        chain, threshold = positive_family_chain(family_fit, window)
-        assert chain.window == window
-        assert chain == scanned_positive_chain(family_fit, window)
-        assert threshold == 2
+        with pytest.raises(NotDecomposableError, match="column 0"):
+            bsdecomp.stabilize._report(MonomialIdeal(1, (Monomial((1,)),)), table)
 
     def test_expansion_must_match_greedy(self, family_fit, monkeypatch):
         greedy = symbolic_greedy_decompose(family_fit)
@@ -345,10 +329,10 @@ class TestPositiveFamilyChain:
         )
         monkeypatch.setattr(bsdecomp.stabilize, "symbolic_greedy_decompose", lambda table: doubled)
         with pytest.raises(CertificateError, match="differs from the symbolic greedy"):
-            positive_family_chain(family_fit)
+            bsdecomp.stabilize._report(path_edge_ideal(), family_fit)
 
     def test_agrees_with_greedy_on_nonzero_terms(self, family_fit):
-        chain, _ = positive_family_chain(family_fit)
+        chain = bsdecomp.stabilize._report(path_edge_ideal(), family_fit).positive_chain
         expansion = symbolic_chain_decompose(family_fit, chain)
         greedy = symbolic_greedy_decompose(family_fit)
         assert expansion.nonzero_terms() == greedy.terms
@@ -506,14 +490,23 @@ class TestCertificates:
         assert found == []
 
 
+def differs(field):
+    """The reader's message for a top-level field that is not what
+    ``report_to_json`` writes for the report's fit."""
+    return f"{field} is not what stabilize writes for this fit"
+
+
+def golden_report(name):
+    return json.loads((GOLDEN / f"{name}.report.json").read_text(encoding="utf-8"))
+
+
 def assert_round_trips(report):
     assert report_from_json(report_to_json(report)) == report
+    text = report_json_text(report)
+    assert report_json_text(report_from_json(json.loads(text))) == text
     assert report.certified_from == report.positive.certified_from
     # the greedy bound also covers the signs of the chain's coefficients
     assert all(sign_threshold(w) < report.certified_from for w, _ in report.positive.terms)
-    chain, threshold = positive_family_chain(report.fit)
-    assert chain == report.positive_chain
-    assert threshold < report.certified_from
 
 
 class TestReportJson:
@@ -568,7 +561,9 @@ class TestReportJson:
     def test_rejects_non_integers_and_malformed_fit(self, path_report, key, value):
         obj = report_to_json(path_report)
         obj[key] = value
-        with pytest.raises(ParseError, match="bad report JSON"):
+        # r, k0_observed and fit are parsed; the other fields fail the comparison
+        parsed = key in ("r", "k0_observed", "fit")
+        with pytest.raises(ParseError, match="bad report JSON" if parsed else re.escape(f"bad report JSON: {differs(key)}")):
             report_from_json(obj)
 
     @pytest.mark.parametrize("part", ["positive_chain", "offsets"])
@@ -580,7 +575,8 @@ class TestReportJson:
             sequence = obj["positive_decomposition"]["terms"][0]["offsets"]
         assert sequence[:2] == [0, 1]
         sequence[:2] = [False, True]
-        with pytest.raises(ParseError, match="bad report JSON"):
+        field = "positive_chain" if part == "positive_chain" else "positive_decomposition"
+        with pytest.raises(ParseError, match=re.escape(f"bad report JSON: {differs(field)}")):
             report_from_json(obj)
 
     @pytest.mark.parametrize(
@@ -589,14 +585,15 @@ class TestReportJson:
     def test_rejects_fit_keys_report_to_json_does_not_write(self, path_report, key):
         obj = report_to_json(path_report)
         obj["fit"][key] = obj["fit"].pop("(0,0)")
-        with pytest.raises(ParseError, match="fit key"):
+        # "(-0,0)" names (0,0), but is not the key report_to_json writes for it
+        with pytest.raises(ParseError, match=r"bad report JSON: fit\b"):
             report_from_json(obj)
 
     def test_rejects_a_second_key_for_one_fit_position(self, path_report):
-        # "(00,0)" used to be read as (0, 0) and replace that entry
+        # "(00,0)" names (0, 0) again, so one of the two entries is lost
         obj = report_to_json(path_report)
         obj["fit"]["(00,0)"] = {"coefficients": ["7"], "text": "7"}
-        with pytest.raises(ParseError, match="fit key '\\(00,0\\)'"):
+        with pytest.raises(ParseError, match=r"bad report JSON: fit\b"):
             report_from_json(obj)
 
     @pytest.mark.parametrize("cut", ["ends", "first"])
@@ -605,7 +602,7 @@ class TestReportJson:
         chain = obj["positive_chain"]
         assert len(chain) == 8
         obj["positive_chain"] = [chain[0], chain[-1]] if cut == "ends" else [[0, 1, 2, 3]]
-        with pytest.raises(ParseError, match="not maximal"):
+        with pytest.raises(ParseError, match=re.escape(f"bad report JSON: {differs('positive_chain')}")):
             report_from_json(obj)
 
     @pytest.mark.parametrize("name", ["stabilize-p5", "stabilize-chains"])
@@ -614,19 +611,23 @@ class TestReportJson:
         assert report_json_text(report_from_json(json.loads(text))) == text
 
     @pytest.mark.parametrize(
-        "mutation, message",
+        "mutation, field",
         [
-            ("offsets", "expansion along positive_chain"),
-            ("coefficient", "expansion along positive_chain"),
-            pytest.param("sign", "positive_decomposition is not the fit's", id="sign"),
+            pytest.param("offsets", "positive_decomposition", id="offsets-expansion along positive_chain"),
+            pytest.param("coefficient", "positive_decomposition", id="coefficient-expansion along positive_chain"),
+            pytest.param("sign", "positive_decomposition", id="sign"),
             ("below", "verified_k"),
             ("repeat", "verified_k"),
-            ("gap", "verified_k must run consecutively from certified_from 3"),
-            ("loose", "certified_from 5 is not 3, the fit's"),
-            ("second-chain", "positive_chain is not the first chain through the fit's greedy terms"),
+            pytest.param("gap", "verified_k", id="gap-verified_k must run consecutively from certified_from 3"),
+            pytest.param("loose", "certified_from", id="loose-certified_from 5 is not 3, the fit's"),
+            pytest.param(
+                "second-chain",
+                "positive_chain",
+                id="second-chain-positive_chain is not the first chain through the fit's greedy terms",
+            ),
         ],
     )
-    def test_rejects_claims_that_do_not_hold(self, mutation, message):
+    def test_rejects_claims_that_do_not_hold(self, mutation, field):
         obj = json.loads((GOLDEN / "stabilize-p5.report.json").read_text(encoding="utf-8"))
         term = obj["positive_decomposition"]["terms"][2]
         assert term["offsets"] == [0, 1, 3] and term["coefficient_poly"]["coefficients"] == ["0", "6"]
@@ -654,24 +655,27 @@ class TestReportJson:
             ]
             assert len(qualifying) == 2
             obj["positive_chain"] = [list(s.degrees) for s in qualifying[1].elements]
-        with pytest.raises(ParseError, match=f"bad report JSON: .*{message}"):
+        with pytest.raises(ParseError, match=re.escape(f"bad report JSON: {differs(field)}")):
             report_from_json(obj)
 
-    @pytest.mark.parametrize("mutation", ["negated", "threshold"])
+    @pytest.mark.parametrize("mutation", ["negated", "threshold", "late-root"])
     def test_rejects_a_fit_entry_not_positive_from_certified_from(self, mutation):
         message = {
-            "negated": "fit: entry -1 - 11/6*k - k^2 - 1/6*k^3 is eventually negative",
-            "threshold": "certified_from 3 is not 10, the fit's",
+            "negated": "fit entries are not all positive integers at k0_observed 3",
+            "threshold": "fit entries are not all positive integers at k0_observed 3",
+            "late-root": differs("certified_from"),
         }[mutation]
-        obj = json.loads((GOLDEN / "stabilize-p5.report.json").read_text(encoding="utf-8"))
+        obj = golden_report("stabilize-p5")
         assert obj["certified_from"] == 3
-        entry = obj["fit"]["(0,0)"]
-        assert entry["coefficients"] == ["1", "11/6", "1", "1/6"]
-        if mutation == "negated":
-            entry["coefficients"] = ["-1", "-11/6", "-1", "-1/6"]
-        else:
+        assert obj["fit"]["(0,0)"]["coefficients"] == ["1", "11/6", "1", "1/6"]
+        coefficients = {
+            "negated": ["-1", "-11/6", "-1", "-1/6"],
             # 1 + 11/6*k - 9*k^2 + 7/6*k^3 is negative from k = 1 to 7
-            entry["coefficients"] = ["1", "11/6", "-9", "7/6"]
+            "threshold": ["1", "11/6", "-9", "7/6"],
+            # the entry plus 2*k*(k-3)*(k-9): still 20 at k = 3, negative from 4 to 6
+            "late-root": ["1", "335/6", "-23", "13/6"],
+        }[mutation]
+        obj["fit"]["(0,0)"] = bsdecomp.stabilize._poly_json(PolynomialQ(tuple(map(Fraction, coefficients))))
         # the terms become the changed fit's expansion, so only the fit is wrong
         fit = SymbolicBettiTable(
             obj["r"],
@@ -692,16 +696,23 @@ class TestReportJson:
     @pytest.mark.parametrize(
         "mutation, message",
         [
-            ("string", "coefficients '06' are not a list"),
-            ("fit-text", "text '1 + k' is not '1 + 11/6*k + k^2 + 1/6*k^3'"),
-            ("term-text", "text '7*k' is not '6*k'"),
-            pytest.param("k0", "certified_from 3 is not 6, the fit's", id="k0"),
+            pytest.param("string", differs("positive_decomposition"), id="string-coefficients '06' are not a list"),
+            pytest.param("fit-text", differs("fit"), id="fit-text-text '1 + k' is not '1 + 11/6*k + k^2 + 1/6*k^3'"),
+            pytest.param("term-text", differs("positive_decomposition"), id="term-text-text '7*k' is not '6*k'"),
+            pytest.param("k0", differs("certified_from"), id="k0"),
             ("k0-zero", "k0_observed 0 is below 1"),
             ("k0-negative", "k0_observed -3 is below 1"),
             ("r", "r 3 is not the degree of every generator"),
             ("mixed", "r 2 is not the degree of every generator"),
-            ("notes-int", "notes 5 is not a string"),
-            ("notes-null", "notes None is not a string"),
+            pytest.param("notes-int", differs("notes"), id="notes-int-notes 5 is not a string"),
+            pytest.param("notes-null", differs("notes"), id="notes-null-notes None is not a string"),
+            ("notes-edited", differs("notes")),
+            ("k0-early", "fit entries are not all positive integers at k0_observed 2"),
+            ("ideal-strings", differs("ideal")),
+            ("ideal-reordered", differs("ideal")),
+            ("extra-key", differs("comment")),
+            ("integer-coefficient", differs("fit")),
+            ("unreduced-fraction", differs("fit")),
         ],
     )
     def test_rejects_what_report_to_json_never_writes(self, mutation, message):
@@ -716,15 +727,31 @@ class TestReportJson:
         elif mutation == "term-text":
             poly["text"] = "7*k"
         elif mutation.startswith("k0"):
-            assert obj["certified_from"] == 3
-            obj["k0_observed"] = {"k0": 6, "k0-zero": 0, "k0-negative": -3}[mutation]
+            assert obj["certified_from"] == 3 and obj["k0_observed"] == 3
+            # P5's supports settle only at k = 3, where the fit's entry (3,3) becomes 1
+            obj["k0_observed"] = {"k0": 6, "k0-zero": 0, "k0-negative": -3, "k0-early": 2}[mutation]
         elif mutation == "r":
             assert obj["r"] == 2
             obj["r"] = 3
         elif mutation == "mixed":
             obj["ideal"]["generators"] = [[2, 0, 0, 0, 0], [0, 0, 0, 0, 3]]
+        elif mutation.startswith("ideal"):
+            # the same ideal, not spelled as report_to_json writes it
+            ideal = ideal_from_json(obj["ideal"])
+            if mutation == "ideal-strings":
+                obj["ideal"]["generators"] = [g.text() for g in ideal.generators]
+            else:
+                obj["ideal"]["generators"].reverse()
+            assert ideal_from_json(obj["ideal"]) == ideal
+        elif mutation == "extra-key":
+            obj["comment"] = None
+        elif mutation == "integer-coefficient":
+            obj["fit"]["(0,0)"]["coefficients"][0] = 1
+        elif mutation == "unreduced-fraction":
+            assert obj["fit"]["(0,0)"]["coefficients"][1] == "11/6"
+            obj["fit"]["(0,0)"]["coefficients"][1] = "22/12"
         else:
-            obj["notes"] = 5 if mutation == "notes-int" else None
+            obj["notes"] = {"notes-int": 5, "notes-null": None, "notes-edited": obj["notes"] + " "}[mutation]
         with pytest.raises(ParseError, match=re.escape(f"bad report JSON: {message}")):
             report_from_json(obj)
 
@@ -736,5 +763,16 @@ class TestReportJson:
         else:
             coefficients = obj["positive_decomposition"]["terms"][0]["coefficient_poly"]["coefficients"]
         coefficients[0] = float(Fraction(coefficients[0]))
-        with pytest.raises(ParseError, match="not an exact rational"):
+        message = "not an exact rational" if part == "fit" else re.escape(differs("positive_decomposition"))
+        with pytest.raises(ParseError, match=message):
             report_from_json(obj)
+
+    def test_rejects_each_field_of_another_report(self):
+        # every field the two reports do not share is refused in the other
+        p5, chains = golden_report("stabilize-p5"), golden_report("stabilize-chains")
+        assert list(p5) == list(chains)
+        assert [key for key in p5 if p5[key] == chains[key]] == ["notes"]
+        for key in p5:
+            if p5[key] != chains[key]:
+                with pytest.raises(ParseError, match="bad report JSON"):
+                    report_from_json({**p5, key: chains[key]})
