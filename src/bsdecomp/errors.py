@@ -32,8 +32,9 @@ class NoSolutionError(DomainError):
 class NotStabilizedError(Exception):
     """The sampled power family does not settle into a single polynomial shape.
 
-    ``offender`` is ``(k, i, j)`` for the first table position that broke the
-    fit or the shape agreement, when one can be named.
+    ``offender`` is ``(k, i, j)`` when a table position can be named: for a
+    shape change, a position of the last power whose support differs from
+    the stable one; for a misfit, the sample that misfits.
     """
 
     def __init__(self, message: str, offender: tuple[int, int, int] | None = None):
@@ -44,8 +45,10 @@ class NotStabilizedError(Exception):
 class CertificateError(Exception):
     """A cross-check the program runs on its own result disagreed.
 
-    Raised by the numeric replay of a stabilization report and by the check
-    that column 0 of a Betti table counts the minimal generators in each
-    degree. It points at a defect in the program, not at the input, and is a
-    plain exception, never an assert.
+    Raised by the column-0 check of ``monomial._table`` (beta_0 counts the
+    minimal generators in each degree), the chain-length check of
+    ``enumerate_maximal_chains``, the positive chain's two checks in
+    ``stabilize._report`` and the three checks of the numeric replay in
+    ``detect_stabilization``. It points at a defect in the program, not at
+    the input, and is a plain exception, never an assert.
     """

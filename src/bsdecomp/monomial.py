@@ -22,7 +22,6 @@ import functools
 import itertools
 import operator
 from dataclasses import dataclass
-from operator import index as _exact_int
 
 from .errors import CertificateError, ParseError, ZeroIdealError
 from .linalg import matrix_rank
@@ -42,7 +41,7 @@ class Monomial:
 
     def __post_init__(self):
         try:
-            exps = tuple(_exact_int(e) for e in self.exponents)
+            exps = tuple(map(_json_int, self.exponents))
         except TypeError as exc:
             raise ValueError(f"non-integer exponent in {self.exponents!r}") from exc
         if any(e < 0 for e in exps):
@@ -142,7 +141,7 @@ class MonomialIdeal:
     generators: tuple[Monomial, ...]
 
     def __post_init__(self):
-        n = _exact_int(self.num_vars)
+        n = _json_int(self.num_vars)
         if n < 1:
             raise ValueError(f"need at least one variable, got {n}")
         if n > MAX_VARIABLES:

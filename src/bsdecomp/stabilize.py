@@ -120,14 +120,15 @@ def _shifted_support(table: BettiTable, gen_degree: int, k: int) -> frozenset[tu
 def fit_family(
     tables: Mapping[int, BettiTable], gen_degree: int, degree_bound: int
 ) -> SymbolicBettiTable:
-    """Exact polynomial fit of a sampled power family.
+    """Exact polynomial fit of a sampled power family from where it settles.
 
-    ``tables`` maps consecutive integers k to beta(I^k). All shifted supports
-    (column, degree - gen_degree*k) must agree, the sample count must exceed
-    the degree bound by at least one held-out point, and every fitted
-    polynomial must reproduce all samples exactly and be eventually positive.
-    Any violation raises NotStabilized naming the offending (k, column,
-    degree).
+    ``tables`` maps consecutive integers k to beta(I^k). The fit starts at
+    the least sampled k0 from which every shifted support (column,
+    degree - gen_degree*k) equals the last one; earlier samples are not
+    fitted. From k0 on the sample count must exceed the degree bound by at
+    least one held-out point, and every fitted polynomial must reproduce all
+    those samples exactly and be eventually positive. Any violation raises
+    NotStabilized naming the offending (k, column, degree) where one exists.
     """
     ks = sorted(tables)
     if not ks:
@@ -136,25 +137,26 @@ def fit_family(
         raise ValueError(f"sample powers must be consecutive, got {ks}")
     if degree_bound < 0:
         raise ValueError("degree bound must be >= 0")
-    if len(ks) < degree_bound + 2:
-        raise NotStabilizedError(
-            f"{len(ks)} samples cannot certify a degree-{degree_bound} fit; "
-            f"need at least {degree_bound + 2}"
-        )
     shapes = {k: _shifted_support(tables[k], gen_degree, k) for k in ks}
-    base = shapes[ks[0]]
-    for k in ks[1:]:
-        if shapes[k] != base:
-            i, off = min(shapes[k] ^ base)
+    k0 = max((k + 1 for k in ks if shapes[k] != shapes[ks[-1]]), default=ks[0])
+    fitted = range(k0, ks[-1] + 1)
+    if len(fitted) < degree_bound + 2:
+        if k0 == ks[0]:
             raise NotStabilizedError(
-                f"support shape changes at k={k} (column {i}, degree {gen_degree * k + off})",
-                offender=(k, i, gen_degree * k + off),
+                f"{len(fitted)} samples cannot certify a degree-{degree_bound} fit; "
+                f"need at least {degree_bound + 2}"
             )
+        i, off = min(shapes[k0 - 1] ^ shapes[k0])
+        raise NotStabilizedError(
+            f"supports stabilize only from k={k0}, leaving {len(fitted)} samples; "
+            f"need {degree_bound + 2} (raise k_max)",
+            offender=(k0 - 1, i, gen_degree * (k0 - 1) + off),
+        )
     entries = {}
-    for i, off in sorted(base):
-        samples = [tables[k].entry(i, gen_degree * k + off) for k in ks]
-        poly = interpolate_consecutive(ks[0], samples[: degree_bound + 1])
-        for k, value in zip(ks, samples):
+    for i, off in sorted(shapes[k0]):
+        samples = [tables[k].entry(i, gen_degree * k + off) for k in fitted]
+        poly = interpolate_consecutive(k0, samples[: degree_bound + 1])
+        for k, value in zip(fitted, samples):
             if poly(k) != value:
                 raise NotStabilizedError(
                     f"entry at column {i}, offset {off} is not polynomial of degree "
@@ -165,10 +167,10 @@ def fit_family(
             raise NotStabilizedError(
                 f"entry at column {i}, offset {off} fits {poly.text()}, "
                 "which is not eventually positive",
-                offender=(ks[0], i, gen_degree * ks[0] + off),
+                offender=(k0, i, gen_degree * k0 + off),
             )
         entries[(i, off)] = poly
-    return SymbolicBettiTable(gen_degree, entries, valid_from=ks[0])
+    return SymbolicBettiTable(gen_degree, entries, valid_from=k0)
 
 
 def symbolic_greedy_decompose(table: SymbolicBettiTable) -> TranslatedDecomposition:
@@ -215,18 +217,6 @@ def symbolic_chain_decompose(table: SymbolicBettiTable, chain: Chain) -> Transla
     )
 
 
-def _positive_chain(table: SymbolicBettiTable, greedy: TranslatedDecomposition, window: Window) -> Chain:
-    """First chain of the window through the greedy sequences; the family's
-    expansion along it is checked to be the greedy terms padded with zeros."""
-    chain = _chain_through([s for _, s in greedy.terms], window)
-    expansion = symbolic_chain_decompose(table, chain)
-    if not all(eventually_nonnegative(w) for w, _ in expansion.terms):
-        raise CertificateError("the positive chain's expansion has an eventually negative coefficient")
-    if expansion.nonzero_terms() != greedy.terms:
-        raise CertificateError("the positive chain's expansion differs from the symbolic greedy terms")
-    return chain
-
-
 @dataclass(frozen=True)
 class StabilizationReport:
     """Everything detect_stabilization established about a power family; the
@@ -251,25 +241,30 @@ class StabilizationReport:
 
 def _report(ideal: MonomialIdeal, fit: SymbolicBettiTable) -> StabilizationReport:
     """The report a fit gives, with no power verified yet: its symbolic
-    greedy decomposition and the positive chain through it.
+    greedy decomposition and the first chain of the fit's window through it.
 
     ``certified_from`` is the symbolic greedy's, and it also bounds the
     chain's signs: each nonzero chain coefficient is a greedy coefficient
-    (``_positive_chain`` checks this), which is a positive multiple of a fit
-    entry or of a difference of two candidates at an earlier step. The
-    greedy bound takes in the sign threshold of every fit entry and, through
-    eventual_min, of every such difference.
+    (checked below), which is a positive multiple of a fit entry or of a
+    difference of two candidates at an earlier step. The greedy bound takes
+    in the sign threshold of every fit entry and, through eventual_min, of
+    every such difference.
     """
     positive = symbolic_greedy_decompose(fit)
-    chain = _positive_chain(fit, positive, fit.offset_window())
+    chain = _chain_through([s for _, s in positive.terms], fit.offset_window())
+    expansion = symbolic_chain_decompose(fit, chain)
+    if not all(eventually_nonnegative(w) for w, _ in expansion.terms):
+        raise CertificateError("the positive chain's expansion has an eventually negative coefficient")
+    if expansion.nonzero_terms() != positive.terms:
+        raise CertificateError("the positive chain's expansion differs from the symbolic greedy terms")
     return StabilizationReport(ideal, fit, chain, positive, ())
 
 
 def detect_stabilization(ideal: MonomialIdeal, k_min: int, k_max: int) -> StabilizationReport:
     """Detect, fit, decompose, and certify the power family of an ideal.
 
-    Computes beta(I^k) for k_min..k_max, finds the least k0 from which the
-    shifted supports all agree, fits entry polynomials on k0..k_max with one
+    Computes beta(I^k) for k_min..k_max, fits entry polynomials from the
+    least k0 at which the shifted supports settle (``fit_family``) with one
     held-out sample, runs the symbolic greedy decomposition, locates the
     unique positive chain, and replays every claim numerically at each
     certified k in range. The fit degree is at most l(I) - 1, where the
@@ -291,25 +286,13 @@ def detect_stabilization(ideal: MonomialIdeal, k_min: int, k_max: int) -> Stabil
         )
     # Kodiyalam (Proc. AMS 1993): beta_i(I^k) is eventually polynomial of degree <= l(I) - 1
     bound = max(matrix_rank(dict(enumerate(g.exponents)) for g in ideal.generators) - 1, 0)
-    needed = bound + 2
-    if k_max - k_min + 1 < needed:
+    if k_max - k_min + 1 < bound + 2:
         raise NotStabilizedError(
-            f"range {k_min}..{k_max} has fewer than {needed} samples needed for "
+            f"range {k_min}..{k_max} has fewer than {bound + 2} samples needed for "
             f"a certified degree-{bound} fit"
         )
     tables = power_tables(ideal, k_min, k_max)
-    shapes = {k: _shifted_support(tables[k], gen_degree, k) for k in tables}
-    k0 = k_max
-    while k0 > k_min and shapes[k0 - 1] == shapes[k_max]:
-        k0 -= 1
-    if k_max - k0 + 1 < needed:
-        i, off = min(shapes[k0 - 1] ^ shapes[k0])
-        raise NotStabilizedError(
-            f"supports stabilize only from k={k0}, leaving {k_max - k0 + 1} samples; "
-            f"need {needed} (raise k_max)",
-            offender=(k0 - 1, i, gen_degree * (k0 - 1) + off),
-        )
-    fit = fit_family({k: tables[k] for k in range(k0, k_max + 1)}, gen_degree, bound)
+    fit = fit_family(tables, gen_degree, bound)
     report = _report(ideal, fit)
     # certified_from >= k0 >= k_min, so every replayed table was computed
     report = replace(report, verified_k=tuple(range(report.certified_from, k_max + 1)))
@@ -361,8 +344,25 @@ def _fit_position(key: str) -> tuple[int, int]:
     """The (column, offset) a fit key ``"(i,j)"`` names."""
     match = re.fullmatch(r"\((-?[0-9]+),(-?[0-9]+)\)", key)
     if not match:
-        raise ParseError(f"bad report JSON: fit key {key!r} is not of the form '(i,j)'")
+        raise ParseError(f"key {key!r} is not of the form '(i,j)'")
     return int(match[1]), int(match[2])
+
+
+def _json_list(value) -> list:
+    """A list from JSON; raises TypeError for anything else, a string included."""
+    if not isinstance(value, list):
+        raise TypeError(f"{value!r} is not a list")
+    return value
+
+
+def _field(obj: dict, name: str, read):
+    """``read(obj[name])``; any failure is a ParseError that names the field."""
+    if name not in obj:
+        raise ParseError(f"bad report JSON: {name} is missing")
+    try:
+        return read(obj[name])
+    except (KeyError, ValueError, TypeError, AttributeError) as exc:
+        raise ParseError(f"bad report JSON: {name}: {exc}") from exc
 
 
 def report_from_json(obj) -> StabilizationReport:
@@ -372,29 +372,23 @@ def report_from_json(obj) -> StabilizationReport:
     Only what the rebuild needs is parsed: the ideal, ``r`` (the degree of
     every generator), ``k0_observed`` (at least 1, and a power at which
     every fit entry is a positive integer), the fit's coefficients and the
-    length of ``verified_k``. The report is rebuilt from (ideal, fit)
-    as ``detect_stabilization`` builds it, with ``verified_k`` that many
-    powers from ``certified_from`` on, and each top-level field of its JSON
-    must equal the input's. Fields compare as sorted JSON text, so that a
-    boolean or a float never passes for an integer; the order of an
-    object's keys does not matter.
+    length of ``verified_k``, and a parse failure names its field. The
+    report is rebuilt from (ideal, fit) as ``detect_stabilization`` builds
+    it, with ``verified_k`` that many powers from ``certified_from`` on, and
+    each top-level field of its JSON must equal the input's. Fields compare
+    as sorted JSON text, so that a boolean or a float never passes for an
+    integer; the order of an object's keys does not matter.
     """
     if not isinstance(obj, dict):
         raise ParseError("report JSON must be an object")
-    try:
-        ideal = ideal_from_json(obj["ideal"])
-        gen_degree = _json_int(obj["r"])
-        k0 = _json_int(obj["k0_observed"])
-        entries = {
-            _fit_position(key): PolynomialQ(tuple(map(_json_rational, body["coefficients"])))
-            for key, body in obj["fit"].items()
-        }
-        fit = SymbolicBettiTable(gen_degree, entries, valid_from=k0)
-        verified_count = len(obj["verified_k"])
-    except ParseError:
-        raise
-    except (KeyError, ValueError, TypeError, AttributeError) as exc:
-        raise ParseError(f"bad report JSON: {exc}") from exc
+    ideal = _field(obj, "ideal", ideal_from_json)
+    gen_degree = _field(obj, "r", _json_int)
+    k0 = _field(obj, "k0_observed", _json_int)
+    fit = _field(obj, "fit", lambda fit: SymbolicBettiTable(gen_degree, {
+        _fit_position(key): PolynomialQ(tuple(map(_json_rational, _json_list(body["coefficients"]))))
+        for key, body in fit.items()
+    }, valid_from=k0))
+    verified_count = len(_field(obj, "verified_k", _json_list))
     if is_equigenerated(ideal) != gen_degree:
         raise ParseError(f"bad report JSON: r {gen_degree} is not the degree of every generator")
     if k0 < 1:

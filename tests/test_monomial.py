@@ -210,6 +210,11 @@ class TestMonomial:
         with pytest.raises(ValueError):
             m(1, 2).divides(m(1, 2, 3))
 
+    def test_refuses_boolean_exponents(self):
+        # booleans are integers to Python, so True used to read as exponent 1
+        with pytest.raises(ValueError, match="non-integer exponent"):
+            Monomial((True, 0))
+
 
 class TestParseMonomial:
     def test_plain_and_powers(self):
@@ -257,6 +262,11 @@ class TestMonomialIdeal:
             MonomialIdeal(2, (m(1, 0, 0),))
         with pytest.raises(TypeError):
             MonomialIdeal(2, ("x1",))
+
+    def test_refuses_a_boolean_variable_count(self):
+        # True used to count as 1 variable
+        with pytest.raises(TypeError, match="True is not an integer"):
+            MonomialIdeal(True, (m(1),))
 
     def test_variable_cap(self):
         assert MonomialIdeal(16, (Monomial((1,) * 16),)).num_vars == 16

@@ -37,6 +37,7 @@ from bsdecomp import (
     fit_family,
     greedy_decompose,
     ideal_from_json,
+    power_tables,
     report_from_json,
     report_json_text,
     report_to_json,
@@ -199,11 +200,29 @@ class TestFitFamily:
             fit_family(tables, 0, 3)
 
     def test_shape_change_names_offender(self):
+        # the supports settle at k = 3, leaving one sample for a degree-1 fit;
+        # the offender is the last power whose support differs, at the
+        # position the change adds
         tables = {k: BettiTable.from_entries({(0, k): 1}) for k in (1, 2, 3)}
         tables[3] = BettiTable.from_entries({(0, 3): 1, (1, 5): 2})
-        with pytest.raises(NotStabilizedError, match="shape changes at k=3") as info:
+        with pytest.raises(NotStabilizedError, match="stabilize only from k=3") as info:
             fit_family(tables, 1, 1)
-        assert info.value.offender == (3, 1, 5)
+        assert info.value.offender == (2, 1, 4)
+
+    def test_fits_from_where_the_supports_settle(self, path_report):
+        # P5's supports settle at k = 3; the earlier powers are not fitted
+        fit = fit_family(power_tables(path_edge_ideal(), 1, 8), GEN_DEGREE, 3)
+        assert fit == path_report.fit
+        assert fit.valid_from == 3
+
+    def test_late_stabilization_matches_detect_stabilization(self):
+        with pytest.raises(NotStabilizedError) as detected:
+            detect_stabilization(path_edge_ideal(), 1, 5)
+        with pytest.raises(NotStabilizedError) as fitted:
+            fit_family(power_tables(path_edge_ideal(), 1, 5), GEN_DEGREE, 3)
+        assert str(fitted.value) == str(detected.value)
+        assert str(fitted.value).startswith("supports stabilize only from k=3, leaving 3 samples")
+        assert fitted.value.offender == detected.value.offender == (2, 3, 7)
 
     def test_exponential_family_misfits(self):
         tables = {k: BettiTable.from_entries({(0, k): 2 ** k}) for k in range(1, 6)}
@@ -753,6 +772,28 @@ class TestReportJson:
         else:
             obj["notes"] = {"notes-int": 5, "notes-null": None, "notes-edited": obj["notes"] + " "}[mutation]
         with pytest.raises(ParseError, match=re.escape(f"bad report JSON: {message}")):
+            report_from_json(obj)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("r", 2.5, "'float' object cannot be interpreted as an integer"),
+            ("verified_k", 5, "5 is not a list"),
+            ("ideal", {"variables": 5, "generators": [[1]]}, "exponent vector [1] has length 1, expected 5"),
+        ],
+    )
+    def test_parse_errors_name_their_field(self, field, value, message):
+        obj = golden_report("stabilize-p5")
+        obj[field] = value
+        with pytest.raises(ParseError, match=re.escape(f"bad report JSON: {field}: {message}")):
+            report_from_json(obj)
+
+    def test_refuses_coefficients_that_are_not_a_list(self, monkeypatch):
+        # a string used to be read one character at a time: "12" as 1 + 2k
+        obj = golden_report("stabilize-p5")
+        obj["fit"]["(0,0)"]["coefficients"] = "12"
+        monkeypatch.setattr(bsdecomp.stabilize, "_report", None)
+        with pytest.raises(ParseError, match=re.escape("bad report JSON: fit: '12' is not a list")):
             report_from_json(obj)
 
     @pytest.mark.parametrize("part", ["fit", "term"])
