@@ -12,7 +12,9 @@ only. Homology is read off the strong-collapse core of each complex, which has
 its homotopy type (Barmak and Minian, Discrete Comput. Geom. 47, 2012): a
 vertex and a simplex boundary in closed form, faces and ranks for the rest.
 The complex at b is fixed by which generators reach b where, whatever the
-power, so the powers of one ideal share one homology memo (``power_tables``).
+power, so the powers of one ideal share one homology memo, and a variable
+permutation fixing the generators maps it onto an isomorphic complex, so
+their walks visit one point per orbit (``power_tables``).
 """
 
 from __future__ import annotations
@@ -193,12 +195,46 @@ def is_equigenerated(ideal: MonomialIdeal) -> int | None:
     return None
 
 
-def _lattice(ideal: MonomialIdeal):
-    """Walk the lcm lattice of the generators, yielding ``(degree, classes)``
-    for each point b whose upper-Koszul complex is not the full simplex on a
-    nonempty supp(b): its total degree, and the generators dividing b grouped
-    by S_g = {v : g_v = b_v}, as a dict from the bitmask of S to the bitmask
-    of the divisors with that S (bit i is generator i).
+def _symmetries(ideal: MonomialIdeal) -> list[tuple[int, ...]]:
+    """The permutations s of the variables (v to s[v]) that map the generator
+    set, and so each power, onto itself: the identity, then one per class
+    modulo swaps of equal columns, which fix every lattice point, namely the
+    one keeping each column class's order. None past ``2 * MAX_VARIABLES``,
+    every dihedral group's order. Backtracks over the column classes while
+    the generators' projections onto the mapped ones and onto their images
+    agree as multisets, so it never lists the n! of a fully symmetric ideal.
+    """
+    exponents = [g.exponents for g in ideal.generators]
+    classes: dict[tuple[int, ...], list[int]] = {}
+    for v in range(ideal.num_vars):
+        classes.setdefault(tuple(e[v] for e in exponents), []).append(v)
+    members = list(classes.values())
+
+    def projections(targets):
+        return sorted(tuple(e[members[t][0]] for t in targets) for e in exponents)
+
+    found: list[tuple[int, ...]] = []
+    stack = [()]  # the classes that the first len(images) classes map onto
+    while stack and len(found) <= 2 * MAX_VARIABLES:
+        images = stack.pop()
+        if len(images) == len(members):
+            pairs = zip(itertools.chain(*members), itertools.chain(*map(members.__getitem__, images)))
+            found.append(tuple(w for _, w in sorted(pairs)))
+            continue
+        wanted = projections(range(len(images) + 1))
+        for t in reversed(range(len(members))):
+            if t not in images and len(members[t]) == len(members[len(images)]) and projections(images + (t,)) == wanted:
+                stack.append(images + (t,))
+    return found if len(found) <= 2 * MAX_VARIABLES else []
+
+
+def _lattice(ideal: MonomialIdeal, symmetries=()):
+    """Walk the lcm lattice of the generators, yielding ``(degree, classes,
+    multiplicity)`` for each point b whose upper-Koszul complex is not the
+    full simplex on a nonempty supp(b): its total degree, the generators
+    dividing b grouped by S_g = {v : g_v = b_v}, as a dict from the bitmask
+    of S to the bitmask of the divisors with that S (bit i is generator i),
+    and the number of points whose complex it stands for.
 
     b is fixed one variable at a time, to a value c some divisor so far takes
     there. A child keeps the divisors with g_v <= c and splits each class into
@@ -219,6 +255,16 @@ def _lattice(ideal: MonomialIdeal):
     is idle, so no such point is yielded; b = 0 has ``reach`` zero and stays,
     the unit ideal's {empty set} complex with beta_{0,0} = 1. Depth first
     over an explicit stack, so the lattice streams instead of being held.
+
+    With ``symmetries`` (``_symmetries``), each mapping the complex at b onto
+    an isomorphic one of the same degree, only the least point of each orbit
+    is yielded (Read, Ann. Discrete Math. 2, 1978), weighted by the orbit's
+    size, else by 1. Points compare on the variables p in order of the depth
+    at which every s has fixed b_p and b_{s[p]}. As the s are closed under
+    inverses, s cuts a prefix whose first p with b_p != b_{s[p]} has
+    b_p > b_{s[p]}, and drops out if b_p < b_{s[p]}; those left at a leaf
+    and the identity are the stabilizer of b. None is used if each s
+    decides only at the last variable, where the cut saves no node.
     """
     n = ideal.num_vars
     levels = []  # per variable: (value c, generators with g_v = c, with g_v <= c)
@@ -237,12 +283,27 @@ def _lattice(ideal: MonomialIdeal):
         sum(1 << i for i, g in enumerate(ideal.generators) if not any(g.exponents[j:]))
         for j in range(n + 1)
     ]
+    # per symmetry but the identity: per depth, the (p, s[p]) it compares there
+    positions = sorted(range(n), key=lambda p: (max([p] + [s[p] for s in symmetries]), p))
+    checks = []
+    for s in symmetries:
+        pairs = [(p, s[p]) for p in positions if s[p] != p]
+        check: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        for pair, depth in zip(pairs, itertools.accumulate(map(max, pairs), max)):
+            check[depth].append(pair)
+        if pairs:
+            checks.append(check)
+    if not any(any(check[:-1]) for check in checks):
+        checks = []
     everyone = (1 << len(ideal.generators)) - 1
-    stack = [(0, 0, everyone, {0: everyone}, 0)]
+    order = len(checks) + 1
+    # orbit: the prefix and the checks still reading it as equal to its
+    # image, or () once none is left, when a leaf's orbit has full size
+    stack = [(0, 0, everyone, {0: everyone}, 0, ((), tuple(checks)) if checks else ())]
     while stack:
-        depth, degree, divisors, classes, reach = stack.pop()
+        depth, degree, divisors, classes, reach, orbit = stack.pop()
         if depth == n:
-            yield degree, classes
+            yield degree, classes, order // (len(orbit[1]) + 1) if orbit else order
             continue
         bit = 1 << depth
         for c, eq, le in levels[depth]:
@@ -250,8 +311,16 @@ def _lattice(ideal: MonomialIdeal):
             if achiever:
                 below = divisors & le
                 reached = reach & below | achiever if c else reach & below
+                # a divisor idle outside reached at c stays below, idle and
+                # outside reached at every larger c, where reached holds c's
+                # achievers and so is nonzero: each later c is cut as well
                 if reached and below & ~reached & idle[depth + 1]:
-                    continue  # every lattice point below is a full simplex
+                    break  # every lattice point below is a full simplex
+                child = orbit
+                if orbit:
+                    child = _unsettled(orbit, c, depth)
+                    if child is None:
+                        continue  # a symmetry maps every completion lower
                 split = {}
                 covered = 0
                 for same, members in classes.items():
@@ -264,7 +333,26 @@ def _lattice(ideal: MonomialIdeal):
                         if members != inside:
                             split[same] = members ^ inside
                 if covered == bit - 1:
-                    stack.append((depth + 1, degree + c, below, split, reached))
+                    stack.append((depth + 1, degree + c, below, split, reached, child))
+
+
+def _unsettled(orbit, c, depth):
+    """The orbit state of a child that fixes variable ``depth`` to c: its
+    prefix and the checks whose comparisons there find it equal to its
+    image, () once none is left; None when one finds it larger, as its image
+    is then a lower point."""
+    values, alive = orbit
+    point = values + (c,)
+    still = []
+    for check in alive:
+        for p, q in check[depth]:
+            if point[p] != point[q]:
+                if point[q] < point[p]:
+                    return None
+                break
+        else:
+            still.append(check)
+    return (point, tuple(still)) if still else ()
 
 
 def _maximal(masks) -> list[int]:
@@ -362,19 +450,15 @@ def _key_homology(key: tuple[int, ...], num_vars: int) -> tuple[()] | list[int]:
 def betti_table(ideal: MonomialIdeal) -> BettiTable:
     """Exact graded Betti table of the ideal (as a module, not its quotient).
 
-    Walks the lcm lattice of the generators over generator bitmasks, so no
-    Monomial is built per point, and never reaches a full simplex on a
-    nonempty supp(b) (``_lattice``). The complex at a yielded b is the union
-    of the simplices {v : g_v < b_v}, the complements of the sets S_g the
-    walk groups its divisors by, so the walk's key, the class map's keys in
-    split order, fixes it. Each point looks its key up in a memo kept for
-    this table (``power_tables`` keeps one per family). Only a miss cuts the
-    complements to the maximal facets; when those share a vertex the complex
-    is a cone, with no reduced homology, and the key is stored as ``()``.
-    Otherwise homology is read off the strong-collapse core, in closed form
-    for a vertex or a simplex boundary and from faces and ranks for the rest
-    (``_key_homology``). So a cone costs one dict hit after its key is first
-    seen. Dimensions accumulate by total degree; deterministic for an ideal.
+    Walks the lcm lattice over generator bitmasks, building no Monomial per
+    point and never reaching a full simplex on a nonempty supp(b)
+    (``_lattice``). The walk's key at b, its divisor classes' sets S_g in
+    split order, fixes the complex there, the union of the simplices
+    {v : g_v < b_v}; each point looks it up in a memo kept for this table,
+    and a miss takes homology once (``_key_homology``), so a cone costs one
+    dict hit after its key is first seen. No symmetries are searched for: a
+    search per ideal costs more than it saves on ideals that mostly have
+    none. Dimensions accumulate by total degree; deterministic for an ideal.
     """
     return _table(ideal, {})
 
@@ -382,17 +466,20 @@ def betti_table(ideal: MonomialIdeal) -> BettiTable:
 def power_tables(ideal: MonomialIdeal, k_min: int, k_max: int) -> dict[int, BettiTable]:
     """``betti_table(power(ideal, k))`` for k = k_min..k_max. A memo key names
     its complex whatever k is, so the powers share one memo, kept for this
-    call only."""
+    call only. The symmetries of the ideal, found once, fix every power, so
+    each walk visits one point per orbit (``_symmetries``, ``_lattice``)."""
     memo: dict[tuple[int, ...], tuple[()] | list[int]] = {}
-    return {k: _table(power(ideal, k), memo) for k in range(k_min, k_max + 1)}
+    symmetries = _symmetries(ideal)
+    return {k: _table(power(ideal, k), memo, symmetries) for k in range(k_min, k_max + 1)}
 
 
-def _table(ideal: MonomialIdeal, memo: dict[tuple[int, ...], tuple[()] | list[int]]) -> BettiTable:
-    """``betti_table`` on a memo shared only by ideals of one variable count."""
+def _table(ideal: MonomialIdeal, memo: dict[tuple[int, ...], tuple[()] | list[int]], symmetries=()) -> BettiTable:
+    """``betti_table`` on a memo shared only by ideals of one variable count,
+    walking one point per orbit of ``symmetries`` (``_lattice``)."""
     if ideal.is_zero:
         raise ZeroIdealError("the zero ideal has no Betti table")
     entries: dict[tuple[int, int], int] = {}
-    for degree, classes in _lattice(ideal):
+    for degree, classes, multiplicity in _lattice(ideal, symmetries):
         key = tuple(classes)
         dims = memo.get(key)
         if dims is None:
@@ -400,7 +487,7 @@ def _table(ideal: MonomialIdeal, memo: dict[tuple[int, ...], tuple[()] | list[in
         for i, dim in enumerate(dims):
             if dim:
                 pos = (i, degree)
-                entries[pos] = entries.get(pos, 0) + dim
+                entries[pos] = entries.get(pos, 0) + multiplicity * dim
     # beta_{0,j} counts the minimal generators of degree j
     column = {j: dim for (i, j), dim in entries.items() if i == 0}
     counts = collections.Counter(g.degree for g in ideal.generators)

@@ -1,7 +1,9 @@
 import functools
 import itertools
+import math
 import operator
 import random
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -27,7 +29,16 @@ from bsdecomp import (
     power,
     power_tables,
 )
-from bsdecomp.monomial import _faces_of, _homology_from_masks, _key_homology, _lattice, _maximal, _strong_core
+from bsdecomp.monomial import (
+    MAX_VARIABLES,
+    _faces_of,
+    _homology_from_masks,
+    _key_homology,
+    _lattice,
+    _maximal,
+    _strong_core,
+    _symmetries,
+)
 from oracles import hilbert_numerator, reduced_homology_oracle, taylor_betti_table
 from reference_values import MINIMAL_GENERATOR_COUNTS, SMALL_TABLES, path_edge_ideal
 
@@ -101,7 +112,7 @@ def brute_classes(ideal, b):
 def walk_points(ideal):
     """``(b, degree, classes)`` for each point the walk yields, with b taken
     as the lcm of the divisors in its classes."""
-    for degree, classes in _lattice(ideal):
+    for degree, classes, _ in _lattice(ideal):
         divisors = functools.reduce(operator.or_, classes.values())
         gens = [g.exponents for i, g in enumerate(ideal.generators) if divisors >> i & 1]
         yield Monomial(tuple(map(max, zip(*gens)))), degree, classes
@@ -470,7 +481,7 @@ class TestConeFromMasks:
         for k in powers:
             power_k = power(ideal, k)
             table_keys = set()
-            for _, classes in _lattice(power_k):
+            for _, classes, _ in _lattice(power_k):
                 points += 1
                 table_keys.add(tuple(classes))
             keys += len(table_keys)
@@ -479,14 +490,17 @@ class TestConeFromMasks:
 
     @pytest.mark.parametrize(
         "ideal, k_max, misses",
-        [(path_edge_ideal(), 8, 102), (CHAINS_IDEAL, 6, 21)],
+        [(path_edge_ideal(), 8, 92), (CHAINS_IDEAL, 6, 21)],
         ids=["P5^1..8", "chains^1..6"],
     )
     def test_stabilize_takes_homology_once_per_family_key(self, ideal, k_max, misses, monkeypatch):
         # a key names its complex at every power, so the run shares one memo
         # across its tables: one homology per distinct key of the family, not
         # per key of each table (581 and 97 above); a second run counts the
-        # same again, so no memo outlives the call
+        # same again, so no memo outlives the call. Only one point per orbit
+        # of P5's reversal reaches the memo (102 keys on the plain walk);
+        # the chains ideal's symmetry decides only at its last variable, so
+        # its walk uses none
         calls = []
         real = bsdecomp.monomial._key_homology
 
@@ -511,7 +525,7 @@ class TestConeFromMasks:
         decided = []
         for k in powers:
             power_k = power(ideal, k)
-            keys = {tuple(classes) for _, classes in _lattice(power_k)}
+            keys = {tuple(classes) for _, classes, _ in _lattice(power_k)}
             decided += [decision(key, power_k.num_vars, rank_path) for key in keys]
         assert tuple(map(decided.count, ("cone", "vertex", "sphere", "rank"))) == split
         assert len(rank_path) == split[3]
@@ -780,6 +794,168 @@ class TestBettiTable:
         for (i, j), beta in table.iter_support():
             alternating[j] = alternating.get(j, 0) + (-1) ** i * beta
         assert {j: x for j, x in alternating.items() if x} == expected
+
+
+def renamed(ideal, s):
+    """The ideal with variable v renamed s[v]."""
+    gens = []
+    for g in ideal.generators:
+        exps = [0] * ideal.num_vars
+        for v, e in enumerate(g.exponents):
+            exps[s[v]] = e
+        gens.append(Monomial(tuple(exps)))
+    return MonomialIdeal(ideal.num_vars, tuple(gens))
+
+
+def column_classes(ideal):
+    """For each variable, the index of its class of equal generator columns."""
+    columns = [tuple(g.exponents[v] for g in ideal.generators) for v in range(ideal.num_vars)]
+    return [columns.index(column) for column in columns]
+
+
+def closed_under(ideal, s):
+    """The least ideal holding the generators and their images under every
+    power of the permutation s."""
+    gens = set(ideal.generators)
+    image = renamed(ideal, s)
+    while image != ideal:
+        gens |= set(image.generators)
+        image = renamed(image, s)
+    return MonomialIdeal(ideal.num_vars, tuple(gens))
+
+
+def symmetric_ideals(seed, count):
+    """Random ideals on 1-5 variables closed under a random permutation, in
+    about 30% of them with one variable's column copied to another."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 5)
+        ideal = random_ideal(rng, n, rng.randint(1, 4), max_exp=2)
+        if n > 1 and rng.random() < 0.3:
+            v, w = rng.sample(range(n), 2)
+            copied = (g.exponents[:w] + (g.exponents[v],) + g.exponents[w + 1 :] for g in ideal.generators)
+            ideal = MonomialIdeal(n, tuple(map(Monomial, copied)))
+        yield closed_under(ideal, rng.sample(range(n), n))
+
+
+def cycle_ideal(n):
+    return edge_ideal(n, [(v, (v + 1) % n) for v in range(n)])
+
+
+def path_ideal_on(n):
+    return edge_ideal(n, [(v, v + 1) for v in range(n - 1)])
+
+
+class TestSymmetryOrbits:
+    def test_symmetries_match_brute_force(self):
+        # one symmetry per class modulo swaps of equal columns: times the
+        # swaps, the whole group, counted over every permutation; random
+        # ideals made symmetric under a random permutation, some with a
+        # column copied, and the maximal ideal of 5 variables (|G| = 120)
+        ideals = [MonomialIdeal(5, tuple(m(*(int(v == w) for v in range(5))) for w in range(5)))]
+        orders = set()
+        for ideal in ideals + list(symmetric_ideals(1978, 59)):
+            n = ideal.num_vars
+            group = {s for s in itertools.permutations(range(n)) if renamed(ideal, s) == ideal}
+            classes = column_classes(ideal)
+            swaps = math.prod(math.factorial(classes.count(c)) for c in set(classes))
+            found = _symmetries(ideal)
+            orders.add(len(group) // swaps)
+            if len(group) // swaps > 2 * MAX_VARIABLES:
+                assert found == [], ideal
+                continue
+            assert found[0] == tuple(range(n))
+            assert set(found) <= group
+            assert len(found) * swaps == len(group), ideal
+            # no two in one class: they move the column classes differently
+            assert len({tuple(classes[v] for v in s) for s in found}) == len(found)
+        assert {1, 2} < orders and max(orders) > 2 * MAX_VARIABLES
+
+    def test_search_is_bounded(self):
+        # all 45 squarefree quadrics on 10 variables: every permutation is a
+        # symmetry (10!), the search stops past 2 * MAX_VARIABLES and uses none
+        quadrics = edge_ideal(10, list(itertools.combinations(range(10), 2)))
+        start = time.process_time()
+        assert _symmetries(quadrics) == []
+        assert time.process_time() - start < 0.05
+        assert power_tables(quadrics, 1, 1)[1].same_entries(betti_table(quadrics))
+        # the dihedral group of the 16-cycle is the largest that is kept
+        assert len(_symmetries(cycle_ideal(MAX_VARIABLES))) == 2 * MAX_VARIABLES
+
+    def test_orbit_walk_on_p5(self):
+        # the reversal halves the points P5^1..8 yields; the multiplicities
+        # add up to the plain walk's points, each of which has multiplicity 1
+        symmetries = _symmetries(path_edge_ideal())
+        assert symmetries == [(0, 1, 2, 3, 4), (4, 3, 2, 1, 0)]
+        orbits = weighted = plain = 0
+        for k in range(1, 9):
+            ideal = power(path_edge_ideal(), k)
+            for _, _, multiplicity in _lattice(ideal, symmetries):
+                orbits += 1
+                weighted += multiplicity
+            multiplicities = [multiplicity for _, _, multiplicity in _lattice(ideal)]
+            assert set(multiplicities) == {1}
+            plain += len(multiplicities)
+        assert (orbits, weighted, plain) == (3570, 6934, 6934)
+
+    def test_symmetry_decided_only_at_the_last_variable_is_not_used(self):
+        # x1 <-> x4 fixes the chains ideal, but x2 and x3 have equal columns,
+        # so its first comparison waits for x4: the walk is the plain one
+        symmetries = _symmetries(CHAINS_IDEAL)
+        assert symmetries == [(0, 1, 2, 3), (3, 1, 2, 0)]
+        for k in (1, 3):
+            ideal = power(CHAINS_IDEAL, k)
+            assert list(_lattice(ideal, symmetries)) == list(_lattice(ideal))
+
+    def test_betti_table_never_searches(self, monkeypatch):
+        def refuse(ideal):
+            raise AssertionError("betti_table searched for symmetries")
+
+        monkeypatch.setattr(bsdecomp.monomial, "_symmetries", refuse)
+        assert betti_table(path_edge_ideal()).same_entries(taylor_betti_table(path_edge_ideal()))
+
+    @pytest.mark.parametrize(
+        "ideal, k_max",
+        [
+            (path_edge_ideal(), 8),
+            (path_ideal_on(6), 6),
+            (path_ideal_on(7), 4),
+            (cycle_ideal(5), 6),
+            (cycle_ideal(6), 5),
+            (CHAINS_IDEAL, 6),
+        ],
+        ids=["P5", "P6", "P7", "C5", "C6", "chains"],
+    )
+    def test_power_tables_match_betti_table(self, ideal, k_max):
+        # one point per orbit, weighted by the orbit's size, gives the table
+        # of the plain walk; the first power against the Taylor oracle too
+        tables = power_tables(ideal, 1, k_max)
+        for k, table in tables.items():
+            assert table.same_entries(betti_table(power(ideal, k))), k
+        assert tables[1].same_entries(taylor_betti_table(ideal))
+
+    def test_power_tables_match_betti_table_on_reversal_closed_ideals(self):
+        rng = random.Random(2026)
+        checked = 0
+        while checked < 12:
+            n = rng.randint(3, 6)
+            ideal = closed_under(random_ideal(rng, n, rng.randint(1, 3), max_exp=2), tuple(reversed(range(n))))
+            if len(ideal.generators) > 6 or len(_symmetries(ideal)) < 2:
+                continue
+            tables = power_tables(ideal, 1, 3)
+            for k, table in tables.items():
+                assert table.same_entries(betti_table(power(ideal, k))), (ideal, k)
+            assert tables[1].same_entries(taylor_betti_table(ideal))
+            checked += 1
+
+    def test_power_tables_match_betti_table_on_symmetric_ideals(self):
+        # other groups, and column classes of more than one variable
+        for ideal in symmetric_ideals(25, 40):
+            tables = power_tables(ideal, 1, 2)
+            for k, table in tables.items():
+                assert table.same_entries(betti_table(power(ideal, k))), (ideal, k)
+            if len(ideal.generators) <= 8:
+                assert tables[1].same_entries(taylor_betti_table(ideal)), ideal
 
 
 class TestIdealJson:
