@@ -195,6 +195,9 @@ def is_equigenerated(ideal: MonomialIdeal) -> int | None:
     return None
 
 
+_SEARCH_BUDGET = 4 * MAX_VARIABLES  # full comparisons per column class before _symmetries gives up
+
+
 def _symmetries(ideal: MonomialIdeal) -> list[tuple[int, ...]]:
     """The permutations s of the variables (v to s[v]) that map the generator
     set, and so each power, onto itself: the identity, then one per class
@@ -203,29 +206,51 @@ def _symmetries(ideal: MonomialIdeal) -> list[tuple[int, ...]]:
     every dihedral group's order. Backtracks over the column classes while
     the generators' projections onto the mapped ones and onto their images
     agree as multisets, so it never lists the n! of a fully symmetric ideal.
+    The classes whose columns have the most distinct values go first, as
+    they rule out the most maps, and a candidate image is compared in full
+    only once its projections onto each pair of classes agree. A search
+    still open after ``_SEARCH_BUDGET`` full comparisons per class, as on a
+    rigid ideal whose partial maps agree until the last class, uses none.
     """
     exponents = [g.exponents for g in ideal.generators]
     classes: dict[tuple[int, ...], list[int]] = {}
     for v in range(ideal.num_vars):
         classes.setdefault(tuple(e[v] for e in exponents), []).append(v)
-    members = list(classes.values())
-
-    def projections(targets):
-        return sorted(tuple(e[members[t][0]] for t in targets) for e in exponents)
-
+    members = sorted(classes.values(), key=lambda vs: -len({e[vs[0]] for e in exponents}))
+    firsts = [vs[0] for vs in members]
+    # the projections onto each pair of classes, numbered by value
+    numbers: dict[tuple, int] = {}
+    pairwise = [
+        [numbers.setdefault(tuple(_projections(exponents, (v, w))), len(numbers)) for w in firsts] for v in firsts
+    ]
+    wanted = [_projections(exponents, firsts[: d + 1]) for d in range(len(members))]
+    budget = _SEARCH_BUDGET * len(members)
     found: list[tuple[int, ...]] = []
     stack = [()]  # the classes that the first len(images) classes map onto
     while stack and len(found) <= 2 * MAX_VARIABLES:
         images = stack.pop()
-        if len(images) == len(members):
+        depth = len(images)
+        if depth == len(members):
             pairs = zip(itertools.chain(*members), itertools.chain(*map(members.__getitem__, images)))
             found.append(tuple(w for _, w in sorted(pairs)))
             continue
-        wanted = projections(range(len(images) + 1))
+        pairs_wanted = pairwise[depth][: depth + 1]
         for t in reversed(range(len(members))):
-            if t not in images and len(members[t]) == len(members[len(images)]) and projections(images + (t,)) == wanted:
+            if t in images or len(members[t]) != len(members[depth]):
+                continue
+            if list(map(pairwise[t].__getitem__, images + (t,))) != pairs_wanted:
+                continue
+            budget -= 1
+            if budget < 0:
+                return []
+            if _projections(exponents, [firsts[u] for u in images + (t,)]) == wanted[depth]:
                 stack.append(images + (t,))
     return found if len(found) <= 2 * MAX_VARIABLES else []
+
+
+def _projections(exponents, variables) -> list[tuple[int, ...]]:
+    """The exponent vectors cut to ``variables``, in that order, sorted."""
+    return sorted(tuple(e[v] for v in variables) for e in exponents)
 
 
 def _lattice(ideal: MonomialIdeal, symmetries=()):

@@ -3,7 +3,6 @@ import itertools
 import math
 import operator
 import random
-import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -31,6 +30,7 @@ from bsdecomp import (
 )
 from bsdecomp.monomial import (
     MAX_VARIABLES,
+    _SEARCH_BUDGET,
     _faces_of,
     _homology_from_masks,
     _key_homology,
@@ -871,16 +871,61 @@ class TestSymmetryOrbits:
             assert len({tuple(classes[v] for v in s) for s in found}) == len(found)
         assert {1, 2} < orders and max(orders) > 2 * MAX_VARIABLES
 
-    def test_search_is_bounded(self):
+    @pytest.fixture
+    def search_work(self, monkeypatch):
+        """``_symmetries`` with its projections counted: the symmetries and
+        the count, failing at once past what the search may compute with k
+        column classes, k^2 pairs and k prefixes before the k *
+        ``_SEARCH_BUDGET`` full comparisons."""
+        real = bsdecomp.monomial._projections
+
+        def search(ideal):
+            k = len(set(column_classes(ideal)))
+            calls = 0
+
+            def counting(exponents, variables):
+                nonlocal calls
+                calls += 1
+                assert calls <= k * k + k + k * _SEARCH_BUDGET, "the search ran past its budget"
+                return real(exponents, variables)
+
+            monkeypatch.setattr(bsdecomp.monomial, "_projections", counting)
+            return _symmetries(ideal), calls
+
+        return search
+
+    def test_search_is_bounded(self, search_work):
         # all 45 squarefree quadrics on 10 variables: every permutation is a
         # symmetry (10!), the search stops past 2 * MAX_VARIABLES and uses none
         quadrics = edge_ideal(10, list(itertools.combinations(range(10), 2)))
-        start = time.process_time()
-        assert _symmetries(quadrics) == []
-        assert time.process_time() - start < 0.05
+        assert search_work(quadrics)[0] == []
         assert power_tables(quadrics, 1, 1)[1].same_entries(betti_table(quadrics))
         # the dihedral group of the 16-cycle is the largest that is kept
-        assert len(_symmetries(cycle_ideal(MAX_VARIABLES))) == 2 * MAX_VARIABLES
+        assert len(search_work(cycle_ideal(MAX_VARIABLES))[0]) == 2 * MAX_VARIABLES
+
+    def test_most_distinct_column_is_mapped_first(self, search_work):
+        # x_i * y^i for i = 1..15: the x columns are unit vectors, so every
+        # map among them agrees with the generators until y; y goes first
+        # instead, and then fixes each x class with one full comparison
+        n = MAX_VARIABLES - 1
+        ideal = MonomialIdeal(n + 1, tuple(Monomial(tuple(int(v == i) for v in range(n)) + (i + 1,)) for i in range(n)))
+        symmetries, calls = search_work(ideal)
+        assert symmetries == [tuple(range(n + 1))]
+        assert calls == (n + 1) ** 2 + 2 * (n + 1)
+
+    def test_rigid_search_gives_up(self, search_work):
+        # a random cubic graph on 16 vertices: its partial maps agree on
+        # every pair of mapped vertices far into the search, which needs
+        # tens of thousands of full comparisons; the budget stops it and no
+        # symmetry is used
+        rng = random.Random(5)
+        while True:
+            ends = [v for v in range(MAX_VARIABLES) for _ in range(3)]
+            rng.shuffle(ends)
+            edges = {tuple(sorted(ends[j : j + 2])) for j in range(0, len(ends), 2)}
+            if len(edges) == len(ends) // 2 and all(a != b for a, b in edges):
+                break
+        assert search_work(edge_ideal(MAX_VARIABLES, sorted(edges)))[0] == []
 
     def test_orbit_walk_on_p5(self):
         # the reversal halves the points P5^1..8 yields; the multiplicities
