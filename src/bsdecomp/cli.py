@@ -23,7 +23,7 @@ from .decompose import (
     reconstruction_mismatch,
 )
 from .errors import CertificateError, DomainError, NotStabilizedError, ParseError
-from .monomial import MonomialIdeal, betti_table, ideal_from_json, power
+from .monomial import MonomialIdeal, ideal_from_json, power_tables
 from .stabilize import StabilizationReport, detect_stabilization, report_json_text
 from .tables import _INTEGER, BettiTable, Window, _text_rows, parse_btt_text, table_to_json, to_btt_text
 
@@ -157,7 +157,7 @@ def format_stabilize_summary(report: StabilizationReport) -> str:
 
 def cmd_betti(args) -> int:
     ideal = load_ideal(args.ideal)
-    table = betti_table(power(ideal, args.power))
+    table = power_tables(ideal, args.power, args.power)[args.power]
     if args.format == "btt":
         _emit(to_btt_text(table), args.out)
     elif args.format == "json":

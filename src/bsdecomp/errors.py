@@ -14,7 +14,7 @@ class DomainError(Exception):
 
 
 class ZeroIdealError(DomainError):
-    """The zero ideal has no Betti table; raised by ``betti_table`` and ``detect_stabilization``."""
+    """The zero ideal has no Betti table; raised by ``power_tables`` and ``detect_stabilization``."""
 
 
 class NotEquigeneratedError(DomainError):
@@ -45,8 +45,10 @@ class NotStabilizedError(Exception):
 class CertificateError(Exception):
     """A cross-check the program runs on its own result disagreed.
 
-    Raised by the column-0 check of ``monomial._table`` (beta_0 counts the
-    minimal generators in each degree), the chain-length check of
+    Raised by the two Herzog-Kühl checks of ``monomial.power_tables``
+    (identity one: beta_{0,j} counts the minimal generators of degree j;
+    identity two: sum (-1)^i j^m beta_{i,j} is 1 at m = 0 and 0 for
+    0 < m < height), the chain-length check of
     ``enumerate_maximal_chains``, the positive chain's two checks in
     ``stabilize._report`` and the three checks of the numeric replay in
     ``detect_stabilization``. It points at a defect in the program, not at

@@ -14,7 +14,9 @@ vertex and a simplex boundary in closed form, faces and ranks for the rest.
 The complex at b is fixed by which generators reach b where, whatever the
 power, so the powers of one ideal share one homology memo, and a variable
 permutation fixing the generators maps it onto an isomorphic complex, so
-their walks visit one point per orbit (``power_tables``).
+their walks visit one point per orbit. ``power_tables`` is the one driver of
+the walk, for ``betti_table`` too, and checks each table it returns against
+the Herzog-Kühl identities (Comm. Algebra 12, 1984).
 """
 
 from __future__ import annotations
@@ -182,6 +184,8 @@ def power(ideal: MonomialIdeal, k: int) -> MonomialIdeal:
     product is summed on exponent tuples, one Monomial per distinct one."""
     if k < 1:
         raise ValueError(f"power must be >= 1, got {k}")
+    if k == 1:
+        return ideal  # its generators are minimal already
     exponents = [g.exponents for g in ideal.generators]
     products = {tuple(map(sum, zip(*combo))) for combo in itertools.combinations_with_replacement(exponents, k)}
     return MonomialIdeal(ideal.num_vars, tuple(Monomial(p) for p in products))
@@ -473,52 +477,75 @@ def _key_homology(key: tuple[int, ...], num_vars: int) -> tuple[()] | list[int]:
 
 
 def betti_table(ideal: MonomialIdeal) -> BettiTable:
-    """Exact graded Betti table of the ideal (as a module, not its quotient).
-
-    Walks the lcm lattice over generator bitmasks, building no Monomial per
-    point and never reaching a full simplex on a nonempty supp(b)
-    (``_lattice``). The walk's key at b, its divisor classes' sets S_g in
-    split order, fixes the complex there, the union of the simplices
-    {v : g_v < b_v}; each point looks it up in a memo kept for this table,
-    and a miss takes homology once (``_key_homology``), so a cone costs one
-    dict hit after its key is first seen. No symmetries are searched for: a
-    search per ideal costs more than it saves on ideals that mostly have
-    none. Dimensions accumulate by total degree; deterministic for an ideal.
-    """
-    return _table(ideal, {})
+    """Exact graded Betti table of the ideal (as a module, not its quotient):
+    ``power_tables(ideal, 1, 1)[1]``, which searches for no symmetries."""
+    return power_tables(ideal, 1, 1)[1]
 
 
 def power_tables(ideal: MonomialIdeal, k_min: int, k_max: int) -> dict[int, BettiTable]:
-    """``betti_table(power(ideal, k))`` for k = k_min..k_max. A memo key names
-    its complex whatever k is, so the powers share one memo, kept for this
-    call only. The symmetries of the ideal, found once, fix every power, so
-    each walk visits one point per orbit (``_symmetries``, ``_lattice``)."""
-    memo: dict[tuple[int, ...], tuple[()] | list[int]] = {}
-    symmetries = _symmetries(ideal)
-    return {k: _table(power(ideal, k), memo, symmetries) for k in range(k_min, k_max + 1)}
-
-
-def _table(ideal: MonomialIdeal, memo: dict[tuple[int, ...], tuple[()] | list[int]], symmetries=()) -> BettiTable:
-    """``betti_table`` on a memo shared only by ideals of one variable count,
-    walking one point per orbit of ``symmetries`` (``_lattice``)."""
+    """The Betti tables of ideal^k for k = k_min..k_max, each from one walk
+    of its lcm lattice (``_lattice``) that builds no Monomial per point. A
+    point looks up its key, which fixes its complex whatever k is, in one
+    memo for the call, and a miss takes homology (``_key_homology``), so a
+    cone costs one dict hit once its key is known. When some walk is over a
+    power (k_max >= 2), the ideal's symmetries, which fix every power, are
+    searched once (``_symmetries``) and each walk visits one point per
+    orbit; a table of the ideal alone searches for none, as the search costs
+    more than it saves on ideals that mostly have none. Entries add up by
+    total degree; deterministic for an ideal. Each table must meet the
+    Herzog-Kühl identities of I^k, whose height h is I's: beta_{0,j} counts
+    the minimal generators of degree j, and sum (-1)^i j^m beta_{i,j} is 1
+    at m = 0 and 0 at 0 < m < h. A table that does not raises
+    CertificateError.
+    """
+    if k_min < 1 or k_max < k_min:
+        raise ValueError(f"need 1 <= k_min <= k_max, got {k_min}..{k_max}")
     if ideal.is_zero:
         raise ZeroIdealError("the zero ideal has no Betti table")
-    entries: dict[tuple[int, int], int] = {}
-    for degree, classes, multiplicity in _lattice(ideal, symmetries):
-        key = tuple(classes)
-        dims = memo.get(key)
-        if dims is None:
-            dims = memo[key] = _key_homology(key, ideal.num_vars)
-        for i, dim in enumerate(dims):
-            if dim:
-                pos = (i, degree)
-                entries[pos] = entries.get(pos, 0) + multiplicity * dim
-    # beta_{0,j} counts the minimal generators of degree j
-    column = {j: dim for (i, j), dim in entries.items() if i == 0}
-    counts = collections.Counter(g.degree for g in ideal.generators)
-    if column != counts:
-        raise CertificateError(f"beta_0 by degree is {column}, but the minimal generators number {dict(counts)}")
-    return BettiTable.from_entries(entries)
+    memo: dict[tuple[int, ...], tuple[()] | list[int]] = {}
+    symmetries = _symmetries(ideal) if k_max >= 2 else ()
+    height = _height(ideal)  # every power has the ideal's radical
+    tables = {}
+    for k in range(k_min, k_max + 1):
+        ideal_k = power(ideal, k)
+        entries: dict[tuple[int, int], int] = {}
+        for degree, classes, multiplicity in _lattice(ideal_k, symmetries):
+            key = tuple(classes)
+            dims = memo.get(key)
+            if dims is None:
+                dims = memo[key] = _key_homology(key, ideal.num_vars)
+            for i, dim in enumerate(dims):
+                if dim:
+                    pos = (i, degree)
+                    entries[pos] = entries.get(pos, 0) + multiplicity * dim
+        # beta_{0,j} counts the minimal generators of degree j
+        column = {j: dim for (i, j), dim in entries.items() if i == 0}
+        counts = collections.Counter(g.degree for g in ideal_k.generators)
+        if column != counts:
+            raise CertificateError(f"beta_0 by degree is {column}, but the minimal generators number {dict(counts)}")
+        # (1 - t)^height divides the Hilbert series numerator of S/I^k
+        for m in range(height):
+            total = sum((-1) ** i * j**m * dim for (i, j), dim in entries.items())
+            if total != (1 if m == 0 else 0):
+                raise CertificateError(f"identity two fails at m = {m} < height {height}: the sum is {total}")
+        tables[k] = BettiTable.from_entries(entries)
+    return tables
+
+
+def _height(ideal: MonomialIdeal) -> int:
+    """The least number of variables meeting the support of every generator,
+    0 for the unit ideal: a cover of each size in turn, branching on the
+    variables of the first support it misses, down to a last variable, which
+    must lie in every support still missed."""
+    supports = [sum(1 << v for v, e in enumerate(g.exponents) if e) for g in ideal.generators]
+
+    def covers(chosen: int, left: int) -> bool:
+        missed = [s for s in supports if not s & chosen]
+        if not missed or left == 1:
+            return not missed or functools.reduce(operator.and_, missed) != 0
+        return any(covers(chosen | 1 << v, left - 1) for v in range(ideal.num_vars) if missed[0] >> v & 1)
+
+    return 0 if 0 in supports else next(h for h in itertools.count(1) if covers(0, h))
 
 
 def ideal_to_json(ideal: MonomialIdeal) -> dict:

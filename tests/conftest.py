@@ -1,5 +1,6 @@
 import pytest
 
+import bsdecomp.monomial
 from bsdecomp import BettiTable, betti_table, power
 
 from reference_values import path_edge_ideal
@@ -23,6 +24,20 @@ def path_tables(path_ideal):
         return cache[k]
 
     return get
+
+
+@pytest.fixture
+def symmetry_searches(monkeypatch):
+    """The ideals ``_symmetries`` is called on, in call order."""
+    searched = []
+    real = bsdecomp.monomial._symmetries
+
+    def counting(ideal):
+        searched.append(ideal)
+        return real(ideal)
+
+    monkeypatch.setattr(bsdecomp.monomial, "_symmetries", counting)
+    return searched
 
 
 @pytest.fixture

@@ -11,10 +11,13 @@ import bsdecomp.stabilize
 from bsdecomp import (
     BettiTable,
     Window,
+    betti_table,
     decomposition_from_json,
     detect_stabilization,
     enumerate_maximal_chains,
     greedy_decompose,
+    ideal_from_json,
+    power,
     table_from_json,
     to_btt_text,
     verify,
@@ -29,6 +32,7 @@ CHAINS_IDEAL = {"variables": 4, "generators": ["x1*x2*x3", "x2*x3*x4", "x1^3", "
 # edge ideals of the path on six vertices and of the 5-cycle
 P6_IDEAL = {"variables": 6, "generators": ["x1*x2", "x2*x3", "x3*x4", "x4*x5", "x5*x6"]}
 C5_IDEAL = {"variables": 5, "generators": ["x1*x2", "x2*x3", "x3*x4", "x4*x5", "x1*x5"]}
+C6_IDEAL = {"variables": 6, "generators": ["x1*x2", "x2*x3", "x3*x4", "x4*x5", "x5*x6", "x1*x6"]}
 GOLDEN = Path(__file__).resolve().parent / "golden"
 BENCH_EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected"
 MAXIMAL_2VARS = {"variables": 2, "generators": [[1, 0], [0, 1]]}
@@ -156,6 +160,21 @@ class TestBetti:
     def test_refused_ideal_stderr(self, ideal_file, capsys, ideal, line):
         assert main(["betti", "--ideal", ideal_file(ideal)]) == 2
         assert capsys.readouterr().err == line + "\n"
+
+    @pytest.mark.parametrize(
+        "ideal, k", [(P6_IDEAL, 5), (C5_IDEAL, 5), (C6_IDEAL, 4)], ids=["P6^5", "C5^5", "C6^4"]
+    )
+    def test_power_gives_the_plain_walks_bytes(self, ideal_file, capsys, ideal, k):
+        # the orbit walk against betti_table on the expanded power, which walks every point
+        assert main(["betti", "--ideal", ideal_file(ideal), "-k", str(k), "--format", "btt"]) == 0
+        assert capsys.readouterr().out == to_btt_text(betti_table(power(ideal_from_json(ideal), k)))
+
+    def test_searches_for_symmetries_only_for_a_power(self, ideal_file, capsys, symmetry_searches):
+        path = ideal_file(PATH_IDEAL)
+        assert main(["betti", "--ideal", path, "-k", "1"]) == 0
+        assert len(symmetry_searches) == 0
+        assert main(["betti", "--ideal", path, "-k", "3"]) == 0
+        assert len(symmetry_searches) == 1
 
     def test_zero_ideal_is_domain_error(self, ideal_file, capsys):
         assert main(["betti", "--ideal", ideal_file({"variables": 2, "generators": []})]) == 3

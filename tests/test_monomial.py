@@ -32,6 +32,7 @@ from bsdecomp.monomial import (
     MAX_VARIABLES,
     _SEARCH_BUDGET,
     _faces_of,
+    _height,
     _homology_from_masks,
     _key_homology,
     _lattice,
@@ -693,6 +694,45 @@ class TestBettiTable:
         with pytest.raises(CertificateError, match="beta_0"):
             betti_table(MonomialIdeal(2, (m(1, 0), m(0, 1))))
 
+    def test_doubled_first_syzygies_are_caught_by_identity_two(self, monkeypatch):
+        # H~_0 doubled leaves column 0, and so identity one, as it is; on
+        # (x1, x2), of height 2, beta_{1,2} = 2 makes the alternating sum
+        # 2 - 2 = 0 where identity two wants 1
+        real = bsdecomp.monomial._key_homology
+
+        def doubled(key, n):
+            return [2 * d if i == 1 else d for i, d in enumerate(real(key, n))]
+
+        monkeypatch.setattr(bsdecomp.monomial, "_key_homology", doubled)
+        with pytest.raises(CertificateError, match="identity two"):
+            betti_table(MonomialIdeal(2, (m(1, 0), m(0, 1))))
+
+    def test_orbit_weights_off_column_0_are_caught_by_identity_two(self, monkeypatch):
+        # weight 1 at each orbit of P5^3 whose homology lies off column 0:
+        # the reversal's orbits of two points then count once there, while
+        # column 0 keeps the generator counts, so identity one alone passes
+        # a wrong table that identity two refuses
+        plain = betti_table(power(path_edge_ideal(), 3))
+        real = bsdecomp.monomial._lattice
+
+        def reweighted(ideal, symmetries=()):
+            for degree, classes, multiplicity in real(ideal, symmetries):
+                off = any(_key_homology(tuple(classes), ideal.num_vars)[1:])
+                yield degree, classes, 1 if off else multiplicity
+
+        monkeypatch.setattr(bsdecomp.monomial, "_lattice", reweighted)
+        with pytest.raises(CertificateError, match="identity two"):
+            power_tables(path_edge_ideal(), 3, 3)
+        monkeypatch.setattr(bsdecomp.monomial, "_height", lambda ideal: 0)
+        wrong = power_tables(path_edge_ideal(), 3, 3)[3]
+        assert wrong.entry(0, 6) == plain.entry(0, 6) and not wrong.same_entries(plain)
+
+    def test_power_tables_refuses_a_bad_range(self):
+        # an empty range used to give {} without a word
+        for k_min, k_max in [(3, 2), (1, 0), (0, 2), (-1, 1)]:
+            with pytest.raises(ValueError, match="1 <= k_min <= k_max"):
+                power_tables(path_edge_ideal(), k_min, k_max)
+
     def test_small_path_powers_match_frozen_tables(self, path_ideal):
         for k, entries in SMALL_TABLES.items():
             assert betti_table(power(path_ideal, k)) == BettiTable.from_entries(entries)
@@ -794,6 +834,36 @@ class TestBettiTable:
         for (i, j), beta in table.iter_support():
             alternating[j] = alternating.get(j, 0) + (-1) ** i * beta
         assert {j: x for j, x in alternating.items() if x} == expected
+
+
+class TestHeight:
+    def test_known_ideals(self):
+        ideals = [path_edge_ideal(), path_ideal_on(7), cycle_ideal(5), cycle_ideal(6), MonomialIdeal(3, (m(0, 0, 0),))]
+        assert list(map(_height, ideals)) == [2, 3, 3, 3, 0]
+
+    def test_against_brute_force(self):
+        # the least number of variables meeting every generator's support,
+        # over all subsets; generators on 1-3 of 1-9 variables
+        rng = random.Random(1984)
+        heights = []
+        for _ in range(80):
+            n = rng.randint(1, 9)
+            gens = []
+            for _ in range(rng.randint(1, 10)):
+                exps = [0] * n
+                for v in rng.sample(range(n), rng.randint(1, min(3, n))):
+                    exps[v] = rng.randint(1, 3)
+                gens.append(Monomial(tuple(exps)))
+            ideal = MonomialIdeal(n, tuple(gens))
+            supports = [{v for v, e in enumerate(g.exponents) if e} for g in ideal.generators]
+            brute = next(
+                h
+                for h in range(n + 1)
+                if any(all(s.intersection(c) for s in supports) for c in itertools.combinations(range(n), h))
+            )
+            assert _height(ideal) == brute, ideal
+            heights.append(brute)
+        assert set(heights) >= {1, 2, 3, 4}
 
 
 def renamed(ideal, s):
@@ -951,6 +1021,15 @@ class TestSymmetryOrbits:
         for k in (1, 3):
             ideal = power(CHAINS_IDEAL, k)
             assert list(_lattice(ideal, symmetries)) == list(_lattice(ideal))
+
+    def test_power_tables_searches_only_for_a_power(self, symmetry_searches):
+        # a single table of the ideal itself walks every point; a range that
+        # reaches a power searches once, on the base ideal
+        power_tables(path_edge_ideal(), 1, 1)
+        assert symmetry_searches == []
+        power_tables(path_edge_ideal(), 1, 3)
+        power_tables(path_edge_ideal(), 3, 3)
+        assert symmetry_searches == [path_edge_ideal()] * 2
 
     def test_betti_table_never_searches(self, monkeypatch):
         def refuse(ideal):
