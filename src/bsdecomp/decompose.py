@@ -268,7 +268,7 @@ def _subtract_pure(values: dict, coefficient, degrees, denominators, zero) -> No
     """values -= coefficient * pi(degrees) on a (column, degree) -> value
     mapping, given pi's denominators; entries that reach zero are dropped."""
     for i, (d, den) in enumerate(zip(degrees, denominators)):
-        rest = values.pop((i, d), zero) - coefficient * Fraction(1, den)
+        rest = values.pop((i, d), zero) - coefficient / den
         if rest:
             values[(i, d)] = rest
 

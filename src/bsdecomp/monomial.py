@@ -212,7 +212,8 @@ def _symmetries(ideal: MonomialIdeal) -> list[tuple[int, ...]]:
     agree as multisets, so it never lists the n! of a fully symmetric ideal.
     The classes whose columns have the most distinct values go first, as
     they rule out the most maps, and a candidate image is compared in full
-    only once its projections onto each pair of classes agree. A search
+    only once its projections onto each pair of classes agree; a pair is
+    projected the first time the search looks it up. A search
     still open after ``_SEARCH_BUDGET`` full comparisons per class, as on a
     rigid ideal whose partial maps agree until the last class, uses none.
     """
@@ -222,11 +223,13 @@ def _symmetries(ideal: MonomialIdeal) -> list[tuple[int, ...]]:
         classes.setdefault(tuple(e[v] for e in exponents), []).append(v)
     members = sorted(classes.values(), key=lambda vs: -len({e[vs[0]] for e in exponents}))
     firsts = [vs[0] for vs in members]
-    # the projections onto each pair of classes, numbered by value
     numbers: dict[tuple, int] = {}
-    pairwise = [
-        [numbers.setdefault(tuple(_projections(exponents, (v, w))), len(numbers)) for w in firsts] for v in firsts
-    ]
+
+    @functools.cache
+    def pair(a: int, b: int) -> int:
+        """The projections onto classes a and b, numbered by value."""
+        return numbers.setdefault(tuple(_projections(exponents, (firsts[a], firsts[b]))), len(numbers))
+
     wanted = [_projections(exponents, firsts[: d + 1]) for d in range(len(members))]
     budget = _SEARCH_BUDGET * len(members)
     found: list[tuple[int, ...]] = []
@@ -238,11 +241,10 @@ def _symmetries(ideal: MonomialIdeal) -> list[tuple[int, ...]]:
             pairs = zip(itertools.chain(*members), itertools.chain(*map(members.__getitem__, images)))
             found.append(tuple(w for _, w in sorted(pairs)))
             continue
-        pairs_wanted = pairwise[depth][: depth + 1]
         for t in reversed(range(len(members))):
             if t in images or len(members[t]) != len(members[depth]):
                 continue
-            if list(map(pairwise[t].__getitem__, images + (t,))) != pairs_wanted:
+            if any(pair(t, u) != pair(depth, d) for d, u in enumerate(images + (t,))):
                 continue
             budget -= 1
             if budget < 0:

@@ -2,7 +2,9 @@
 
 These carry the coefficients of translated Betti table families: everything is
 a polynomial in the power exponent k, stored constant term first, and all
-arithmetic is exact.
+arithmetic is exact. A polynomial keeps integer numerators over one positive
+denominator, so its arithmetic runs on Python ints with one gcd per result;
+its coefficients and values read out as ``fractions.Fraction``s.
 """
 
 from __future__ import annotations
@@ -10,133 +12,168 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Sequence
 
 
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
+def _rational(value) -> int | Fraction:
+    """An exact rational as an int or a Fraction, reading a string as a
+    Fraction; anything else, a bool included, raises TypeError."""
+    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
         return value
-    if isinstance(value, (int, str)):
+    if isinstance(value, str):
         return Fraction(value)
     raise TypeError(f"not an exact rational: {value!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PolynomialQ:
     """Polynomial in one variable with rational coefficients, constant first.
 
-    The zero polynomial is the empty tuple; otherwise the last coefficient is
-    nonzero. Instances are immutable and hashable.
+    ``PolynomialQ(coefficients)`` takes ints, Fractions or decimal strings;
+    ``coefficients`` gives them back as Fractions, with no trailing zero, so
+    the zero polynomial has none. They are stored as ``numerators`` over one
+    positive ``denominator`` in lowest terms, so equal polynomials compare and
+    hash equal. Instances are immutable and hashable.
     """
 
-    coefficients: tuple[Fraction, ...] = ()
+    numerators: tuple[int, ...]
+    denominator: int
 
-    def __post_init__(self):
-        coeffs = tuple(_as_fraction(c) for c in self.coefficients)
-        while coeffs and coeffs[-1] == 0:
-            coeffs = coeffs[:-1]
-        object.__setattr__(self, "coefficients", coeffs)
+    def __new__(cls, coefficients: Sequence = ()):
+        values = [_rational(c) for c in coefficients]
+        den = math.lcm(*(q.denominator for q in values))
+        return _reduced([q.numerator * (den // q.denominator) for q in values], den)
+
+    @property
+    def coefficients(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(n, self.denominator) for n in self.numerators)
 
     def __bool__(self) -> bool:
-        return bool(self.coefficients)
+        return bool(self.numerators)
 
     def degree(self) -> int:
         """Degree, with -1 for the zero polynomial."""
-        return len(self.coefficients) - 1
+        return len(self.numerators) - 1
 
     def leading_coefficient(self) -> Fraction:
-        return self.coefficients[-1] if self.coefficients else Fraction(0)
+        return Fraction(self.numerators[-1] if self else 0, self.denominator)
 
     def __call__(self, point) -> Fraction:
-        x = _as_fraction(point)
-        acc = Fraction(0)
-        for c in reversed(self.coefficients):
-            acc = acc * x + c
-        return acc
+        """The value at p/q, by Horner's rule on the numerators scaled by q^degree."""
+        x = _rational(point)
+        p, q = x.numerator, x.denominator
+        value, scale = 0, 1
+        for n in reversed(self.numerators):
+            value, scale = value * p + n * scale, scale * q
+        return Fraction(value * q, self.denominator * scale)
 
-    def __add__(self, other: PolynomialQ) -> PolynomialQ:
-        a, b = self.coefficients, other.coefficients
-        if len(a) < len(b):
-            a, b = b, a
-        merged = list(a)
-        for m, c in enumerate(b):
-            merged[m] += c
-        return PolynomialQ(tuple(merged))
-
-    def __neg__(self) -> PolynomialQ:
-        return PolynomialQ(tuple(-c for c in self.coefficients))
-
-    def __sub__(self, other: PolynomialQ) -> PolynomialQ:
-        return self + (-other)
-
-    def __mul__(self, other) -> PolynomialQ:
-        if isinstance(other, (int, Fraction)):
-            q = _as_fraction(other)
-            return PolynomialQ(tuple(c * q for c in self.coefficients))
+    def _plus(self, other, sign: int):
+        """self + sign * other over the lcm of the two denominators."""
         if not isinstance(other, PolynomialQ):
             return NotImplemented
-        if not self or not other:
-            return PolynomialQ()
-        out = [Fraction(0)] * (len(self.coefficients) + len(other.coefficients) - 1)
-        for m, c in enumerate(self.coefficients):
-            if c == 0:
-                continue
-            for p, d in enumerate(other.coefficients):
-                out[m + p] += c * d
-        return PolynomialQ(tuple(out))
+        g = math.gcd(self.denominator, other.denominator)
+        mine, theirs = other.denominator // g, sign * (self.denominator // g)
+        pairs = zip_longest(self.numerators, other.numerators, fillvalue=0)
+        return _reduced([m * mine + n * theirs for m, n in pairs], self.denominator * mine)
+
+    def __add__(self, other) -> PolynomialQ:
+        return self._plus(other, 1)
+
+    def __sub__(self, other) -> PolynomialQ:
+        return self._plus(other, -1)
+
+    def __neg__(self) -> PolynomialQ:
+        return _reduced([-n for n in self.numerators], self.denominator)
+
+    def __mul__(self, other) -> PolynomialQ:
+        if isinstance(other, PolynomialQ):
+            out = [0] * (len(self.numerators) + len(other.numerators) - 1)
+            for m, a in enumerate(self.numerators):
+                for p, b in enumerate(other.numerators):
+                    out[m + p] += a * b
+            return _reduced(out, self.denominator * other.denominator)
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        q = _rational(other)
+        return _reduced([n * q.numerator for n in self.numerators], self.denominator * q.denominator)
 
     __rmul__ = __mul__
 
+    def __truediv__(self, other) -> PolynomialQ:
+        """Division by a nonzero int."""
+        if not isinstance(other, int):
+            return NotImplemented
+        if not _rational(other):
+            raise ZeroDivisionError("polynomial division by zero")
+        return _reduced([n if other > 0 else -n for n in self.numerators], self.denominator * abs(other))
+
     def text(self, variable: str = "k") -> str:
         """Human-readable form in ascending degree, e.g. ``2*k - 3*k^2 + k^3``."""
-        if not self.coefficients:
+        if not self:
             return "0"
         parts: list[str] = []
-        for m, c in enumerate(self.coefficients):
-            if c == 0:
+        for m, n in enumerate(self.numerators):
+            if not n:
                 continue
-            mag = abs(c)
+            g = math.gcd(n, self.denominator)
+            mag = str(abs(n) // g) if g == self.denominator else f"{abs(n) // g}/{self.denominator // g}"
             if m == 0:
-                body = str(mag)
+                body = mag
             else:
                 power = variable if m == 1 else f"{variable}^{m}"
-                body = power if mag == 1 else f"{mag}*{power}"
+                body = power if mag == "1" else f"{mag}*{power}"
             if not parts:
-                parts.append(body if c > 0 else f"-{body}")
+                parts.append(body if n > 0 else f"-{body}")
             else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
+                parts.append(f"+ {body}" if n > 0 else f"- {body}")
         return " ".join(parts)
 
     def __repr__(self) -> str:
         return f"PolynomialQ({self.text()})"
 
 
+def _reduced(numerators: list[int], denominator: int) -> PolynomialQ:
+    """The polynomial with these numerators over ``denominator`` > 0, with
+    trailing zeros dropped and one gcd taken out."""
+    while numerators and not numerators[-1]:
+        numerators.pop()
+    g = math.gcd(denominator, *numerators)
+    poly = object.__new__(PolynomialQ)
+    object.__setattr__(poly, "numerators", tuple([n // g for n in numerators] if g > 1 else numerators))
+    object.__setattr__(poly, "denominator", denominator // g)
+    return poly
+
+
 def constant(value) -> PolynomialQ:
-    return PolynomialQ((_as_fraction(value),))
+    return PolynomialQ((value,))
 
 
 def interpolate_consecutive(start: int, values: Sequence) -> PolynomialQ:
     """Unique polynomial of degree < len(values) through (start+t, values[t]).
 
     Newton forward differences on the integer grid; exact, no pivoting needed.
+    The differences are taken on the values' numerators over their common
+    denominator.
     """
-    ys = [_as_fraction(v) for v in values]
+    ys = [_rational(v) for v in values]
     if not ys:
         raise ValueError("need at least one sample")
-    deltas: list[Fraction] = []
-    row = ys
+    den = math.lcm(*(y.denominator for y in ys))
+    row = [y.numerator * (den // y.denominator) for y in ys]
+    deltas: list[int] = []
     while row:
         deltas.append(row[0])
         row = [b - a for a, b in zip(row, row[1:])]
-    # p(x) = sum_m deltas[m] * binom(x - start, m)
+    # den * p(x) = sum_m deltas[m] * binom(x - start, m)
     result = PolynomialQ()
     binom = constant(1)
     for m, d in enumerate(deltas):
         if m > 0:
-            binom = binom * PolynomialQ((Fraction(-(start + m - 1)), Fraction(1))) * Fraction(1, m)
+            binom = binom * PolynomialQ((-(start + m - 1), 1)) / m
         if d:
             result = result + binom * d
-    return result
+    return result / den
 
 
 def cauchy_threshold(p: PolynomialQ) -> int:
@@ -147,9 +184,8 @@ def cauchy_threshold(p: PolynomialQ) -> int:
     """
     if p.degree() <= 0:
         return 0
-    lead = abs(p.coefficients[-1])
-    bound = 1 + max(abs(c) for c in p.coefficients[:-1]) / lead
-    return max(0, math.floor(bound))
+    *rest, lead = p.numerators
+    return 1 + max(map(abs, rest)) // abs(lead)
 
 
 _WALK_LIMIT = 4096  # refinement steps; any early stop still returns a sound bound
@@ -165,12 +201,14 @@ def sign_threshold(p: PolynomialQ) -> int:
     """
     if p.degree() <= 0:
         return 0
-    positive = p.leading_coefficient() > 0
+    positive = p.numerators[-1] > 0
     t = cauchy_threshold(p)
     for _ in range(_WALK_LIMIT):
         if t == 0:
             break
-        value = p(t)
+        value = 0  # p(t) times the denominator
+        for n in reversed(p.numerators):
+            value = value * t + n
         if value == 0 or (value > 0) != positive:
             break
         t -= 1
@@ -178,11 +216,11 @@ def sign_threshold(p: PolynomialQ) -> int:
 
 
 def eventually_positive(p: PolynomialQ) -> bool:
-    return bool(p) and p.leading_coefficient() > 0
+    return bool(p) and p.numerators[-1] > 0
 
 
 def eventually_nonnegative(p: PolynomialQ) -> bool:
-    return not p or p.leading_coefficient() > 0
+    return not p or p.numerators[-1] > 0
 
 
 def eventual_min(polys: Sequence[PolynomialQ]) -> tuple[int, int]:
@@ -199,7 +237,7 @@ def eventual_min(polys: Sequence[PolynomialQ]) -> tuple[int, int]:
     best = 0
     for j in range(1, len(polys)):
         diff = polys[j] - polys[best]
-        if diff and diff.leading_coefficient() < 0:
+        if diff and diff.numerators[-1] < 0:
             best = j
     threshold = 0
     for a in range(len(polys)):

@@ -5,13 +5,15 @@ numbers come from Taylor-complex strands over the subset lattice of the
 generators (exponential in the generator count, fine for oracle sizes),
 simplicial homology from dense boundary matrices, ranks from fraction-free
 Bareiss elimination over the integers, determinants from cofactor expansion,
-and Hilbert-series numerators from Bigatti's pivot recursion on exponent
-tuples, which reaches ideals far past the Taylor oracle's dozen generators.
+Hilbert-series numerators from Bigatti's pivot recursion on exponent
+tuples, which reaches ideals far past the Taylor oracle's dozen generators,
+and polynomial arithmetic from plain lists of Fractions.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from bsdecomp import BettiTable, MonomialIdeal
@@ -238,3 +240,49 @@ def hilbert_numerator(gens) -> list[int]:
     pivot = tuple(e if u == v else 0 for u in range(len(gens[0])))
     colon = [tuple(max(0, a - b) for a, b in zip(g, pivot)) for g in gens]
     return _add_shifted(hilbert_numerator(gens + [pivot]), hilbert_numerator(colon), e)
+
+
+# Polynomials as plain lists of Fractions, constant term first, with no
+# trailing zero: the reference for PolynomialQ, which keeps integer
+# numerators over one denominator.
+
+
+def ref_poly(coefficients) -> list[Fraction]:
+    out = [Fraction(c) for c in coefficients]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def ref_add(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    return ref_poly(x + y for x, y in itertools.zip_longest(a, b, fillvalue=Fraction(0)))
+
+
+def ref_scale(a: list[Fraction], factor) -> list[Fraction]:
+    return ref_poly(c * factor for c in a)
+
+
+def ref_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    out = [Fraction(0)] * (len(a) + len(b))
+    for m, x in enumerate(a):
+        for p, y in enumerate(b):
+            out[m + p] += x * y
+    return ref_poly(out)
+
+
+def ref_value(a: list[Fraction], point) -> Fraction:
+    return sum((c * Fraction(point) ** m for m, c in enumerate(a)), Fraction(0))
+
+
+def ref_cauchy_threshold(a: list[Fraction]) -> int:
+    """floor(1 + max |a_m| / |lead|) over the lower coefficients; 0 for a constant."""
+    if len(a) <= 1:
+        return 0
+    return math.floor(1 + max(abs(c) for c in a[:-1]) / abs(a[-1]))
+
+
+def ref_sign_threshold(a: list[Fraction]) -> int:
+    """The last integer in 1..cauchy bound where the value is zero or has the
+    sign opposite to the leading coefficient's, or 0 if there is none."""
+    wrong = [t for t in range(1, ref_cauchy_threshold(a) + 1) if ref_value(a, t) * a[-1] <= 0]
+    return max(wrong, default=0)

@@ -976,12 +976,24 @@ class TestSymmetryOrbits:
     def test_most_distinct_column_is_mapped_first(self, search_work):
         # x_i * y^i for i = 1..15: the x columns are unit vectors, so every
         # map among them agrees with the generators until y; y goes first
-        # instead, and then fixes each x class with one full comparison
+        # instead, and then fixes each x class with one full comparison. The
+        # pairs projected are each class with itself, each x with y, and each
+        # x with the x classes mapped before it, beside the n + 1 prefixes
         n = MAX_VARIABLES - 1
         ideal = MonomialIdeal(n + 1, tuple(Monomial(tuple(int(v == i) for v in range(n)) + (i + 1,)) for i in range(n)))
         symmetries, calls = search_work(ideal)
         assert symmetries == [tuple(range(n + 1))]
-        assert calls == (n + 1) ** 2 + 2 * (n + 1)
+        assert calls == (n + 1) + n + n * (n - 1) // 2 + 2 * (n + 1)
+
+    def test_pairs_are_projected_when_first_looked_up(self, search_work):
+        # P5's two symmetries each compare their own triangle of the 25
+        # ordered pairs of its 5 classes, so every pair is projected, beside 5
+        # prefixes and 10 full comparisons. The chains ideal's classes are
+        # {x1}, {x4} and {x2, x3}; the last is never an image of the others,
+        # so 7 of its 9 pairs are projected, beside 3 prefixes and 6 full
+        # comparisons
+        assert search_work(path_edge_ideal()) == ([(0, 1, 2, 3, 4), (4, 3, 2, 1, 0)], 25 + 5 + 10)
+        assert search_work(CHAINS_IDEAL) == ([(0, 1, 2, 3), (3, 1, 2, 0)], 7 + 3 + 6)
 
     def test_rigid_search_gives_up(self, search_work):
         # a random cubic graph on 16 vertices: its partial maps agree on

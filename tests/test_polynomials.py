@@ -1,7 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bsdecomp import (
     PolynomialQ,
@@ -11,6 +14,15 @@ from bsdecomp import (
     eventually_positive,
     interpolate_consecutive,
     sign_threshold,
+)
+from oracles import (
+    ref_add,
+    ref_cauchy_threshold,
+    ref_mul,
+    ref_poly,
+    ref_scale,
+    ref_sign_threshold,
+    ref_value,
 )
 
 
@@ -160,3 +172,95 @@ def test_eventual_min_tie_breaks_to_lowest_index():
 def test_eventual_min_rejects_empty():
     with pytest.raises(ValueError):
         eventual_min([])
+
+
+RATIONALS = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+COEFFICIENTS = st.lists(RATIONALS, max_size=5)
+NONZERO_INTS = st.integers(-30, 30).filter(bool)
+
+
+def assert_canonical(p: PolynomialQ) -> None:
+    """Lowest terms over a positive denominator, with no trailing zero."""
+    assert p.denominator > 0
+    assert math.gcd(p.denominator, *p.numerators) == 1
+    assert not p.numerators or p.numerators[-1] != 0
+    assert all(type(n) is int for n in (*p.numerators, p.denominator))
+
+
+def assert_is(p: PolynomialQ, reference: list[Fraction]) -> None:
+    assert_canonical(p)
+    assert list(p.coefficients) == reference
+    assert p == PolynomialQ(reference)
+    assert hash(p) == hash(PolynomialQ(reference))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(COEFFICIENTS, COEFFICIENTS, st.one_of(st.integers(-30, 30), RATIONALS), NONZERO_INTS, st.integers(-8, 8), RATIONALS)
+def test_integer_kernel_matches_fraction_reference(a, b, factor, divisor, k, x):
+    p, q = PolynomialQ(a), PolynomialQ(b)
+    ra, rb = ref_poly(a), ref_poly(b)
+    assert_is(p, ra)
+    assert_is(p + q, ref_add(ra, rb))
+    assert_is(p - q, ref_add(ra, ref_scale(rb, -1)))
+    assert_is(-p, ref_scale(ra, -1))
+    assert_is(p * q, ref_mul(ra, rb))
+    assert_is(p * factor, ref_scale(ra, factor))
+    assert_is(factor * p, ref_scale(ra, factor))
+    assert_is(p / divisor, ref_scale(ra, Fraction(1, divisor)))
+    assert p(k) == ref_value(ra, k) and type(p(k)) is Fraction
+    assert p(x) == ref_value(ra, x)
+    assert p.degree() == len(ra) - 1
+    assert p.leading_coefficient() == (ra[-1] if ra else 0)
+    assert cauchy_threshold(p) == ref_cauchy_threshold(ra)
+    assert sign_threshold(p) == ref_sign_threshold(ra)
+
+
+def test_one_canonical_form_per_value():
+    half = [PolynomialQ((Fraction(1, 2), 0)), PolynomialQ(("2/4",)), PolynomialQ((Fraction(3, 6),))]
+    assert len(set(half)) == 1 and half[0] == half[1] == half[2]
+    assert (half[0].numerators, half[0].denominator) == ((1,), 2)
+    p = poly(1, "-2/3", "5/6")
+    zeros = [PolynomialQ(()), PolynomialQ((0, 0)), p - p]
+    assert len(set(zeros)) == 1 and zeros[0] == zeros[1] == zeros[2]
+    assert (zeros[0].numerators, zeros[0].denominator) == ((), 1)
+    assert not zeros[2] and zeros[2].coefficients == ()
+
+
+def test_attributes_cannot_be_assigned():
+    p = poly(1, 2)
+    for name, value in [("numerators", (3,)), ("denominator", 2), ("coefficients", ()), ("other", 1)]:
+        with pytest.raises(AttributeError):
+            setattr(p, name, value)
+    assert p == poly(1, 2)
+
+
+def test_adding_or_subtracting_a_number_raises_type_error():
+    p = poly(1, 2)
+    for operation in (lambda: p + 1, lambda: p - 1, lambda: 1 + p, lambda: 1 - p, lambda: p + Fraction(1, 2)):
+        with pytest.raises(TypeError):
+            operation()
+
+
+def test_multiplying_by_a_boolean_raises_type_error():
+    with pytest.raises(TypeError):
+        poly(1, 2) * True
+
+
+def test_evaluating_at_a_boolean_raises_type_error():
+    with pytest.raises(TypeError):
+        poly(1, 2)(True)
+
+
+def test_boolean_coefficient_raises_type_error():
+    with pytest.raises(TypeError):
+        PolynomialQ((True,))
+
+
+def test_division_takes_only_a_nonzero_int():
+    p = poly(3, 6)
+    assert p / -3 == poly(-1, -2)
+    with pytest.raises(ZeroDivisionError):
+        p / 0
+    for divisor in (True, Fraction(1, 2), 2.0, "2", p):
+        with pytest.raises(TypeError):
+            p / divisor
