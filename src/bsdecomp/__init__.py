@@ -68,7 +68,6 @@ from .tables import (
     BettiTable,
     Comparison,
     DegreeSequence,
-    PureDiagram,
     Window,
     compare,
     hk_functional,

@@ -25,6 +25,7 @@ import collections
 import functools
 import itertools
 import operator
+import re
 from dataclasses import dataclass
 
 from .errors import CertificateError, ParseError, ZeroIdealError
@@ -76,6 +77,12 @@ class Monomial:
         return f"Monomial({self.text()})"
 
 
+# a factor and the space after it; [0-9] keeps the digits ASCII, and \s takes
+# exactly the characters str.isspace() does
+_FACTOR = re.compile(r"x([0-9]*)(\^([0-9]*))?\s*")
+_SPACE = re.compile(r"\s*")
+
+
 def parse_monomial(text: str, num_vars: int) -> Monomial:
     """Parse ``x1*x3^2`` style input; repeated factors accumulate.
 
@@ -84,52 +91,38 @@ def parse_monomial(text: str, num_vars: int) -> Monomial:
     position.
     """
     exps = [0] * num_vars
-    pos = 0
-    end = len(text)
-
-    def skip_ws():
-        nonlocal pos
-        while pos < end and text[pos].isspace():
-            pos += 1
-
-    def parse_int(what: str) -> int:
-        nonlocal pos
-        start = pos
-        while pos < end and "0" <= text[pos] <= "9":
-            pos += 1
-        if pos == start:
-            raise ParseError(f"expected {what} at position {start} in {text!r}")
-        try:
-            return int(text[start:pos])
-        except ValueError as exc:  # longer than Python converts from text
-            raise ParseError(f"{what} at position {start}: {exc}") from exc
-
-    skip_ws()
-    if pos >= end:
+    pos = _SPACE.match(text).end()
+    if pos == len(text):
         raise ParseError(f"empty monomial in {text!r}")
     while True:
-        if pos >= end or text[pos] != "x":
+        factor = _FACTOR.match(text, pos)
+        if factor is None:
             raise ParseError(f"expected 'x' at position {pos} in {text!r}")
-        pos += 1
-        idx = parse_int("variable index")
+        idx = _digit_group(factor, 1, "variable index")
         if not 1 <= idx <= num_vars:
             raise ParseError(f"variable x{idx} out of range 1..{num_vars} in {text!r}")
-        exponent = 1
-        if pos < end and text[pos] == "^":
-            pos += 1
-            start = pos
-            exponent = parse_int("exponent")
-            if exponent < 1:
-                raise ParseError(f"exponent must be >= 1 at position {start} in {text!r}")
+        exponent = 1 if factor[2] is None else _digit_group(factor, 3, "exponent")
+        if exponent < 1:
+            raise ParseError(f"exponent must be >= 1 at position {factor.start(3)} in {text!r}")
         exps[idx - 1] += exponent
-        skip_ws()
-        if pos >= end:
+        pos = factor.end()
+        if pos == len(text):
             break
         if text[pos] != "*":
             raise ParseError(f"expected '*' at position {pos} in {text!r}")
-        pos += 1
-        skip_ws()
+        pos = _SPACE.match(text, pos + 1).end()
     return Monomial(tuple(exps))
+
+
+def _digit_group(factor: re.Match, group: int, what: str) -> int:
+    """The integer in one digit group of a ``_FACTOR`` match."""
+    digits, start = factor[group], factor.start(group)
+    if not digits:
+        raise ParseError(f"expected {what} at position {start} in {factor.string!r}")
+    try:
+        return int(digits)
+    except ValueError as exc:  # longer than Python converts from text
+        raise ParseError(f"{what} at position {start}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -234,12 +227,14 @@ def _symmetries(ideal: MonomialIdeal) -> list[tuple[int, ...]]:
     budget = _SEARCH_BUDGET * len(members)
     found: list[tuple[int, ...]] = []
     stack = [()]  # the classes that the first len(images) classes map onto
-    while stack and len(found) <= 2 * MAX_VARIABLES:
+    while stack:
         images = stack.pop()
         depth = len(images)
         if depth == len(members):
             pairs = zip(itertools.chain(*members), itertools.chain(*map(members.__getitem__, images)))
             found.append(tuple(w for _, w in sorted(pairs)))
+            if len(found) > 2 * MAX_VARIABLES:
+                return []
             continue
         for t in reversed(range(len(members))):
             if t in images or len(members[t]) != len(members[depth]):
@@ -251,7 +246,7 @@ def _symmetries(ideal: MonomialIdeal) -> list[tuple[int, ...]]:
                 return []
             if _projections(exponents, [firsts[u] for u in images + (t,)]) == wanted[depth]:
                 stack.append(images + (t,))
-    return found if len(found) <= 2 * MAX_VARIABLES else []
+    return found
 
 
 def _projections(exponents, variables) -> list[tuple[int, ...]]:

@@ -26,6 +26,14 @@ def _rational(value) -> int | Fraction:
     raise TypeError(f"not an exact rational: {value!r}")
 
 
+def _over_lcm(values: Sequence) -> tuple[list[int], int]:
+    """The numerators of exact rationals (as ``_rational`` reads them) over
+    their least common denominator, and that denominator."""
+    qs = [_rational(v) for v in values]
+    den = math.lcm(*(q.denominator for q in qs))
+    return [q.numerator * (den // q.denominator) for q in qs], den
+
+
 @dataclass(frozen=True, init=False)
 class PolynomialQ:
     """Polynomial in one variable with rational coefficients, constant first.
@@ -41,9 +49,7 @@ class PolynomialQ:
     denominator: int
 
     def __new__(cls, coefficients: Sequence = ()):
-        values = [_rational(c) for c in coefficients]
-        den = math.lcm(*(q.denominator for q in values))
-        return _reduced([q.numerator * (den // q.denominator) for q in values], den)
+        return _reduced(*_over_lcm(coefficients))
 
     @property
     def coefficients(self) -> tuple[Fraction, ...]:
@@ -108,7 +114,7 @@ class PolynomialQ:
             raise ZeroDivisionError("polynomial division by zero")
         return _reduced([n if other > 0 else -n for n in self.numerators], self.denominator * abs(other))
 
-    def text(self, variable: str = "k") -> str:
+    def text(self) -> str:
         """Human-readable form in ascending degree, e.g. ``2*k - 3*k^2 + k^3``."""
         if not self:
             return "0"
@@ -121,7 +127,7 @@ class PolynomialQ:
             if m == 0:
                 body = mag
             else:
-                power = variable if m == 1 else f"{variable}^{m}"
+                power = "k" if m == 1 else f"k^{m}"
                 body = power if mag == "1" else f"{mag}*{power}"
             if not parts:
                 parts.append(body if n > 0 else f"-{body}")
@@ -145,10 +151,6 @@ def _reduced(numerators: list[int], denominator: int) -> PolynomialQ:
     return poly
 
 
-def constant(value) -> PolynomialQ:
-    return PolynomialQ((value,))
-
-
 def interpolate_consecutive(start: int, values: Sequence) -> PolynomialQ:
     """Unique polynomial of degree < len(values) through (start+t, values[t]).
 
@@ -156,18 +158,16 @@ def interpolate_consecutive(start: int, values: Sequence) -> PolynomialQ:
     The differences are taken on the values' numerators over their common
     denominator.
     """
-    ys = [_rational(v) for v in values]
-    if not ys:
+    row, den = _over_lcm(values)
+    if not row:
         raise ValueError("need at least one sample")
-    den = math.lcm(*(y.denominator for y in ys))
-    row = [y.numerator * (den // y.denominator) for y in ys]
     deltas: list[int] = []
     while row:
         deltas.append(row[0])
         row = [b - a for a, b in zip(row, row[1:])]
     # den * p(x) = sum_m deltas[m] * binom(x - start, m)
     result = PolynomialQ()
-    binom = constant(1)
+    binom = PolynomialQ((1,))
     for m, d in enumerate(deltas):
         if m > 0:
             binom = binom * PolynomialQ((-(start + m - 1), 1)) / m

@@ -184,7 +184,7 @@ def symbolic_greedy_decompose(table: SymbolicBettiTable) -> TranslatedDecomposit
     """
     bound = 0
     for poly in table.entries.values():
-        if poly.leading_coefficient() < 0:
+        if not eventually_positive(poly):
             raise NotDecomposableError(
                 f"entry {poly.text()} is eventually negative; not a Betti table family"
             )

@@ -20,7 +20,6 @@ from typing import Iterable, Iterator, Mapping
 
 from .errors import DegreeSequenceError, ParseError
 
-Rational = Fraction
 _ZERO = Fraction(0)
 
 # the one spelling of numbers read from text (.btt, JSON strings, the CLI);
@@ -31,13 +30,15 @@ _RATIONAL = re.compile(r"[-+]?[0-9]+(/[0-9]+)?")
 
 @dataclass(frozen=True)
 class Window:
-    """Row band ``min_row..max_row`` crossed with columns ``0..max_col``."""
+    """Integer row band ``min_row..max_row`` crossed with columns ``0..max_col``."""
 
     min_row: int
     max_row: int
     max_col: int
 
     def __post_init__(self):
+        for name in ("min_row", "max_row", "max_col"):
+            object.__setattr__(self, name, _json_int(getattr(self, name)))
         if self.min_row > self.max_row:
             raise ValueError(f"empty window: rows {self.min_row}..{self.max_row}")
         if self.max_col < 0:
@@ -150,9 +151,10 @@ class BettiTable:
 
     @classmethod
     def from_entries(
-        cls, entries: Mapping[tuple[int, int], Rational], window: Window | None = None
+        cls, entries: Mapping[tuple[int, int], int | Fraction], window: Window | None = None
     ) -> "BettiTable":
-        """Build from a ``(column, degree) -> value`` mapping; zeros are dropped.
+        """Build from a ``(column, degree) -> value`` mapping of ints, Fractions
+        or rational strings (a float or a boolean is a TypeError); zeros are dropped.
 
         With no explicit window the smallest one containing the nonzero
         support is used; an all-zero mapping then has no well-defined window
@@ -160,6 +162,8 @@ class BettiTable:
         """
         support = {}
         for pos, value in sorted(entries.items()):
+            if isinstance(value, (bool, float)):
+                raise TypeError(f"entry {value!r} at {pos} is not an exact rational")
             q = Fraction(value)
             if q:
                 support[pos] = q
@@ -197,7 +201,9 @@ class BettiTable:
             entries[pos] = entries.get(pos, _ZERO) + v
         return BettiTable.from_entries(entries, Window.hull((), self.window, other.window))
 
-    def scale(self, factor: Rational) -> "BettiTable":
+    def scale(self, factor: int | Fraction) -> "BettiTable":
+        if isinstance(factor, (bool, float)):
+            raise TypeError(f"scale factor {factor!r} is not an exact rational")
         q = Fraction(factor)
         return BettiTable.from_entries({pos: v * q for pos, v in self._entries.items()}, self.window)
 
@@ -214,14 +220,6 @@ class BettiTable:
         return f"BettiTable(rows {w.min_row}..{w.max_row}, cols 0..{w.max_col}; {entries or 'zero'})"
 
 
-@dataclass(frozen=True)
-class PureDiagram:
-    """The canonical pure diagram of a degree sequence, with its table."""
-
-    sequence: DegreeSequence
-    table: BettiTable
-
-
 def _pure_denominators(degrees: tuple[int, ...]) -> list[int]:
     """prod_{p != i} |d_p - d_i| for each position i: pi(d) has entry
     1/denominator in column i at degree d_i."""
@@ -235,7 +233,7 @@ def _pure_denominators(degrees: tuple[int, ...]) -> list[int]:
     return out
 
 
-def pure_diagram(sequence) -> PureDiagram:
+def pure_diagram(sequence) -> BettiTable:
     """Pure diagram pi(d): the single column-i entry at degree d_i equals
     prod_{p != i} 1/|d_p - d_i|. Its window is the support hull."""
     seq = sequence if isinstance(sequence, DegreeSequence) else DegreeSequence(tuple(sequence))
@@ -243,7 +241,7 @@ def pure_diagram(sequence) -> PureDiagram:
         (i, di): Fraction(1, den)
         for i, (di, den) in enumerate(zip(seq.degrees, _pure_denominators(seq.degrees)))
     }
-    return PureDiagram(seq, BettiTable.from_entries(entries))
+    return BettiTable.from_entries(entries)
 
 
 def hk_functional(table: BettiTable, power: int) -> Fraction:

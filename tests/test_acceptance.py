@@ -174,7 +174,7 @@ def test_criterion_6a_greedy_reconstruction(acceptance_report):
                 if rng.random() < 0.35:
                     continue
                 weight = Fraction(rng.randint(1, 9), rng.randint(1, 3))
-                table = table + pure_diagram(sequence).table.scale(weight)
+                table = table + pure_diagram(sequence).scale(weight)
             if table.is_zero():
                 continue
             decomposition = greedy_decompose(table)
@@ -246,7 +246,7 @@ def test_criterion_6d_pure_diagram_hk(acceptance_report):
             for degrees in itertools.product(*ranges):
                 if any(a >= b for a, b in zip(degrees, degrees[1:])):
                     continue
-                table = pure_diagram(degrees).table
+                table = pure_diagram(degrees)
                 s = length - 1
                 assert hk_satisfies(table, s)
                 assert hk_functional(table, s) != 0

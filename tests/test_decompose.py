@@ -81,7 +81,7 @@ def first_nonnegative_chain(table, window):
 def combination_table(coefficients, chain):
     entries = {}
     for c, s in zip(coefficients, chain.elements):
-        for pos, v in pure_diagram(s).table.iter_support():
+        for pos, v in pure_diagram(s).iter_support():
             entries[pos] = entries.get(pos, 0) + c * v
     return BettiTable.from_entries(entries, chain.window)
 
@@ -186,7 +186,7 @@ class TestGreedy:
             assert verify(decomposition, table)
 
     def test_pure_table_takes_one_step(self):
-        table = pure_diagram((0, 1, 3)).table.scale(12)
+        table = pure_diagram((0, 1, 3)).scale(12)
         decomposition = greedy_decompose(table)
         assert decomposition.terms == ((Fraction(12), DegreeSequence((0, 1, 3))),)
 
@@ -299,7 +299,7 @@ class TestChainDecompose:
                     for row in range(window.min_row, window.max_row + 1)
                 }
                 table = BettiTable.from_entries(entries, window)
-                columns = [dense_vector(pure_diagram(s).table, window) for s in chain.elements]
+                columns = [dense_vector(pure_diagram(s), window) for s in chain.elements]
                 matrix = [[col[r] for col in columns] for r in range(window.dimension)]
                 expected = cramer_solve(matrix, dense_vector(table, window))
                 assert list(chain_decompose(table, chain).coefficients) == expected

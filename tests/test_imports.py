@@ -73,3 +73,50 @@ def test_the_scan_sees_an_unused_import():
         "os.path.join('a')\n"
     )
     assert unused_imports(tree) == ["replace"]
+
+
+def unread_private_names(trees) -> list[str]:
+    """Every module-level function, class or assigned name that starts with
+    one underscore and that no ``Name`` load, ``Attribute`` or import alias in
+    any of ``trees`` reads; dunder names such as ``__version__`` are left out."""
+    defined, read = [], set()
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [t.id for t in targets if isinstance(t, ast.Name)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    return [
+        name for name in defined if name.startswith("_") and not name.startswith("__") and name not in read
+    ]
+
+
+def test_package_reads_every_private_name():
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))]
+    assert unread_private_names(trees) == []
+
+
+def test_the_scan_sees_an_unread_private_name():
+    first = ast.parse(
+        "_LIMIT = 3\n"
+        "_table: dict = {}\n"
+        "__version__ = '1'\n"
+        "def _orphan():\n"
+        "    pass\n"
+        "def _shared():\n"
+        "    return _LIMIT\n"
+        "class _Node:\n"
+        "    pass\n"
+        "def public(x):\n"
+        "    x._table = 1\n"
+    )
+    second = ast.parse("from .first import _shared\n")
+    assert unread_private_names([first, second]) == ["_orphan", "_Node"]

@@ -48,6 +48,53 @@ def m(*exps):
     return Monomial(tuple(exps))
 
 
+def _int_refusal(digits: str) -> str:
+    """What int() says of an integer longer than Python converts from text."""
+    try:
+        int(digits)
+    except ValueError as exc:
+        return str(exc)
+    return "int() converted it"
+
+
+_HUGE = "1" + "0" * 4999
+
+
+def _unit(v):
+    return tuple(int(u == v) for u in range(12))
+
+
+# parse_monomial at 12 variables: the exponents, or the exact message; one
+# input at least for every message the lexer can give
+PARSE_CORPUS = [
+    ("", "empty monomial in ''"),
+    ("   ", "empty monomial in '   '"),
+    ("　", "empty monomial in '\\u3000'"),
+    ("y1", "expected 'x' at position 0 in 'y1'"),
+    ("x", "expected variable index at position 1 in 'x'"),
+    ("x^2", "expected variable index at position 1 in 'x^2'"),
+    ("x0", "variable x0 out of range 1..12 in 'x0'"),
+    ("x13", "variable x13 out of range 1..12 in 'x13'"),
+    ("x1^", "expected exponent at position 3 in 'x1^'"),
+    ("x1^0", "exponent must be >= 1 at position 3 in 'x1^0'"),
+    ("x1^00", "exponent must be >= 1 at position 3 in 'x1^00'"),
+    ("x1^01", _unit(0)),
+    ("x1 x2", "expected '*' at position 3 in 'x1 x2'"),
+    ("x1*", "expected 'x' at position 3 in 'x1*'"),
+    ("x1**x2", "expected 'x' at position 3 in 'x1**x2'"),
+    ("*x1", "expected 'x' at position 0 in '*x1'"),
+    ("x²", "expected variable index at position 1 in 'x²'"),
+    ("x1^²", "expected exponent at position 3 in 'x1^²'"),
+    ("x١", "expected variable index at position 1 in 'x١'"),
+    ("\x85x2\x85", _unit(1)),
+    ("\tx3^2*x3 \x0b", tuple(3 * u for u in _unit(2))),
+    ("x1　*　x2^3", (1, 3) + (0,) * 10),
+    ("x12^3 * x1", (1,) + (0,) * 10 + (3,)),
+    ("x" + _HUGE, f"variable index at position 1: {_int_refusal(_HUGE)}"),
+    ("x1^" + _HUGE, f"exponent at position 3: {_int_refusal(_HUGE)}"),
+]
+
+
 def random_ideal(rng, num_vars, num_gens, max_exp=3):
     gens = []
     while len(gens) < num_gens:
@@ -253,6 +300,30 @@ class TestParseMonomial:
             parse_monomial("x1 x2", 2)
         with pytest.raises(ParseError, match="expected 'x'"):
             parse_monomial("x1*", 2)
+
+    @pytest.mark.parametrize("text, expected", PARSE_CORPUS, ids=range(len(PARSE_CORPUS)))
+    def test_frozen_corpus(self, text, expected):
+        if isinstance(expected, tuple):
+            assert parse_monomial(text, 12) == Monomial(expected)
+        else:
+            with pytest.raises(ParseError) as caught:
+                parse_monomial(text, 12)
+            assert str(caught.value) == expected
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.integers(1, 16).flatmap(lambda n: st.lists(st.integers(0, 1000), min_size=n, max_size=n)))
+    def test_text_reads_back(self, exponents):
+        if any(exponents):
+            a = Monomial(tuple(exponents))
+            assert parse_monomial(a.text(), len(exponents)) == a
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.text(), st.integers(1, MAX_VARIABLES))
+    def test_any_text_parses_or_is_a_parse_error(self, text, num_vars):
+        try:
+            assert isinstance(parse_monomial(text, num_vars), Monomial)
+        except ParseError:
+            pass
 
 
 class TestMonomialIdeal:

@@ -74,7 +74,6 @@ def test_text_forms():
     assert poly(0, 2, -3, 1).text() == "2*k - 3*k^2 + k^3"
     assert poly(-4, -4).text() == "-4 - 4*k"
     assert poly(1, "11/6", 1, "1/6").text() == "1 + 11/6*k + k^2 + 1/6*k^3"
-    assert poly(0, 1).text("n") == "n"
 
 
 def test_interpolation_recovers_random_polynomials():

@@ -41,6 +41,15 @@ class TestWindow:
         with pytest.raises(ValueError):
             Window(0, 1, -1)
 
+    @pytest.mark.parametrize("bounds", [(0, 1.5, 1), (True, True, 0), (0, 0, False)])
+    def test_bounds_are_integers(self, bounds):
+        with pytest.raises(TypeError):
+            Window(*bounds)
+
+    def test_a_float_position_has_no_window(self):
+        with pytest.raises(TypeError):
+            BettiTable.from_entries({(0.5, 0): 1})
+
     def test_contains_covers_every_position(self):
         w = Window(1, 3, 2)
         seen = set()
@@ -139,6 +148,13 @@ class TestBettiTable:
         assert t.entry(0, 0) == Fraction(1, 3)
         assert t.entry(1, 1) == Fraction(2, 7)
 
+    @pytest.mark.parametrize("value", [0.1, 2.0, True, False])
+    def test_floats_and_booleans_are_refused(self, value):
+        with pytest.raises(TypeError, match="not an exact rational"):
+            BettiTable.from_entries({(0, 0): 1, (1, 1): value})
+        with pytest.raises(TypeError, match="not an exact rational"):
+            BettiTable.from_entries({(0, 0): 1}).scale(value)
+
     def test_arithmetic_unions_windows(self):
         a = BettiTable.from_entries({(0, 0): 1})
         b = BettiTable.from_entries({(1, 3): 2})
@@ -172,22 +188,22 @@ class TestBettiTable:
 class TestPureDiagram:
     def test_known_diagram(self):
         d = pure_diagram((0, 1, 2, 3))
-        assert d.table.entry(0, 0) == Fraction(1, 6)
-        assert d.table.entry(1, 1) == Fraction(1, 2)
-        assert d.table.entry(2, 2) == Fraction(1, 2)
-        assert d.table.entry(3, 3) == Fraction(1, 6)
-        assert d.table.window == Window(0, 0, 3)
+        assert d.entry(0, 0) == Fraction(1, 6)
+        assert d.entry(1, 1) == Fraction(1, 2)
+        assert d.entry(2, 2) == Fraction(1, 2)
+        assert d.entry(3, 3) == Fraction(1, 6)
+        assert d.window == Window(0, 0, 3)
 
     def test_singleton_diagram(self):
         d = pure_diagram((5,))
-        assert d.table.entry(0, 5) == 1
-        assert d.table.window == Window(5, 5, 0)
+        assert d.entry(0, 5) == 1
+        assert d.window == Window(5, 5, 0)
 
     def test_one_entry_per_column_random(self):
         rng = random.Random(8)
         for _ in range(50):
             seq = random_sequence(rng)
-            table = pure_diagram(seq).table
+            table = pure_diagram(seq)
             support = table.support()
             assert len(support) == len(seq)
             assert [i for i, _ in support] == list(range(len(seq)))
@@ -209,7 +225,7 @@ class TestHerzogKuhl:
         for _ in range(40):
             seq = random_sequence(rng)
             s = len(seq) - 1
-            table = pure_diagram(seq).table
+            table = pure_diagram(seq)
             assert hk_satisfies(table, s)
             assert hk_functional(table, s) != 0
             assert not hk_satisfies(table, s + 1)
