@@ -304,11 +304,6 @@ def _lattice(ideal: MonomialIdeal, symmetries=()):
             le |= by_value[c]
             level.append((c, by_value[c], le))
         levels.append(level)
-    # idle[j]: the generators with g_v = 0 for every v >= j
-    idle = [
-        sum(1 << i for i, g in enumerate(ideal.generators) if not any(g.exponents[j:]))
-        for j in range(n + 1)
-    ]
     # per symmetry but the identity: per depth, the (p, s[p]) it compares there
     positions = sorted(range(n), key=lambda p: (max([p] + [s[p] for s in symmetries]), p))
     checks = []
@@ -322,6 +317,9 @@ def _lattice(ideal: MonomialIdeal, symmetries=()):
     if not any(any(check[:-1]) for check in checks):
         checks = []
     everyone = (1 << len(ideal.generators)) - 1
+    idle = [everyone]  # idle[j]: the generators with g_v = 0 for every v >= j
+    for (c, eq, _), *_ in reversed(levels):
+        idle.insert(0, idle[0] & eq if c == 0 else 0)
     order = len(checks) + 1
     # orbit: the prefix and the checks still reading it as equal to its
     # image, or () once none is left, when a leaf's orbit has full size
@@ -531,18 +529,19 @@ def power_tables(ideal: MonomialIdeal, k_min: int, k_max: int) -> dict[int, Bett
 
 def _height(ideal: MonomialIdeal) -> int:
     """The least number of variables meeting the support of every generator,
-    0 for the unit ideal: a cover of each size in turn, branching on the
-    variables of the first support it misses, down to a last variable, which
-    must lie in every support still missed."""
-    supports = [sum(1 << v for v, e in enumerate(g.exponents) if e) for g in ideal.generators]
+    0 for the unit ideal: ``least(chosen)`` is 0 once the partial cover meets
+    every support, else 1 + the least ``least`` with a variable of the smallest
+    support it misses added; memoized, at most one step per set of variables."""
+    supports = sorted({sum(1 << v for v, e in enumerate(g.exponents) if e) for g in ideal.generators}, key=int.bit_count)
 
-    def covers(chosen: int, left: int) -> bool:
-        missed = [s for s in supports if not s & chosen]
-        if not missed or left == 1:
-            return not missed or functools.reduce(operator.and_, missed) != 0
-        return any(covers(chosen | 1 << v, left - 1) for v in range(ideal.num_vars) if missed[0] >> v & 1)
+    @functools.cache
+    def least(chosen: int) -> int:
+        for support in supports:
+            if not support & chosen:
+                return 1 + min(least(chosen | 1 << v) for v in range(ideal.num_vars) if support >> v & 1)
+        return 0
 
-    return 0 if 0 in supports else next(h for h in itertools.count(1) if covers(0, h))
+    return least(0) if supports[0] else 0
 
 
 def ideal_to_json(ideal: MonomialIdeal) -> dict:

@@ -62,9 +62,6 @@ class PolynomialQ:
         """Degree, with -1 for the zero polynomial."""
         return len(self.numerators) - 1
 
-    def leading_coefficient(self) -> Fraction:
-        return Fraction(self.numerators[-1] if self else 0, self.denominator)
-
     def __call__(self, point) -> Fraction:
         """The value at p/q, by Horner's rule on the numerators scaled by q^degree."""
         x = _rational(point)

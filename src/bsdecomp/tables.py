@@ -153,15 +153,17 @@ class BettiTable:
     def from_entries(
         cls, entries: Mapping[tuple[int, int], int | Fraction], window: Window | None = None
     ) -> "BettiTable":
-        """Build from a ``(column, degree) -> value`` mapping of ints, Fractions
-        or rational strings (a float or a boolean is a TypeError); zeros are dropped.
+        """Build from a ``(column, degree) -> value`` mapping of integer
+        positions to ints, Fractions or rational strings (a float or a boolean
+        position or value is a TypeError); zeros are dropped.
 
         With no explicit window the smallest one containing the nonzero
         support is used; an all-zero mapping then has no well-defined window
         and is rejected.
         """
         support = {}
-        for pos, value in sorted(entries.items()):
+        for (i, j), value in sorted(entries.items()):
+            pos = (_json_int(i), _json_int(j))
             if isinstance(value, (bool, float)):
                 raise TypeError(f"entry {value!r} at {pos} is not an exact rational")
             q = Fraction(value)
@@ -250,7 +252,7 @@ def hk_functional(table: BettiTable, power: int) -> Fraction:
     The power-0 functional uses ``0^0 = 1``, so it is the alternating sum of
     the entries themselves.
     """
-    if power < 0:
+    if _json_int(power) < 0:
         raise ValueError("power must be >= 0")
     acc = Fraction(0)
     for (i, j), v in table.iter_support():
@@ -261,7 +263,7 @@ def hk_functional(table: BettiTable, power: int) -> Fraction:
 
 def hk_satisfies(table: BettiTable, count: int) -> bool:
     """Whether the first ``count`` functionals (powers 0..count-1) all vanish."""
-    return all(hk_functional(table, t) == 0 for t in range(count))
+    return all(hk_functional(table, t) == 0 for t in range(_json_int(count)))
 
 
 def _text_rows(table: BettiTable) -> list[list[str]]:

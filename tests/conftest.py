@@ -5,6 +5,15 @@ from bsdecomp import BettiTable, betti_table, power
 
 from reference_values import path_edge_ideal
 
+try:
+    from hypothesis import settings
+except ImportError:  # then only the tests that use Hypothesis fail
+    pass
+else:
+    # one deterministic profile: each test sets only its own max_examples
+    settings.register_profile("bsdecomp", derandomize=True, deadline=None, database=None)
+    settings.load_profile("bsdecomp")
+
 _acceptance_lines: list[str] = []
 
 

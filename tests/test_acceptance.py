@@ -273,7 +273,7 @@ def test_criterion_6e_eventual_min_certificates(acceptance_report):
             for p in polys:
                 if p:
                     t0 = sign_threshold(p)
-                    lead_positive = p.leading_coefficient() > 0
+                    lead_positive = p.coefficients[-1] > 0
                     for t in range(t0 + 1, t0 + 51):
                         assert (p(t) > 0) == lead_positive
 

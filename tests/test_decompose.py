@@ -251,7 +251,7 @@ def window_tables(draw):
 
 
 class TestGreedyAgainstChainScan:
-    @settings(max_examples=150, deadline=None, derandomize=True)
+    @settings(max_examples=150)
     @given(window_tables())
     def test_greedy_fails_exactly_when_no_chain_is_nonnegative(self, window_table):
         # a positive decomposition along a chain is unique, so the greedy

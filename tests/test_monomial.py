@@ -310,14 +310,14 @@ class TestParseMonomial:
                 parse_monomial(text, 12)
             assert str(caught.value) == expected
 
-    @settings(derandomize=True, max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(st.integers(1, 16).flatmap(lambda n: st.lists(st.integers(0, 1000), min_size=n, max_size=n)))
     def test_text_reads_back(self, exponents):
         if any(exponents):
             a = Monomial(tuple(exponents))
             assert parse_monomial(a.text(), len(exponents)) == a
 
-    @settings(derandomize=True, max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(st.text(), st.integers(1, MAX_VARIABLES))
     def test_any_text_parses_or_is_a_parse_error(self, text, num_vars):
         try:
@@ -423,7 +423,7 @@ class TestLcmClosure:
                 points.add(b)
             assert points == expected
 
-    @settings(derandomize=True, max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(edge_ideals())
     @example(MonomialIdeal(2, (m(0, 0),)))
     def test_walk_matches_definition(self, ideal):
@@ -480,7 +480,7 @@ class TestUpperKoszul:
         assert m(1, 1) not in walk_facets(ideal)
         assert brute_koszul_faces(ideal, m(1, 1)) == frozenset()
 
-    @settings(derandomize=True, max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(edge_ideals(), st.data())
     def test_matches_definition(self, ideal, data):
         # every point the walk yields, from the maximal facets of its key
@@ -502,7 +502,7 @@ class TestUpperKoszul:
 
 
 class TestConeFromMasks:
-    @settings(derandomize=True, max_examples=80, deadline=None)
+    @settings(max_examples=80)
     @given(
         st.one_of(
             edge_ideals(),
@@ -822,7 +822,7 @@ class TestBettiTable:
     def test_unit_ideal(self):
         assert betti_table(MonomialIdeal(2, (m(0, 0),))).support() == ((0, 0),)
 
-    @settings(derandomize=True, max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(edge_ideals())
     @example(MonomialIdeal(2, (m(0, 0),)))
     def test_against_taylor_oracle_on_field_edges(self, ideal):
@@ -935,6 +935,18 @@ class TestHeight:
             assert _height(ideal) == brute, ideal
             heights.append(brute)
         assert set(heights) >= {1, 2, 3, 4}
+
+    @pytest.mark.parametrize("n, covers", [(12, 715), (14, 2158)])
+    def test_counts_partial_covers(self, monkeypatch, n, covers):
+        # the squarefree ideal of all 4-subsets of n variables has height
+        # n - 3; the memo counts each partial cover the search visits once
+        real = functools.cache
+        caches = []
+        monkeypatch.setattr(functools, "cache", lambda f: caches.append(real(f)) or caches[-1])
+        subsets = itertools.combinations(range(n), 4)
+        ideal = MonomialIdeal(n, tuple(Monomial(tuple(int(v in c) for v in range(n))) for c in subsets))
+        assert _height(ideal) == n - 3
+        assert [cache.cache_info().misses for cache in caches] == [covers]
 
 
 def renamed(ideal, s):

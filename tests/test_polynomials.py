@@ -115,7 +115,7 @@ def test_sign_threshold_certifies():
         if not p:
             continue
         t = sign_threshold(p)
-        lead_positive = p.leading_coefficient() > 0
+        lead_positive = p.coefficients[-1] > 0
         for k in range(t + 1, t + 30):
             value = p(k)
             assert value != 0
@@ -193,7 +193,7 @@ def assert_is(p: PolynomialQ, reference: list[Fraction]) -> None:
     assert hash(p) == hash(PolynomialQ(reference))
 
 
-@settings(derandomize=True, deadline=None, max_examples=300)
+@settings(max_examples=300)
 @given(COEFFICIENTS, COEFFICIENTS, st.one_of(st.integers(-30, 30), RATIONALS), NONZERO_INTS, st.integers(-8, 8), RATIONALS)
 def test_integer_kernel_matches_fraction_reference(a, b, factor, divisor, k, x):
     p, q = PolynomialQ(a), PolynomialQ(b)
@@ -209,7 +209,6 @@ def test_integer_kernel_matches_fraction_reference(a, b, factor, divisor, k, x):
     assert p(k) == ref_value(ra, k) and type(p(k)) is Fraction
     assert p(x) == ref_value(ra, x)
     assert p.degree() == len(ra) - 1
-    assert p.leading_coefficient() == (ra[-1] if ra else 0)
     assert cauchy_threshold(p) == ref_cauchy_threshold(ra)
     assert sign_threshold(p) == ref_sign_threshold(ra)
 

@@ -172,6 +172,20 @@ class TestBettiTable:
         with pytest.raises(ValueError, match="column 1, degree 4 is outside the window"):
             BettiTable.from_entries(entries, Window(2, 2, 1))
 
+    @pytest.mark.parametrize(
+        "entries, window",
+        [
+            ({(0.5, 1): 1}, Window(0, 1, 1)),
+            ({(1, True): 1}, Window(0, 1, 1)),
+            # not an extreme of the inferred hull, so the hull does not see it
+            ({(0.5, 1): 1, (0, 0): 1, (2, 5): 1}, None),
+            ({(True, 1): 1, (0, 0): 1, (2, 5): 1}, None),
+        ],
+    )
+    def test_positions_are_integers(self, entries, window):
+        with pytest.raises(TypeError):
+            BettiTable.from_entries(entries, window)
+
     def test_same_entries_vs_eq(self):
         a = BettiTable.from_entries({(0, 0): 1})
         b = BettiTable.from_entries({(0, 0): 1}, window=Window(0, 2, 2))
@@ -219,6 +233,15 @@ class TestHerzogKuhl:
         assert hk_functional(t, 1) == -1
         with pytest.raises(ValueError):
             hk_functional(t, -1)
+
+    @pytest.mark.parametrize("power", [0.5, 1.0, True, "1"])
+    def test_power_and_count_are_integers(self, power):
+        t = BettiTable.from_entries({(0, 2): 2, (1, 3): 1})  # (x1x2, x2x3) in 3 variables
+        assert hk_functional(t, 1) == 1 and type(hk_functional(t, 1)) is Fraction
+        with pytest.raises(TypeError):
+            hk_functional(t, power)
+        with pytest.raises(TypeError):
+            hk_satisfies(t, power)
 
     def test_pure_diagrams_satisfy_exactly_first_s(self):
         rng = random.Random(77)
