@@ -11,6 +11,7 @@ from .decompose import (
     Decomposition,
     chain_decompose,
     coefficient_column_formula,
+    count_maximal_chains,
     cover_successors,
     decomposition_from_json,
     decomposition_to_json,
@@ -66,10 +67,8 @@ from .stabilize import (
 )
 from .tables import (
     BettiTable,
-    Comparison,
     DegreeSequence,
     Window,
-    compare,
     hk_functional,
     hk_satisfies,
     parse_btt_text,

@@ -16,6 +16,7 @@ import sys
 from .decompose import (
     Chain,
     chain_decompose,
+    count_maximal_chains,
     decomposition_from_json,
     decomposition_to_json,
     enumerate_maximal_chains,
@@ -187,8 +188,7 @@ def cmd_chains(args) -> int:
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
     if args.count_only:
-        count = sum(1 for _ in enumerate_maximal_chains(window))
-        print(count)
+        print(count_maximal_chains(window))
         return EXIT_OK
     for chain in enumerate_maximal_chains(window):
         print(json.dumps([list(s.degrees) for s in chain.elements], separators=(",", ":")))

@@ -24,16 +24,7 @@ from .errors import (
     NotDecomposableError,
     ParseError,
 )
-from .tables import (
-    BettiTable,
-    Comparison,
-    DegreeSequence,
-    Window,
-    _json_rational,
-    _json_window,
-    _pure_denominators,
-    compare,
-)
+from .tables import BettiTable, DegreeSequence, Window, _json_rational, _json_window, _pure_denominators
 
 
 def cover_successors(sequence: DegreeSequence, window: Window) -> list[DegreeSequence]:
@@ -131,7 +122,23 @@ def enumerate_maximal_chains(window: Window) -> Iterator[Chain]:
             yield Chain(tuple(path), window)
 
 
-_AT_MOST = (Comparison.LESS, Comparison.EQUAL)
+def count_maximal_chains(window: Window) -> int:
+    """How many chains ``enumerate_maximal_chains`` yields, under its
+    certificate, without listing them: paths from the bottom are counted one
+    cover at a time, and all must reach the top, alone, at the last level."""
+    top, size = DegreeSequence((window.max_row,)), window.dimension
+    paths = {_bottom(window): 1}
+    for depth in range(1, size):
+        if top in paths:
+            raise CertificateError(f"a maximal chain of {size} elements has {depth}")
+        level: dict[DegreeSequence, int] = {}
+        for node, count in paths.items():
+            for s in cover_successors(node, window):
+                level[s] = level.get(s, 0) + count
+        paths = level
+    if list(paths) != [top]:
+        raise CertificateError(f"a maximal chain of {size} elements does not end at the top")
+    return paths[top]
 
 
 def _chain_through(sequences, window: Window) -> Chain:
@@ -147,7 +154,7 @@ def _chain_through(sequences, window: Window) -> Chain:
     for target in (*sequences, DegreeSequence((window.max_row,))):
         while path[-1] != target:
             successors = cover_successors(path[-1], window)
-            path.append(next(s for s in successors if compare(s, target) in _AT_MOST))
+            path.append(next(s for s in successors if s <= target))
     return Chain(tuple(path), window)
 
 
@@ -155,7 +162,7 @@ def _check_chain_order(terms: tuple) -> None:
     """Raise ValueError unless the sequences of the (coefficient, sequence)
     terms strictly increase, as along a chain."""
     for (_, a), (_, b) in zip(terms, terms[1:]):
-        if compare(a, b) is not Comparison.LESS:
+        if not a < b:
             raise ValueError(f"terms out of chain order: {a.degrees} then {b.degrees}")
 
 

@@ -90,7 +90,7 @@ def parse_monomial(text: str, num_vars: int) -> Monomial:
     ASCII digits, factors are joined by ``*``. Errors report the character
     position.
     """
-    exps = [0] * num_vars
+    exps = [0] * _json_int(num_vars)
     pos = _SPACE.match(text).end()
     if pos == len(text):
         raise ParseError(f"empty monomial in {text!r}")
@@ -175,7 +175,7 @@ class MonomialIdeal:
 def power(ideal: MonomialIdeal, k: int) -> MonomialIdeal:
     """k-th power: products of k generators with repetition, minimalized; a
     product is summed on exponent tuples, one Monomial per distinct one."""
-    if k < 1:
+    if _json_int(k) < 1:
         raise ValueError(f"power must be >= 1, got {k}")
     if k == 1:
         return ideal  # its generators are minimal already
@@ -493,7 +493,7 @@ def power_tables(ideal: MonomialIdeal, k_min: int, k_max: int) -> dict[int, Bett
     at m = 0 and 0 at 0 < m < h. A table that does not raises
     CertificateError.
     """
-    if k_min < 1 or k_max < k_min:
+    if _json_int(k_min) < 1 or _json_int(k_max) < k_min:
         raise ValueError(f"need 1 <= k_min <= k_max, got {k_min}..{k_max}")
     if ideal.is_zero:
         raise ZeroIdealError("the zero ideal has no Betti table")

@@ -130,6 +130,7 @@ def fit_family(
     those samples exactly and be eventually positive. Any violation raises
     NotStabilized naming the offending (k, column, degree) where one exists.
     """
+    gen_degree, degree_bound = _json_int(gen_degree), _json_int(degree_bound)
     ks = sorted(tables)
     if not ks:
         raise ValueError("no sample tables")
@@ -272,9 +273,9 @@ def detect_stabilization(ideal: MonomialIdeal, k_min: int, k_max: int) -> Stabil
     least 0, for the unit ideal). A replay that disagrees raises
     CertificateError, which no interpreter flag disables.
     """
-    if k_min < 1:
+    if _json_int(k_min) < 1:
         raise ValueError(f"k_min must be >= 1, got {k_min}")
-    if k_max < k_min:
+    if _json_int(k_max) < k_min:
         raise ValueError(f"empty power range {k_min}..{k_max}")
     if not ideal.generators:
         raise ZeroIdealError("the zero ideal has no Betti table")

@@ -5,13 +5,12 @@ and row ``j - i`` (regularity offset). A window confines support to columns
 ``0..max_col`` and rows ``min_row..max_row``; ``Window.hull`` and
 ``Window.shift`` are the one place windows are derived. A ``BettiTable`` is
 its nonzero entries, keyed by (column, degree), over a window. Degree
-sequences are strictly increasing; ``compare`` orders them termwise after
-padding the shorter one with +infinity, so shorter sequences sit higher.
+sequences are strictly increasing; their ``<`` and ``<=`` compare termwise
+after padding the shorter one with +infinity, so shorter sequences sit higher.
 """
 
 from __future__ import annotations
 
-import enum
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -103,32 +102,24 @@ class DegreeSequence:
     def __getitem__(self, i: int) -> int:
         return self.degrees[i]
 
+    def __le__(self, other: "DegreeSequence") -> bool:
+        """The Boij-Soderberg order, which is partial, so sorted, min and max
+        mean nothing here: at least as long, and termwise <= wherever other is
+        defined, as if the shorter were padded with +infinity."""
+        if not isinstance(other, DegreeSequence):
+            return NotImplemented
+        return len(self) >= len(other) and all(a <= b for a, b in zip(self.degrees, other.degrees))
+
+    def __lt__(self, other: "DegreeSequence") -> bool:
+        if not isinstance(other, DegreeSequence):
+            return NotImplemented
+        return self.degrees != other.degrees and self <= other
+
     def shift(self, offset: int) -> "DegreeSequence":
         return DegreeSequence(tuple(d + offset for d in self.degrees))
 
     def __repr__(self) -> str:
         return f"DegreeSequence{self.degrees}"
-
-
-class Comparison(enum.Enum):
-    LESS = "less"
-    EQUAL = "equal"
-    GREATER = "greater"
-    INCOMPARABLE = "incomparable"
-
-
-def compare(a: DegreeSequence, b: DegreeSequence) -> Comparison:
-    """Termwise order with +infinity padding: a <= b iff a is at least as long
-    and a_i <= b_i wherever b is defined."""
-    le_ab = len(a) >= len(b) and all(a[i] <= b[i] for i in range(len(b)))
-    le_ba = len(b) >= len(a) and all(b[i] <= a[i] for i in range(len(a)))
-    if le_ab and le_ba:
-        return Comparison.EQUAL
-    if le_ab:
-        return Comparison.LESS
-    if le_ba:
-        return Comparison.GREATER
-    return Comparison.INCOMPARABLE
 
 
 @dataclass(frozen=True, init=False)

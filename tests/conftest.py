@@ -1,3 +1,5 @@
+import tempfile
+
 import pytest
 
 import bsdecomp.monomial
@@ -7,9 +9,14 @@ from reference_values import path_edge_ideal
 
 try:
     from hypothesis import settings
+    from hypothesis.configuration import set_hypothesis_home_dir
 except ImportError:  # then only the tests that use Hypothesis fail
     pass
 else:
+    # Hypothesis's files go to a directory of the session, removed at exit,
+    # not to .hypothesis/ in the checkout
+    _hypothesis_home = tempfile.TemporaryDirectory(prefix="bsdecomp-hypothesis-")
+    set_hypothesis_home_dir(_hypothesis_home.name)
     # one deterministic profile: each test sets only its own max_examples
     settings.register_profile("bsdecomp", derandomize=True, deadline=None, database=None)
     settings.load_profile("bsdecomp")

@@ -7,7 +7,8 @@ simplicial homology from dense boundary matrices, ranks from fraction-free
 Bareiss elimination over the integers, determinants from cofactor expansion,
 Hilbert-series numerators from Bigatti's pivot recursion on exponent
 tuples, which reaches ideals far past the Taylor oracle's dozen generators,
-and polynomial arithmetic from plain lists of Fractions.
+polynomial arithmetic from plain lists of Fractions, and the Boij-Soderberg
+order from plain tuples padded with +infinity.
 """
 
 from __future__ import annotations
@@ -121,6 +122,14 @@ def dense_vector(table: BettiTable, window) -> list[Fraction]:
     if not set(table.support()) <= set(positions):
         raise ValueError("table support escapes the window")
     return [table.entry(i, j) for i, j in positions]
+
+
+def bs_le(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+    """The Boij-Soderberg order on plain degree tuples: pad both to one length
+    with +infinity, then compare position by position."""
+    width = max(len(a), len(b))
+    padded_a, padded_b = (list(t) + [math.inf] * (width - len(t)) for t in (a, b))
+    return all(x <= y for x, y in zip(padded_a, padded_b))
 
 
 def taylor_betti_entries(ideal: MonomialIdeal) -> dict[tuple[int, int], int]:

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -11,7 +12,6 @@ from bsdecomp import (
     BettiTable,
     CertificateError,
     Chain,
-    Comparison,
     DegreeSequence,
     Decomposition,
     NoSolutionError,
@@ -20,7 +20,7 @@ from bsdecomp import (
     Window,
     chain_decompose,
     coefficient_column_formula,
-    compare,
+    count_maximal_chains,
     cover_successors,
     decomposition_from_json,
     decomposition_to_json,
@@ -31,7 +31,7 @@ from bsdecomp import (
     verify,
 )
 from bsdecomp.decompose import _chain_through
-from oracles import cramer_solve, dense_vector
+from oracles import bs_le, cramer_solve, dense_vector
 from reference_values import (
     GREEDY_TERM_COUNTS_SMALL,
     SMALL_TABLES,
@@ -53,15 +53,11 @@ def all_sequences(window):
 
 
 def brute_force_covers(sequence, window, universe):
-    above = [b for b in universe if compare(sequence, b) is Comparison.LESS]
-    return {
-        b
-        for b in above
-        if not any(
-            compare(sequence, z) is Comparison.LESS and compare(z, b) is Comparison.LESS
-            for z in above
-        )
-    }
+    def less(a, b):
+        return a != b and bs_le(a.degrees, b.degrees)
+
+    above = [b for b in universe if less(sequence, b)]
+    return {b for b in above if not any(less(sequence, z) and less(z, b) for z in above)}
 
 
 def random_chain(rng, window):
@@ -107,6 +103,16 @@ class TestCoverSuccessors:
         window = Window(0, 3, 1)
         assert DegreeSequence((0,)) not in cover_successors(DegreeSequence((0, 2)), window)
         assert DegreeSequence((0,)) in cover_successors(DegreeSequence((0, 4)), window)
+
+
+class TestOrderAgainstOracle:
+    @pytest.mark.parametrize("window", [Window(0, 2, 3), Window(-1, 1, 2)])
+    def test_operators_agree_with_padded_tuples(self, window):
+        universe = all_sequences(window)
+        for a in universe:
+            for b in universe:
+                le, ge = bs_le(a.degrees, b.degrees), bs_le(b.degrees, a.degrees)
+                assert (a <= b, a >= b, a < b, a > b) == (le, ge, le and not ge, ge and not le)
 
 
 class TestChain:
@@ -174,6 +180,25 @@ class TestEnumerateMaximalChains:
         monkeypatch.setattr(bsdecomp.decompose, "cover_successors", lambda s, w: [DegreeSequence((w.max_row,))])
         with pytest.raises(CertificateError, match="a maximal chain of 4 elements has 2"):
             next(enumerate_maximal_chains(Window(0, 1, 1)))
+
+    def test_short_chain_is_a_certificate_error_for_the_count(self, monkeypatch):
+        monkeypatch.setattr(bsdecomp.decompose, "cover_successors", lambda s, w: [DegreeSequence((w.max_row,))])
+        with pytest.raises(CertificateError, match="a maximal chain of 4 elements has 2"):
+            count_maximal_chains(Window(0, 1, 1))
+
+    def test_count_needs_the_top_alone_at_the_last_level(self, monkeypatch):
+        # a cover relation that never moved would leave the bottom at the last level
+        monkeypatch.setattr(bsdecomp.decompose, "cover_successors", lambda s, w: [s])
+        with pytest.raises(CertificateError, match="does not end at the top"):
+            count_maximal_chains(Window(0, 1, 1))
+
+    @pytest.mark.parametrize(
+        "window",
+        [Window(0, 1, 1), Window(0, 1, 3), Window(0, 0, 3), Window(2, 2, 0), Window(0, 2, 3),
+         Window(0, 3, 3), Window(0, 2, 5), Window(-1, 1, 2)],
+    )
+    def test_count_matches_enumeration(self, window):
+        assert count_maximal_chains(window) == sum(1 for _ in enumerate_maximal_chains(window))
 
 
 class TestGreedy:
@@ -448,3 +473,61 @@ class TestDecompositionContainer:
             decomposition_from_json(
                 {"window": [0, 1, 1], "terms": [{"degrees": [2, 1], "coefficient": "1"}]}
             )
+
+
+COEFFICIENTS = st.one_of(st.integers(-(10**6), 10**6), st.fractions(max_denominator=60))
+JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=8)),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(
+            st.sampled_from(["window", "terms", "degrees", "coefficient"]) | st.text(max_size=8),
+            children,
+            max_size=4,
+        ),
+    ),
+    max_leaves=12,
+)
+# near misses of the decomposition schema, so that fuzzing gets past the window
+NEAR_DECOMPOSITIONS = st.fixed_dictionaries({
+    "window": st.tuples(st.integers(-2, 1), st.integers(1, 3), st.integers(0, 3)).map(list) | JSON_VALUES,
+    "terms": st.lists(
+        st.fixed_dictionaries({
+            "degrees": st.lists(st.integers(-2, 6), max_size=4) | JSON_VALUES,
+            "coefficient": st.integers() | st.text("0123456789-/", max_size=6) | JSON_VALUES,
+        })
+        | JSON_VALUES,
+        max_size=4,
+    )
+    | JSON_VALUES,
+})
+
+
+@st.composite
+def decompositions(draw):
+    """Int and Fraction coefficients, zero and negative included, along a
+    random maximal chain of a window with lowest row in -3..3, height 1-3 and
+    columns 0-3."""
+    min_row = draw(st.integers(-3, 3))
+    window = Window(min_row, min_row + draw(st.integers(0, 2)), draw(st.integers(0, 3)))
+    path = [DegreeSequence(tuple(range(window.min_row, window.min_row + window.max_col + 1)))]
+    while successors := cover_successors(path[-1], window):
+        path.append(draw(st.sampled_from(successors)))
+    return Decomposition(tuple((draw(COEFFICIENTS), s) for s in path), window)
+
+
+class TestDecompositionJsonFuzz:
+    @settings(max_examples=200)
+    @given(decompositions())
+    def test_json_round_trip(self, decomposition):
+        text = json.dumps(decomposition_to_json(decomposition))
+        assert decomposition_from_json(json.loads(text)) == decomposition
+
+    @settings(max_examples=200)
+    @given(JSON_VALUES | NEAR_DECOMPOSITIONS)
+    def test_arbitrary_json_raises_only_parse_error(self, obj):
+        try:
+            decomposition = decomposition_from_json(obj)
+        except ParseError:
+            return
+        assert isinstance(decomposition, Decomposition)

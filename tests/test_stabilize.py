@@ -37,6 +37,8 @@ from bsdecomp import (
     fit_family,
     greedy_decompose,
     ideal_from_json,
+    parse_monomial,
+    power,
     power_tables,
     report_from_json,
     report_json_text,
@@ -442,6 +444,32 @@ class TestDetectStabilization:
             report = detect_stabilization(ideal, 1, 7)
             assert max(p.degree() for p in report.fit.entries.values()) <= spread - 1, ideal
             assert report.fit.entries[(0, 0)].degree() == max(spread - 1, 0), ideal
+
+
+SHIFTED_FAMILY = {k: BettiTable.from_entries({(0, 2 * k): k + 1, (1, 2 * k + 1): k}) for k in range(1, 4)}
+
+
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        (fit_family, (SHIFTED_FAMILY, 2, True)),
+        (fit_family, (SHIFTED_FAMILY, 2, 1.0)),
+        (fit_family, (SHIFTED_FAMILY, True, 1)),
+        (fit_family, (SHIFTED_FAMILY, 2.0, 1)),
+        (power, (path_edge_ideal(), True)),
+        (power, (path_edge_ideal(), 2.0)),
+        (power_tables, (path_edge_ideal(), True, 2)),
+        (power_tables, (path_edge_ideal(), 1, 2.0)),
+        (detect_stabilization, (path_edge_ideal(), True, 8)),
+        (detect_stabilization, (path_edge_ideal(), 1, 8.0)),
+        (parse_monomial, ("x1", True)),
+        (parse_monomial, ("x1", 2.0)),
+    ],
+)
+def test_power_family_arguments_are_integers(fn, args):
+    # booleans are integers to Python, and would run as 0 or 1
+    with pytest.raises(TypeError):
+        fn(*args)
 
 
 class TestCertificates:

@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -6,12 +7,10 @@ import pytest
 
 from bsdecomp import (
     BettiTable,
-    Comparison,
     DegreeSequence,
     DegreeSequenceError,
     ParseError,
     Window,
-    compare,
     hk_functional,
     hk_satisfies,
     parse_btt_text,
@@ -97,34 +96,38 @@ class TestDegreeSequence:
 class TestCompare:
     def test_padding_semantics(self):
         # shorter sequences pad with +infinity, so they sit higher
-        assert compare(DegreeSequence((0, 1, 5)), DegreeSequence((0, 1))) is Comparison.LESS
-        assert compare(DegreeSequence((0, 1)), DegreeSequence((0, 1, 5))) is Comparison.GREATER
-        assert compare(DegreeSequence((0, 1)), DegreeSequence((0, 1))) is Comparison.EQUAL
-        assert compare(DegreeSequence((0, 3)), DegreeSequence((1, 2))) is Comparison.INCOMPARABLE
-        assert compare(DegreeSequence((0, 1, 2)), DegreeSequence((1, 2))) is Comparison.LESS
+        assert DegreeSequence((0, 1, 5)) < DegreeSequence((0, 1))
+        assert DegreeSequence((0, 1)) > DegreeSequence((0, 1, 5))
+        same = DegreeSequence((0, 1))
+        assert same <= DegreeSequence((0, 1)) and same >= DegreeSequence((0, 1))
+        assert not same < DegreeSequence((0, 1))
+        a, b = DegreeSequence((0, 3)), DegreeSequence((1, 2))
+        assert not (a <= b or b <= a)
+        assert DegreeSequence((0, 1, 2)) < DegreeSequence((1, 2))
 
     def test_order_axioms_random(self):
         rng = random.Random(2024)
         seqs = [random_sequence(rng) for _ in range(60)]
         for a in seqs:
-            assert compare(a, a) is Comparison.EQUAL
+            assert a <= a and a >= a and not a < a and not a > a
         for a in seqs:
             for b in seqs:
-                ab, ba = compare(a, b), compare(b, a)
-                flip = {
-                    Comparison.LESS: Comparison.GREATER,
-                    Comparison.GREATER: Comparison.LESS,
-                    Comparison.EQUAL: Comparison.EQUAL,
-                    Comparison.INCOMPARABLE: Comparison.INCOMPARABLE,
-                }
-                assert ba is flip[ab]
-                if ab is Comparison.EQUAL:
+                assert (a < b) == (b > a) and (a <= b) == (b >= a)
+                assert (a < b) == (a <= b and a != b)
+                if a <= b and b <= a:
                     assert a.degrees == b.degrees
         for a in seqs[:20]:
             for b in seqs[:20]:
                 for c in seqs[:20]:
-                    if compare(a, b) is Comparison.LESS and compare(b, c) is Comparison.LESS:
-                        assert compare(a, c) is Comparison.LESS
+                    if a < b and b < c:
+                        assert a < c
+
+    def test_a_tuple_is_not_comparable(self):
+        for op in (operator.lt, operator.le, operator.gt, operator.ge):
+            with pytest.raises(TypeError):
+                op(DegreeSequence((0, 1)), (0, 1))
+            with pytest.raises(TypeError):
+                op((0, 1), DegreeSequence((0, 1)))
 
 
 class TestBettiTable:
