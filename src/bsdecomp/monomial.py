@@ -8,15 +8,19 @@ F_g = {v : g_v < b_v} over the generators g dividing b (Miller and Sturmfels,
 Combinatorial Commutative Algebra, Thm 1.34), so it is given by its maximal
 facets. Multidegrees outside the lcm lattice of the generators contribute
 nothing (Gasharov, Peeva and Welker 1999), so the scan runs over that lattice
-only. Homology is read off the strong-collapse core of each complex, which has
-its homotopy type (Barmak and Minian, Discrete Comput. Geom. 47, 2012): a
-vertex and a simplex boundary in closed form, faces and ranks for the rest.
-The complex at b is fixed by which generators reach b where, whatever the
-power, so the powers of one ideal share one homology memo, and a variable
-permutation fixing the generators maps it onto an isomorphic complex, so
-their walks visit one point per orbit. ``power_tables`` is the one driver of
-the walk, for ``betti_table`` too, and checks each table it returns against
-the Herzog-Kühl identities (Comm. Algebra 12, 1984).
+only. The facets' intersections are simplices, so a complex has the homotopy
+type of their nerve (Björner, Topological methods, Handbook of Combinatorics,
+1995, Thm 10.6), and a sphere when that nerve is a simplex boundary; other
+complexes are read off their strong-collapse core, which has the homotopy
+type too (Barmak and Minian, Discrete Comput. Geom. 47, 2012): a vertex and
+a nerve sphere in closed form, faces and ranks for the rest. The complex at
+b is fixed by which generators reach b where, whatever the power, so the
+powers of one ideal share one homology memo, and a variable permutation
+fixing the generators maps it onto an isomorphic complex, so their walks
+visit one point per orbit. ``power_tables`` makes every walk, for
+``betti_table`` too; it builds each power's generators as exponent tuples
+from the previous power's, and checks each table it returns against the
+Herzog-Kühl identities (Comm. Algebra 12, 1984).
 """
 
 from __future__ import annotations
@@ -152,16 +156,8 @@ class MonomialIdeal:
                 raise TypeError(f"generator {g!r} is not a Monomial")
             if g.num_vars != n:
                 raise ValueError(f"generator {g.text()} has {g.num_vars} variables, expected {n}")
-        # a proper divisor has strictly lower degree, so each degree group
-        # is tested against the minimal generators kept before it
-        minimal: list[Monomial] = []
-        by_degree = sorted(set(gens), key=lambda m: m.degree)
-        for _, group in itertools.groupby(by_degree, key=lambda m: m.degree):
-            lower = tuple(minimal)
-            minimal.extend(g for g in group if not any(h.divides(g) for h in lower))
-        minimal.sort(key=lambda m: m.exponents)
         object.__setattr__(self, "num_vars", n)
-        object.__setattr__(self, "generators", tuple(minimal))
+        object.__setattr__(self, "generators", tuple(map(Monomial, _minimal(g.exponents for g in gens))))
 
     @property
     def is_zero(self) -> bool:
@@ -173,15 +169,35 @@ class MonomialIdeal:
 
 
 def power(ideal: MonomialIdeal, k: int) -> MonomialIdeal:
-    """k-th power: products of k generators with repetition, minimalized; a
-    product is summed on exponent tuples, one Monomial per distinct one."""
+    """k-th power, from the k-th exponent tuples ``_powers`` builds."""
     if _json_int(k) < 1:
         raise ValueError(f"power must be >= 1, got {k}")
-    if k == 1:
-        return ideal  # its generators are minimal already
+    return MonomialIdeal(ideal.num_vars, tuple(map(Monomial, next(itertools.islice(_powers(ideal), k - 1, None)))))
+
+
+def _powers(ideal: MonomialIdeal):
+    """The minimal generators of I, I^2, I^3, ... as sorted exponent tuples,
+    each power's from the previous one's: I^k = I^(k-1) I is generated by the
+    pairwise sums of their generators, which are minimal already when I is
+    equigenerated, as products of one degree cannot divide one another."""
     exponents = [g.exponents for g in ideal.generators]
-    products = {tuple(map(sum, zip(*combo))) for combo in itertools.combinations_with_replacement(exponents, k)}
-    return MonomialIdeal(ideal.num_vars, tuple(Monomial(p) for p in products))
+    minimalize = is_equigenerated(ideal) is None
+    powered = exponents
+    while True:
+        yield powered
+        products = {tuple(map(operator.add, p, e)) for p in powered for e in exponents}
+        powered = _minimal(products) if minimalize else sorted(products)
+
+
+def _minimal(exponents) -> list[tuple[int, ...]]:
+    """The exponent tuples no other one divides, each once, sorted. A proper
+    divisor has strictly lower degree, so in order of degree each tuple is
+    tested against the minimal tuples kept before it."""
+    minimal: list[tuple[int, ...]] = []
+    for e in sorted(set(exponents), key=sum):
+        if not any(all(map(operator.le, h, e)) for h in minimal):
+            minimal.append(e)
+    return sorted(minimal)
 
 
 def is_equigenerated(ideal: MonomialIdeal) -> int | None:
@@ -254,13 +270,14 @@ def _projections(exponents, variables) -> list[tuple[int, ...]]:
     return sorted(tuple(e[v] for v in variables) for e in exponents)
 
 
-def _lattice(ideal: MonomialIdeal, symmetries=()):
-    """Walk the lcm lattice of the generators, yielding ``(degree, classes,
-    multiplicity)`` for each point b whose upper-Koszul complex is not the
-    full simplex on a nonempty supp(b): its total degree, the generators
-    dividing b grouped by S_g = {v : g_v = b_v}, as a dict from the bitmask
-    of S to the bitmask of the divisors with that S (bit i is generator i),
-    and the number of points whose complex it stands for.
+def _lattice(num_vars: int, exponents, symmetries=()):
+    """Walk the lcm lattice of the generators, given as exponent tuples,
+    yielding ``(degree, classes, multiplicity)`` for each point b whose
+    upper-Koszul complex is not the full simplex on a nonempty supp(b): its
+    total degree, the generators dividing b grouped by S_g = {v : g_v = b_v},
+    as a dict from the bitmask of S to the bitmask of the divisors with that
+    S (bit i is generator i), and the number of points whose complex it
+    stands for.
 
     b is fixed one variable at a time, to a value c some divisor so far takes
     there. A child keeps the divisors with g_v <= c and splits each class into
@@ -292,12 +309,11 @@ def _lattice(ideal: MonomialIdeal, symmetries=()):
     and the identity are the stabilizer of b. None is used if each s
     decides only at the last variable, where the cut saves no node.
     """
-    n = ideal.num_vars
     levels = []  # per variable: (value c, generators with g_v = c, with g_v <= c)
-    for v in range(n):
+    for v in range(num_vars):
         by_value: dict[int, int] = {}
-        for i, g in enumerate(ideal.generators):
-            by_value[g.exponents[v]] = by_value.get(g.exponents[v], 0) | 1 << i
+        for i, g in enumerate(exponents):
+            by_value[g[v]] = by_value.get(g[v], 0) | 1 << i
         le = 0
         level = []
         for c in sorted(by_value):
@@ -305,18 +321,18 @@ def _lattice(ideal: MonomialIdeal, symmetries=()):
             level.append((c, by_value[c], le))
         levels.append(level)
     # per symmetry but the identity: per depth, the (p, s[p]) it compares there
-    positions = sorted(range(n), key=lambda p: (max([p] + [s[p] for s in symmetries]), p))
+    positions = sorted(range(num_vars), key=lambda p: (max([p] + [s[p] for s in symmetries]), p))
     checks = []
     for s in symmetries:
         pairs = [(p, s[p]) for p in positions if s[p] != p]
-        check: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        check: list[list[tuple[int, int]]] = [[] for _ in range(num_vars)]
         for pair, depth in zip(pairs, itertools.accumulate(map(max, pairs), max)):
             check[depth].append(pair)
         if pairs:
             checks.append(check)
     if not any(any(check[:-1]) for check in checks):
         checks = []
-    everyone = (1 << len(ideal.generators)) - 1
+    everyone = (1 << len(exponents)) - 1
     idle = [everyone]  # idle[j]: the generators with g_v = 0 for every v >= j
     for (c, eq, _), *_ in reversed(levels):
         idle.insert(0, idle[0] & eq if c == 0 else 0)
@@ -326,7 +342,7 @@ def _lattice(ideal: MonomialIdeal, symmetries=()):
     stack = [(0, 0, everyone, {0: everyone}, 0, ((), tuple(checks)) if checks else ())]
     while stack:
         depth, degree, divisors, classes, reach, orbit = stack.pop()
-        if depth == n:
+        if depth == num_vars:
             yield degree, classes, order // (len(orbit[1]) + 1) if orbit else order
             continue
         bit = 1 << depth
@@ -383,7 +399,7 @@ def _maximal(masks) -> list[int]:
     """The masks that lie in no other, largest first; a repeat is kept once."""
     maximal: list[int] = []
     for f in sorted(masks, key=int.bit_count, reverse=True):
-        if not any(f & k == f for k in maximal):
+        if f not in map(f.__and__, maximal):
             maximal.append(f)
     return maximal
 
@@ -405,7 +421,7 @@ def _strong_core(facets):
         while rest:
             v = rest & -rest
             rest ^= v
-            if functools.reduce(operator.and_, (f for f in facets if f & v)) & kept & ~v:
+            if functools.reduce(operator.and_, filter(v.__and__, facets)) & kept & ~v:
                 kept ^= v
         if kept == vertices:
             return facets
@@ -452,23 +468,36 @@ def _faces_of(facets) -> list[int]:
     return list(faces)
 
 
+def _nerve_sphere(facets) -> list[int] | None:
+    """H~_{m-2} = Q, as ``[0] * (m - 1) + [1]``, when each m - 1 of the m > 1
+    facets, which all together share no vertex, still share one; else None.
+    Simplices meet in simplices, so the complex has the homotopy type of the
+    nerve of its facets (Björner, Thm 10.6), here a simplex boundary. One
+    prefix and one suffix pass give each facet's AND with all the others."""
+    before = itertools.accumulate(facets, operator.and_, initial=-1)
+    after = list(itertools.accumulate(reversed(facets), operator.and_, initial=-1))
+    if len(facets) > 1 and all(map(operator.and_, before, after[-2::-1])):
+        return [0] * (len(facets) - 1) + [1]
+    return None
+
+
 def _key_homology(key: tuple[int, ...], num_vars: int) -> tuple[()] | list[int]:
     """Reduced homology of the complex at a point the walk yields, from its
     key, the distinct S_g: their complements cut to the maximal facets.
     ``()`` when those share a vertex, a cone, which has none; otherwise the
-    dimensions, slot i holding H~_{i-1}, read off the strong-collapse core:
-    none for one vertex, H~_{V-2} = Q when its V facets each miss one of its
-    V vertices (a simplex boundary), else from its faces and their ranks."""
+    dimensions, slot i holding H~_{i-1}: a nerve sphere (``_nerve_sphere``),
+    else off the strong-collapse core, none for one vertex, a nerve sphere,
+    which on a core is exactly a simplex boundary, or from faces and ranks,
+    as for {empty set}."""
     facets = _maximal(((1 << num_vars) - 1) ^ same for same in key)
     if functools.reduce(operator.and_, facets):
         return ()
+    if sphere := _nerve_sphere(facets):
+        return sphere
     core = _strong_core(facets)
-    vertices = functools.reduce(operator.or_, core)
-    if len(core) == 1 and vertices:
+    if len(core) == 1 and core[0]:
         return []
-    if len(core) == vertices.bit_count() > 1 and all((vertices ^ f).bit_count() == 1 for f in core):
-        return [0] * (len(core) - 1) + [1]
-    return _homology_from_masks(_faces_of(core), num_vars)
+    return _nerve_sphere(core) or _homology_from_masks(_faces_of(core), num_vars)
 
 
 def betti_table(ideal: MonomialIdeal) -> BettiTable:
@@ -478,33 +507,40 @@ def betti_table(ideal: MonomialIdeal) -> BettiTable:
 
 
 def power_tables(ideal: MonomialIdeal, k_min: int, k_max: int) -> dict[int, BettiTable]:
-    """The Betti tables of ideal^k for k = k_min..k_max, each from one walk
-    of its lcm lattice (``_lattice``) that builds no Monomial per point. A
-    point looks up its key, which fixes its complex whatever k is, in one
-    memo for the call, and a miss takes homology (``_key_homology``), so a
-    cone costs one dict hit once its key is known. When some walk is over a
-    power (k_max >= 2), the ideal's symmetries, which fix every power, are
-    searched once (``_symmetries``) and each walk visits one point per
+    """The Betti tables of ideal^k for k = k_min..k_max, as ``_tables`` yields them."""
+    if _json_int(k_min) < 1 or _json_int(k_max) < k_min:
+        raise ValueError(f"need 1 <= k_min <= k_max, got {k_min}..{k_max}")
+    if ideal.is_zero:
+        raise ZeroIdealError("the zero ideal has no Betti table")
+    return dict(itertools.islice(_tables(ideal, k_min), k_max - k_min + 1))
+
+
+def _tables(ideal: MonomialIdeal, k_min: int):
+    """``(k, Betti table of ideal^k)`` for k = k_min, k_min + 1, ..., each
+    from one walk of its lcm lattice (``_lattice``) over the exponent tuples
+    ``_powers`` builds, with no Monomial per generator or point; lower powers
+    are built but not walked. A point looks up its key, which fixes its
+    complex whatever k is, in one memo for the run, and a miss takes homology
+    (``_key_homology``), so a cone costs one dict hit once its key is known.
+    On reaching k = 2 the ideal's symmetries, which fix every power, are
+    searched once (``_symmetries``) and each later walk visits one point per
     orbit; a table of the ideal alone searches for none, as the search costs
     more than it saves on ideals that mostly have none. Entries add up by
     total degree; deterministic for an ideal. Each table must meet the
     Herzog-Kühl identities of I^k, whose height h is I's: beta_{0,j} counts
     the minimal generators of degree j, and sum (-1)^i j^m beta_{i,j} is 1
-    at m = 0 and 0 at 0 < m < h. A table that does not raises
-    CertificateError.
+    at m = 0 and 0 at 0 < m < h, or CertificateError is raised.
     """
-    if _json_int(k_min) < 1 or _json_int(k_max) < k_min:
-        raise ValueError(f"need 1 <= k_min <= k_max, got {k_min}..{k_max}")
-    if ideal.is_zero:
-        raise ZeroIdealError("the zero ideal has no Betti table")
     memo: dict[tuple[int, ...], tuple[()] | list[int]] = {}
-    symmetries = _symmetries(ideal) if k_max >= 2 else ()
+    symmetries = ()
     height = _height(ideal)  # every power has the ideal's radical
-    tables = {}
-    for k in range(k_min, k_max + 1):
-        ideal_k = power(ideal, k)
+    for k, powered in enumerate(_powers(ideal), 1):
+        if k == 2:
+            symmetries = _symmetries(ideal)
+        if k < k_min:
+            continue
         entries: dict[tuple[int, int], int] = {}
-        for degree, classes, multiplicity in _lattice(ideal_k, symmetries):
+        for degree, classes, multiplicity in _lattice(ideal.num_vars, powered, symmetries):
             key = tuple(classes)
             dims = memo.get(key)
             if dims is None:
@@ -515,7 +551,7 @@ def power_tables(ideal: MonomialIdeal, k_min: int, k_max: int) -> dict[int, Bett
                     entries[pos] = entries.get(pos, 0) + multiplicity * dim
         # beta_{0,j} counts the minimal generators of degree j
         column = {j: dim for (i, j), dim in entries.items() if i == 0}
-        counts = collections.Counter(g.degree for g in ideal_k.generators)
+        counts = collections.Counter(map(sum, powered))
         if column != counts:
             raise CertificateError(f"beta_0 by degree is {column}, but the minimal generators number {dict(counts)}")
         # (1 - t)^height divides the Hilbert series numerator of S/I^k
@@ -523,8 +559,7 @@ def power_tables(ideal: MonomialIdeal, k_min: int, k_max: int) -> dict[int, Bett
             total = sum((-1) ** i * j**m * dim for (i, j), dim in entries.items())
             if total != (1 if m == 0 else 0):
                 raise CertificateError(f"identity two fails at m = {m} < height {height}: the sum is {total}")
-        tables[k] = BettiTable.from_entries(entries)
-    return tables
+        yield k, BettiTable.from_entries(entries)
 
 
 def _height(ideal: MonomialIdeal) -> int:

@@ -1,4 +1,6 @@
+import getpass
 import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -13,10 +15,13 @@ try:
 except ImportError:  # then only the tests that use Hypothesis fail
     pass
 else:
-    # Hypothesis's files go to a directory of the session, removed at exit,
-    # not to .hypothesis/ in the checkout
-    _hypothesis_home = tempfile.TemporaryDirectory(prefix="bsdecomp-hypothesis-")
-    set_hypothesis_home_dir(_hypothesis_home.name)
+    # Hypothesis's files go to one directory per user under the temporary
+    # directory, not to .hypothesis/ in the checkout; it is kept between
+    # sessions, so the unicode table Hypothesis builds on first use is built
+    # once, not on every run
+    _hypothesis_home = Path(tempfile.gettempdir()) / f"bsdecomp-hypothesis-{getpass.getuser()}"
+    _hypothesis_home.mkdir(exist_ok=True)
+    set_hypothesis_home_dir(str(_hypothesis_home))
     # one deterministic profile: each test sets only its own max_examples
     settings.register_profile("bsdecomp", derandomize=True, deadline=None, database=None)
     settings.load_profile("bsdecomp")

@@ -1,3 +1,4 @@
+import collections
 import functools
 import itertools
 import math
@@ -157,10 +158,22 @@ def brute_classes(ideal, b):
     return classes
 
 
+def exponents_of(ideal):
+    """The ideal's generators as the exponent tuples ``_lattice`` walks."""
+    return [g.exponents for g in ideal.generators]
+
+
+def minimal_sums(drawn, k):
+    """The minimal k-fold sums of the exponent vectors drawn, repeats
+    allowed, sorted: by definition, every sum that no other one divides."""
+    sums = {tuple(map(sum, zip(*combo))) for combo in itertools.product(drawn, repeat=k)}
+    return sorted(s for s in sums if not any(t != s and all(a <= b for a, b in zip(t, s)) for t in sums))
+
+
 def walk_points(ideal):
     """``(b, degree, classes)`` for each point the walk yields, with b taken
     as the lcm of the divisors in its classes."""
-    for degree, classes, _ in _lattice(ideal):
+    for degree, classes, _ in _lattice(ideal.num_vars, exponents_of(ideal)):
         divisors = functools.reduce(operator.or_, classes.values())
         gens = [g.exponents for i, g in enumerate(ideal.generators) if divisors >> i & 1]
         yield Monomial(tuple(map(max, zip(*gens)))), degree, classes
@@ -228,6 +241,21 @@ def rank_path(monkeypatch):
         return real(masks, n)
 
     monkeypatch.setattr(bsdecomp.monomial, "_homology_from_masks", counting)
+    return calls
+
+
+@pytest.fixture
+def core_builds(monkeypatch):
+    """The facets of each call ``_key_homology`` makes to ``_strong_core``:
+    one per complex that the nerve of its facets does not decide."""
+    calls = []
+    real = bsdecomp.monomial._strong_core
+
+    def counting(facets):
+        calls.append(facets)
+        return real(facets)
+
+    monkeypatch.setattr(bsdecomp.monomial, "_strong_core", counting)
     return calls
 
 
@@ -400,6 +428,56 @@ class TestPower:
             for k in range(1, 5):
                 assert power(MonomialIdeal(n, ()), k).is_zero
 
+    @pytest.fixture
+    def walked(self, monkeypatch):
+        """The exponent tuples of each walk ``power_tables`` makes, in order."""
+        walks = []
+        real = bsdecomp.monomial._lattice
+
+        def recording(num_vars, exponents, symmetries=()):
+            walks.append(list(exponents))
+            return real(num_vars, exponents, symmetries)
+
+        monkeypatch.setattr(bsdecomp.monomial, "_lattice", recording)
+        return walks
+
+    def test_walks_read_the_minimal_products(self, walked):
+        # each power's tuples come from the previous power's times I's; they
+        # are I^k's minimal generators, as power() gives them and as the
+        # minimal k-fold sums of the generators drawn define them, on the
+        # unit ideal, one variable, and ideals of mixed degrees
+        rng = random.Random(3301)
+        drawn_sets = [[(0, 0, 0)], [(3,), (5,)], [(2, 0), (0, 3)], [(1, 1), (2, 0)]]
+        for _ in range(20):
+            n = rng.randint(1, 4)
+            drawn_sets.append([tuple(rng.randint(0, 2) for _ in range(n)) for _ in range(rng.randint(1, 4))])
+        ideals = [MonomialIdeal(len(drawn[0]), tuple(map(Monomial, drawn))) for drawn in drawn_sets]
+        assert {is_equigenerated(ideal) is None for ideal in ideals} == {True, False}
+        for drawn, ideal in zip(drawn_sets, ideals):
+            if ideal.is_zero:
+                continue
+            walked.clear()
+            power_tables(ideal, 1, 4)
+            assert len(walked) == 4
+            for k, exponents in enumerate(walked, 1):
+                assert exponents == [g.exponents for g in power(ideal, k).generators], (ideal, k)
+                assert exponents == minimal_sums(drawn, k), (ideal, k)
+
+    def test_powers_below_k_min_are_not_walked(self, walked):
+        # the tables from k = 3 on, with I^1 and I^2 built but not walked,
+        # are those of the powers power() expands, on ideals of mixed degrees
+        rng = random.Random(3306)
+        checked = 0
+        while checked < 6:
+            ideal = random_ideal(rng, rng.randint(1, 3), rng.randint(2, 4), max_exp=2)
+            if is_equigenerated(ideal) is not None:
+                continue
+            walked.clear()
+            tables = power_tables(ideal, 3, 5)
+            assert [len(w) for w in walked] == [len(power(ideal, k).generators) for k in (3, 4, 5)]
+            assert tables == {k: betti_table(power(ideal, k)) for k in (3, 4, 5)}, ideal
+            checked += 1
+
 
 class TestEquigenerated:
     def test_cases(self):
@@ -446,7 +524,7 @@ class TestLcmClosure:
         # 10 generators but far fewer than 2^10 - 1 distinct lcms
         ideal = power(path_edge_ideal(), 2)
         assert len(ideal.generators) == 10
-        assert sum(1 for _ in _lattice(ideal)) < 2 ** 10 - 1
+        assert sum(1 for _ in _lattice(ideal.num_vars, exponents_of(ideal))) < 2 ** 10 - 1
 
 
 class TestFacesOf:
@@ -531,12 +609,14 @@ class TestConeFromMasks:
         # their keys, and each distinct key is a cone or reaches homology
         ideal = power(path_ideal, 4)
         keys = walk_keys(ideal)
-        assert (sum(1 for _ in _lattice(ideal)), len(keys), len(brute_lcm_lattice(ideal))) == (323, 323, 517)
+        points = sum(1 for _ in _lattice(ideal.num_vars, exponents_of(ideal)))
+        assert (points, len(keys), len(brute_lcm_lattice(ideal))) == (323, 323, 517)
         decided = [_key_homology(key, ideal.num_vars) for key in set(keys.values())]
         assert (len(decided), decided.count(()), len(decided) - decided.count(())) == (86, 55, 31)
         # P5^8: the prune leaves 2,832 of the 7,809 lattice points
         ideal = power(path_ideal, 8)
-        assert (sum(1 for _ in bsdecomp.monomial._lattice(ideal)), len(brute_lcm_lattice(ideal))) == (2832, 7809)
+        points = sum(1 for _ in bsdecomp.monomial._lattice(ideal.num_vars, exponents_of(ideal)))
+        assert (points, len(brute_lcm_lattice(ideal))) == (2832, 7809)
 
     @pytest.mark.parametrize(
         "ideal, powers, counts",
@@ -553,7 +633,7 @@ class TestConeFromMasks:
         for k in powers:
             power_k = power(ideal, k)
             table_keys = set()
-            for _, classes, _ in _lattice(power_k):
+            for _, classes, _ in _lattice(power_k.num_vars, exponents_of(power_k)):
                 points += 1
                 table_keys.add(tuple(classes))
             keys += len(table_keys)
@@ -597,7 +677,7 @@ class TestConeFromMasks:
         decided = []
         for k in powers:
             power_k = power(ideal, k)
-            keys = {tuple(classes) for _, classes, _ in _lattice(power_k)}
+            keys = {tuple(classes) for _, classes, _ in _lattice(power_k.num_vars, exponents_of(power_k))}
             decided += [decision(key, power_k.num_vars, rank_path) for key in keys]
         assert tuple(map(decided.count, ("cone", "vertex", "sphere", "rank"))) == split
         assert len(rank_path) == split[3]
@@ -721,8 +801,14 @@ class TestClosedFormHomology:
             (list(itertools.combinations((0, 2, 3, 5, 7), 4)), 8, 5, [0, 0, 0, 0, 1], "sphere"),
             ([{0, 1}, {1, 2}, {2, 3}], 4, 1, [], "vertex"),
             ([()], 3, 1, [1, 0, 0, 0], "rank"),
+            ([{0, 1, 2}, {2, 3, 4}, {4, 5, 0}], 6, 3, [0, 0, 1], "sphere"),
+            ([{0, 1}, {1, 2}, {0, 2}, {2, 3}], 4, 3, [0, 0, 1], "sphere"),
+            ([{0, 1}, {1, 2}, {0, 2}, {0, 3}, {3, 4}, {0, 4}], 5, 6, [0, 0, 2, 0, 0, 0], "rank"),
         ],
-        ids=["S^0", "hollow-triangle", "4-simplex-boundary-on-5-of-8", "path-to-one-vertex", "empty-set"],
+        ids=[
+            "S^0", "hollow-triangle", "4-simplex-boundary-on-5-of-8", "path-to-one-vertex", "empty-set",
+            "nerve-sphere-with-a-triangle-core", "triangle-with-a-tail", "two-circles-at-a-vertex",
+        ],
     )
     def test_explicit_cores(self, facets, num_vars, core_size, dims, how, rank_path):
         # no cone among them: () is kept for cones, so the path's one-vertex
@@ -732,6 +818,54 @@ class TestClosedFormHomology:
         assert len(_strong_core(_maximal(masks))) == core_size
         assert checked_key_homology(masks, num_vars) == dims
         assert decision(key_of(masks, num_vars), num_vars, rank_path) == how
+
+    @pytest.mark.parametrize(
+        "facets, num_vars, cored",
+        [
+            ([{0}, {1}], 2, False),
+            ([{0, 1}, {1, 2}, {0, 2}], 3, False),
+            ([{0, 1, 2}, {2, 3, 4}, {4, 5, 0}], 6, False),
+            ([{0, 1}, {1, 2}, {0, 2}, {2, 3}], 4, True),
+            ([{0, 1}, {1, 2}, {2, 3}], 4, True),
+            ([{0, 1}, {1, 2}, {0, 2}, {0, 3}, {3, 4}, {0, 4}], 5, True),
+            ([()], 3, True),
+        ],
+        ids=[
+            "S^0", "hollow-triangle", "nerve-sphere-with-a-triangle-core", "triangle-with-a-tail",
+            "path-to-one-vertex", "two-circles-at-a-vertex", "empty-set",
+        ],
+    )
+    def test_nerve_spheres_build_no_core(self, facets, num_vars, cored, core_builds):
+        # every two of the triangles {0,1,2}, {2,3,4}, {4,5,0} meet and all
+        # three do not, so their nerve is a circle, read before any core; the
+        # tail {2,3} breaks that, and only the core, a hollow triangle, is a
+        # sphere; the rest are no sphere at all, and {empty set} keeps the
+        # rank path
+        _key_homology(key_of(facet_masks(facets), num_vars), num_vars)
+        assert len(core_builds) == cored
+
+    def test_random_keys_match_the_dense_oracle(self, rank_path, core_builds):
+        # keys drawn at random, not from a walk: 1-7 distinct S on 1-9
+        # vertices, their complements half or three quarters empty; nonzero
+        # slots agree with the oracle on the whole complex, and () is
+        # returned exactly for the cones
+        rng = random.Random(455)
+        decided = collections.Counter()
+        for _ in range(1500):
+            n = rng.randint(1, 9)
+            key = tuple({rng.getrandbits(n) | rng.getrandbits(n) * rng.randint(0, 1) for _ in range(rng.randint(1, 7))})
+            facets = _maximal(((1 << n) - 1) ^ same for same in key)
+            ranked, cored = len(rank_path), len(core_builds)
+            dims = _key_homology(key, n)
+            oracle = reduced_homology_oracle(vertex_sets(_faces_of(facets)), n)
+            assert (dims == ()) == bool(functools.reduce(operator.and_, facets)), key
+            assert [(i, d) for i, d in enumerate(dims) if d] == [(i, d) for i, d in enumerate(oracle) if d], key
+            if dims == () or len(rank_path) > ranked:
+                decided["cone" if dims == () else "rank"] += 1
+            else:
+                decided[("core " if len(core_builds) > cored else "nerve ") + ("sphere" if dims else "vertex")] += 1
+        # every way to decide a key is drawn
+        assert min(decided[how] for how in ("cone", "nerve sphere", "core sphere", "core vertex", "rank")) >= 50
 
     def test_random_complexes(self, rank_path):
         decided = []
@@ -786,9 +920,9 @@ class TestBettiTable:
         plain = betti_table(power(path_edge_ideal(), 3))
         real = bsdecomp.monomial._lattice
 
-        def reweighted(ideal, symmetries=()):
-            for degree, classes, multiplicity in real(ideal, symmetries):
-                off = any(_key_homology(tuple(classes), ideal.num_vars)[1:])
+        def reweighted(num_vars, exponents, symmetries=()):
+            for degree, classes, multiplicity in real(num_vars, exponents, symmetries):
+                off = any(_key_homology(tuple(classes), num_vars)[1:])
                 yield degree, classes, 1 if off else multiplicity
 
         monkeypatch.setattr(bsdecomp.monomial, "_lattice", reweighted)
@@ -1100,10 +1234,10 @@ class TestSymmetryOrbits:
         orbits = weighted = plain = 0
         for k in range(1, 9):
             ideal = power(path_edge_ideal(), k)
-            for _, _, multiplicity in _lattice(ideal, symmetries):
+            for _, _, multiplicity in _lattice(ideal.num_vars, exponents_of(ideal), symmetries):
                 orbits += 1
                 weighted += multiplicity
-            multiplicities = [multiplicity for _, _, multiplicity in _lattice(ideal)]
+            multiplicities = [multiplicity for _, _, multiplicity in _lattice(ideal.num_vars, exponents_of(ideal))]
             assert set(multiplicities) == {1}
             plain += len(multiplicities)
         assert (orbits, weighted, plain) == (3570, 6934, 6934)
@@ -1115,7 +1249,8 @@ class TestSymmetryOrbits:
         assert symmetries == [(0, 1, 2, 3), (3, 1, 2, 0)]
         for k in (1, 3):
             ideal = power(CHAINS_IDEAL, k)
-            assert list(_lattice(ideal, symmetries)) == list(_lattice(ideal))
+            exponents = exponents_of(ideal)
+            assert list(_lattice(ideal.num_vars, exponents, symmetries)) == list(_lattice(ideal.num_vars, exponents))
 
     def test_power_tables_searches_only_for_a_power(self, symmetry_searches):
         # a single table of the ideal itself walks every point; a range that
