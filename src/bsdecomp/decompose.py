@@ -7,8 +7,9 @@ coefficients are all positive. Along an arbitrary maximal chain of a window
 the pure diagrams are triangular in chain order, so any table supported there
 expands uniquely by forward substitution, with coefficients of either sign.
 Both sweeps run on a (column, degree) -> value mapping of numbers or of
-polynomials in k. The chains along which a table expands with no negative
-coefficient are those through the greedy sequences.
+polynomials in k, and verification peels a decomposition's terms off the
+same mapping of its table. The chains along which a table expands with no
+negative coefficient are those through the greedy sequences.
 """
 
 from __future__ import annotations
@@ -172,8 +173,7 @@ class Decomposition:
 
     Greedy output carries only positive coefficients; chain expansions keep
     every chain member, zeros and negatives included. ``source_window`` is the
-    window of the table the decomposition came from, which pins down the zero
-    table when all terms cancel.
+    window of the table the decomposition came from, as its JSON records it.
     """
 
     terms: tuple[tuple[Fraction, DegreeSequence], ...]
@@ -194,20 +194,6 @@ class Decomposition:
 
     def nonzero_terms(self) -> tuple[tuple[Fraction, DegreeSequence], ...]:
         return tuple((c, s) for c, s in self.terms if c)
-
-    def reconstruct(self) -> BettiTable:
-        """Sum of coefficient * pure diagram, as a table over source_window
-        widened to the support hull of every term with a nonzero coefficient."""
-        entries: dict[tuple[int, int], Fraction] = {}
-        positions = []
-        for c, s in self.terms:
-            if not c:
-                continue
-            degrees = s.degrees
-            # subtracting -c * pi(s) adds c * pi(s)
-            _subtract_pure(entries, -c, degrees, _pure_denominators(degrees), Fraction(0))
-            positions.extend(enumerate(degrees))
-        return BettiTable.from_entries(entries, Window.hull(positions, self.source_window))
 
 
 def greedy_decompose(table: BettiTable) -> Decomposition:
@@ -350,16 +336,17 @@ def reconstruction_mismatch(
     """First position where the reconstruction and the table disagree.
 
     Returns ((column, degree), reconstructed, expected) in column-major order,
-    or None when they match everywhere.
+    or None when they match everywhere. Every term is peeled off a copy of
+    the table, so exactly the positions where the two differ survive.
     """
-    built = dict(decomposition.reconstruct().iter_support())
-    wanted = dict(table.iter_support())
-    for pos in sorted(set(built) | set(wanted)):
-        got = built.get(pos, Fraction(0))
-        want = wanted.get(pos, Fraction(0))
-        if got != want:
-            return pos, got, want
-    return None
+    rest = dict(table.iter_support())
+    for c, s in decomposition.terms:
+        _subtract_pure(rest, c, s.degrees, _pure_denominators(s.degrees), Fraction(0))
+    if not rest:
+        return None
+    pos = min(rest)
+    want = table.entry(*pos)
+    return pos, want - rest[pos], want
 
 
 def decomposition_to_json(decomposition: Decomposition) -> dict:

@@ -7,8 +7,9 @@ simplicial homology from dense boundary matrices, ranks from fraction-free
 Bareiss elimination over the integers, determinants from cofactor expansion,
 Hilbert-series numerators from Bigatti's pivot recursion on exponent
 tuples, which reaches ideals far past the Taylor oracle's dozen generators,
-polynomial arithmetic from plain lists of Fractions, and the Boij-Soderberg
-order from plain tuples padded with +infinity.
+polynomial arithmetic from plain lists of Fractions, the Boij-Soderberg
+order from plain tuples padded with +infinity, and sums of weighted pure
+diagrams from the closed-form entries of each diagram.
 """
 
 from __future__ import annotations
@@ -130,6 +131,18 @@ def bs_le(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
     width = max(len(a), len(b))
     padded_a, padded_b = (list(t) + [math.inf] * (width - len(t)) for t in (a, b))
     return all(x <= y for x, y in zip(padded_a, padded_b))
+
+
+def pure_sum(terms) -> dict[tuple[int, int], Fraction]:
+    """Sum of c * pi(d) over (c, degree tuple) terms, as a (column, degree)
+    -> value dict with no zero values: pi(d) holds 1 / prod_{p != i}
+    |d_p - d_i| at (i, d_i)."""
+    total: dict[tuple[int, int], Fraction] = {}
+    for c, degrees in terms:
+        for i, d in enumerate(degrees):
+            denominator = math.prod(abs(e - d) for p, e in enumerate(degrees) if p != i)
+            total[(i, d)] = total.get((i, d), Fraction(0)) + Fraction(c) / denominator
+    return {pos: value for pos, value in total.items() if value}
 
 
 def taylor_betti_entries(ideal: MonomialIdeal) -> dict[tuple[int, int], int]:

@@ -431,8 +431,16 @@ class TestVerify:
         perturbed = dict(SMALL_TABLES[2])
         perturbed[(1, 5)] += 1
         assert main(["verify", "--table", table_file(perturbed), "--decomposition", decomposition_file]) == 5
-        out = capsys.readouterr().out
-        assert "mismatch at column 1, degree 5" in out
+        assert capsys.readouterr().out == "mismatch at column 1, degree 5: decomposition gives 12, table has 13\n"
+
+    def test_term_outside_the_table_window(self, table_file, tmp_path, capsys):
+        # 3 * pi(2, 5) puts 1 at (0, 2) and (1, 5), row 2, past the table's row 0
+        table = table_file({(0, 0): 1, (1, 1): 1})
+        path = tmp_path / "d.json"
+        terms = [{"degrees": [0, 1], "coefficient": "1"}, {"degrees": [2, 5], "coefficient": "3"}]
+        path.write_text(json.dumps({"window": [0, 0, 1], "terms": terms}), encoding="utf-8")
+        assert main(["verify", "--table", table, "--decomposition", str(path)]) == 5
+        assert capsys.readouterr().out == "mismatch at column 0, degree 2: decomposition gives 1, table has 0\n"
 
     def test_malformed_decomposition(self, table_file, tmp_path, capsys):
         path = tmp_path / "d.json"

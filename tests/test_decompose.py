@@ -1,3 +1,4 @@
+import collections
 import itertools
 import json
 import random
@@ -31,7 +32,7 @@ from bsdecomp import (
     verify,
 )
 from bsdecomp.decompose import _chain_through
-from oracles import bs_le, cramer_solve, dense_vector
+from oracles import bs_le, cramer_solve, dense_vector, pure_sum
 from reference_values import (
     GREEDY_TERM_COUNTS_SMALL,
     SMALL_TABLES,
@@ -219,7 +220,7 @@ class TestGreedy:
         table = BettiTable.zero(Window(0, 2, 2))
         decomposition = greedy_decompose(table)
         assert decomposition.terms == ()
-        assert decomposition.reconstruct() == table
+        assert reconstruction_mismatch(decomposition, table) is None
 
     def test_random_chain_combinations_round_trip(self):
         rng = random.Random(404)
@@ -399,6 +400,54 @@ class TestVerification:
         assert want - got == Fraction(1, 2)
         assert not verify(decomposition, bumped)
 
+    def test_random_pairs_match_the_oracle_sum(self):
+        rng = random.Random(3232)
+        windows = [Window(0, 1, 1), Window(0, 2, 2), Window(-1, 1, 2), Window(1, 3, 3), Window(0, 0, 3)]
+        chains = {w: list(enumerate_maximal_chains(w)) for w in windows}
+
+        def random_terms(window):
+            keep = rng.random()
+            return [
+                (Fraction(rng.randint(-4, 4), rng.randint(1, 3)), s)
+                for s in rng.choice(chains[window])
+                if rng.random() < keep
+            ]
+
+        seen = collections.Counter()
+        for trial in range(2400):
+            window = rng.choice(windows)
+            terms = random_terms(window)
+            built = pure_sum((c, s.degrees) for c, s in terms)
+            kind = ("exact", "bumped", "other table", "part of the sum")[trial % 4]
+            if kind == "exact":
+                table = BettiTable.from_entries(built, window)
+            elif kind == "bumped":
+                i = rng.randint(0, window.max_col)
+                pos = (i, i + rng.randint(window.min_row, window.max_row))
+                bumped = dict(built)
+                bumped[pos] = bumped.get(pos, 0) + Fraction(rng.choice((-5, -2, 1, 3)), rng.randint(1, 4))
+                table = BettiTable.from_entries(bumped, window)
+            elif kind == "other table":
+                other = rng.choice(windows)
+                table = BettiTable.from_entries(pure_sum((c, s.degrees) for c, s in random_terms(other)), other)
+            else:
+                part = {pos: v for pos, v in built.items() if rng.random() < 0.7}
+                table = BettiTable.from_entries(part) if part else BettiTable.zero(Window(0, 0, 0))
+            decomposition = Decomposition(tuple(terms), table.window)
+            wanted = dict(table.iter_support())
+            first = min((p for p in built.keys() | wanted.keys() if built.get(p, 0) != wanted.get(p, 0)), default=None)
+            expected = None if first is None else (first, built.get(first, 0), wanted.get(first, 0))
+            assert reconstruction_mismatch(decomposition, table) == expected
+            seen[kind] += 1
+            seen["empty decomposition"] += not terms
+            seen["zero coefficient"] += any(c == 0 for c, _ in terms)
+            seen["negative coefficient"] += any(c < 0 for c, _ in terms)
+            seen["term outside the window"] += any(
+                not table.window.contains(i, d) for c, s in terms if c for i, d in enumerate(s.degrees)
+            )
+            seen["match" if expected is None else "mismatch"] += 1
+        assert len(seen) == 10 and min(seen.values()) >= 50, seen
+
 
 class TestDecompositionContainer:
     def test_terms_must_follow_chain_order(self):
@@ -412,14 +461,15 @@ class TestDecompositionContainer:
         )
         assert d.nonzero_terms() == ((Fraction(2), DegreeSequence((0, 2))),)
 
-    def test_reconstruct_window_spans_source_and_nonzero_terms(self):
-        # the zero term at rows -2..0 does not widen the window; 3 * pi(0, 3)
-        # puts 1 at (0, 0) and (1, 3), rows 0 and 2
+    def test_terms_outside_the_source_window_are_checked(self):
+        # the zero term at rows -2..0 stores nothing; 3 * pi(0, 3) puts 1 at
+        # (0, 0) and (1, 3), rows 0 and 2, outside the source window
         d = Decomposition(
             ((Fraction(0), DegreeSequence((-2, 1))), (Fraction(3), DegreeSequence((0, 3)))),
             Window(5, 6, 0),
         )
-        assert d.reconstruct() == BettiTable.from_entries({(0, 0): 1, (1, 3): 1}, Window(0, 6, 1))
+        assert reconstruction_mismatch(d, BettiTable.from_entries({(0, 0): 1, (1, 3): 1})) is None
+        assert reconstruction_mismatch(d, BettiTable.from_entries({(0, 0): 1})) == ((1, 3), 1, 0)
 
     def test_json_round_trip(self):
         table = BettiTable.from_entries(SMALL_TABLES[2])

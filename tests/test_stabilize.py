@@ -40,6 +40,7 @@ from bsdecomp import (
     parse_monomial,
     power,
     power_tables,
+    reconstruction_mismatch,
     report_from_json,
     report_json_text,
     report_to_json,
@@ -324,6 +325,36 @@ class TestSymbolicChain:
         for k in (3, 4):
             numeric = chain_decompose(path_tables(k), chain.shift(GEN_DEGREE * k))
             assert expansion.evaluate(k).terms == numeric.terms
+
+
+def path_ideal(n):
+    return MonomialIdeal(n, tuple(parse_monomial(f"x{v}*x{v + 1}", n) for v in range(1, n)))
+
+
+class TestEveryChainEveryPower:
+    """The paper's second theorem, numerically: along every maximal chain of
+    the fit's window the chain coefficients of beta(I^k), of either sign,
+    are the symbolic expansion's polynomials at k, and from the largest sign
+    threshold of those polynomials on, the same terms are nonzero."""
+
+    @pytest.mark.parametrize("n, k_max, chain_count", [(5, 8, 14), (6, 9, 42)])
+    def test_path_ideals(self, n, k_max, chain_count):
+        ideal = path_ideal(n)
+        fit = detect_stabilization(ideal, 1, k_max).fit
+        k0, r = fit.valid_from, fit.gen_degree
+        tables = power_tables(ideal, k0, k_max)
+        chains = list(enumerate_maximal_chains(fit.offset_window()))
+        assert len(chains) == chain_count
+        for chain in chains:
+            expansion = symbolic_chain_decompose(fit, chain)
+            for k, table_k in tables.items():
+                numeric = expansion.evaluate(k)
+                assert numeric.terms == chain_decompose(table_k, chain.shift(r * k)).terms
+                assert reconstruction_mismatch(numeric, table_k) is None
+            threshold = max(sign_threshold(w) for w, _ in expansion.terms)
+            nonzero = len(expansion.nonzero_terms())
+            for k in range(max(k0, threshold + 1), k_max + 1):
+                assert len(expansion.evaluate(k).nonzero_terms()) == nonzero
 
 
 class TestPositiveFamilyChain:
