@@ -8,12 +8,15 @@ the pure diagrams are triangular in chain order, so any table supported there
 expands uniquely by forward substitution, with coefficients of either sign.
 Both sweeps run on a (column, degree) -> value mapping of numbers or of
 polynomials in k, and verification peels a decomposition's terms off the
-same mapping of its table. The chains along which a table expands with no
+same mapping of its table, numbers as integer numerators over a running
+scale that each subtraction multiplies by its pure diagram's lcm denominator,
+with no Fraction per entry. The chains along which a table expands with no
 negative coefficient are those through the greedy sequences.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -25,6 +28,7 @@ from .errors import (
     NotDecomposableError,
     ParseError,
 )
+from .polynomials import _over_lcm
 from .tables import BettiTable, DegreeSequence, Window, _json_rational, _json_window, _pure_denominators
 
 
@@ -180,7 +184,7 @@ class Decomposition:
     source_window: Window
 
     def __post_init__(self):
-        terms = tuple((Fraction(c), s) for c, s in self.terms)
+        terms = tuple((c if type(c) is Fraction else Fraction(c), s) for c, s in self.terms)
         _check_chain_order(terms)
         object.__setattr__(self, "terms", terms)
 
@@ -206,13 +210,21 @@ def greedy_decompose(table: BettiTable) -> Decomposition:
     """
     if not table.is_nonnegative():
         raise NotDecomposableError("table has negative entries")
-    terms = _greedy_peel(dict(table.iter_support()), Fraction(0), min)
-    return Decomposition(tuple(terms), table.window)
+    values, den = _numerators(table)
+    terms = _greedy_peel(values, 0, min)
+    return Decomposition([(Fraction(c, den * scale), s) for c, scale, s in terms], table.window)
+
+
+def _numerators(table: BettiTable) -> tuple[dict, int]:
+    """The entries as integer numerators over their lcm denominator, and that denominator."""
+    numerators, den = _over_lcm([v for _, v in table.iter_support()])
+    return dict(zip(table.support(), numerators)), den
 
 
 def _greedy_peel(values: dict, zero, least) -> list[tuple]:
-    """Greedy terms (coefficient, sequence) of a (column, degree) -> value
-    mapping, in chain order; ``values`` is consumed.
+    """Greedy terms (coefficient, scale, sequence) of a (column, degree) ->
+    value mapping, in chain order, each worth coefficient / scale in units of
+    the values, which ``_subtract_pure`` rescales; ``values`` is consumed.
 
     Each step reads the minimal degree d_i of every column up to the last
     nonzero one. Position i allows at most values[(i, d_i)] * prod_{p != i}
@@ -220,7 +232,7 @@ def _greedy_peel(values: dict, zero, least) -> list[tuple]:
     by ``least`` (min, or the eventually smallest polynomial), keeps the
     remainder nonnegative and zeroes at least one entry.
     """
-    terms = []
+    terms, scale = [], 1
     while values:
         lowest: dict[int, int] = {}
         for i, d in sorted(values):
@@ -240,8 +252,8 @@ def _greedy_peel(values: dict, zero, least) -> list[tuple]:
         coefficient = least(
             [values[(i, d)] * den for i, (d, den) in enumerate(zip(degrees, denominators))]
         )
-        _subtract_pure(values, coefficient, degrees, denominators, zero)
-        terms.append((coefficient, sequence))
+        terms.append((coefficient, scale, sequence))
+        scale *= _subtract_pure(values, coefficient, degrees, denominators, zero)
     return terms
 
 
@@ -253,32 +265,40 @@ def chain_decompose(table: BettiTable, chain: Chain) -> Decomposition:
     coefficients may be negative. NoSolution signals a table whose support
     escapes the chain's window.
     """
-    coefficients = _peel_along_chain(dict(table.iter_support()), chain.elements, Fraction(0))
-    return Decomposition(tuple(zip(coefficients, chain.elements)), chain.window)
+    values, den = _numerators(table)
+    terms = _peel_along_chain(values, chain.elements, 0)
+    return Decomposition([(Fraction(c, den * scale), s) for c, scale, s in terms], chain.window)
 
 
-def _subtract_pure(values: dict, coefficient, degrees, denominators, zero) -> None:
-    """values -= coefficient * pi(degrees) on a (column, degree) -> value
-    mapping, given pi's denominators; entries that reach zero are dropped."""
+def _subtract_pure(values: dict, coefficient, degrees, denominators, zero) -> int:
+    """values := L * (values - coefficient * pi(degrees)), dropping zeros, on a
+    (column, degree) -> value mapping, with L > 0 the lcm of pi's denominators,
+    returned: integers stay integers, and no sign or eventual minimum moves."""
+    lcm = math.lcm(*denominators)
+    if lcm != 1:
+        for pos, value in values.items():
+            values[pos] = value * lcm
     for i, (d, den) in enumerate(zip(degrees, denominators)):
-        rest = values.pop((i, d), zero) - coefficient / den
+        rest = values.pop((i, d), zero) - coefficient * (lcm // den)
         if rest:
             values[(i, d)] = rest
+    return lcm
 
 
-def _peel_along_chain(values: dict, elements, zero) -> list:
-    """Coefficients of ``values`` along a maximal chain, bottom to top.
+def _peel_along_chain(values: dict, elements, zero) -> list[tuple]:
+    """Terms (coefficient, scale, element) of ``values`` along a maximal
+    chain, bottom to top, each worth coefficient / scale, as in the greedy.
 
     The move from element t to t+1 retires one table position that no later
     element touches: (i, d_i) for a bump of d_i, (last, d_last) for a drop,
     and (0, d_0) for the top element. The chain's pure diagrams are thus
     triangular in chain order, and forward substitution gives c_t as the
     remaining value at that position times prod_{p != i} |d_p - d_i|. Only
-    +, - and * by rationals are used, so the values may be Fractions or
+    +, - and * by integers are used, so the values may be integers or
     polynomials, with ``zero`` the zero of their type. ``values`` is
     consumed; whatever survives the sweep lies outside the chain's window.
     """
-    coefficients = []
+    terms, scale = [], 1
     for t, element in enumerate(elements):
         if t + 1 == len(elements):
             col = 0
@@ -291,13 +311,13 @@ def _peel_along_chain(values: dict, elements, zero) -> list:
         degrees = element.degrees
         denominators = _pure_denominators(degrees)
         coefficient = values.get((col, degrees[col]), zero) * denominators[col]
+        terms.append((coefficient, scale, element))
         if coefficient:
-            _subtract_pure(values, coefficient, degrees, denominators, zero)
-        coefficients.append(coefficient)
+            scale *= _subtract_pure(values, coefficient, degrees, denominators, zero)
     if values:
         i, j = min(values)
         raise NoSolutionError(f"support at column {i}, degree {j} is outside the chain window")
-    return coefficients
+    return terms
 
 
 def coefficient_column_formula(table: BettiTable, chain: Chain, index: int) -> Fraction | None:
@@ -336,17 +356,19 @@ def reconstruction_mismatch(
     """First position where the reconstruction and the table disagree.
 
     Returns ((column, degree), reconstructed, expected) in column-major order,
-    or None when they match everywhere. Every term is peeled off a copy of
-    the table, so exactly the positions where the two differ survive.
+    or None when they match everywhere. Every term c * pi(d) is peeled off
+    the table's numerators, as c's numerator over c's denominator times pi's,
+    so exactly the positions where the two differ survive.
     """
-    rest = dict(table.iter_support())
+    rest, scale = _numerators(table)
     for c, s in decomposition.terms:
-        _subtract_pure(rest, c, s.degrees, _pure_denominators(s.degrees), Fraction(0))
+        denominators = [c.denominator * den for den in _pure_denominators(s.degrees)]
+        scale *= _subtract_pure(rest, c.numerator * scale, s.degrees, denominators, 0)
     if not rest:
         return None
     pos = min(rest)
     want = table.entry(*pos)
-    return pos, want - rest[pos], want
+    return pos, want - Fraction(rest[pos], scale), want
 
 
 def decomposition_to_json(decomposition: Decomposition) -> dict:

@@ -30,7 +30,8 @@ def _over_lcm(values: Sequence) -> tuple[list[int], int]:
     """The numerators of exact rationals (as ``_rational`` reads them) over
     their least common denominator, and that denominator."""
     qs = [_rational(v) for v in values]
-    den = math.lcm(*(q.denominator for q in qs))
+    # a list: a tuple grown from a generator bypasses the tuple free list, then fills it
+    den = math.lcm(*[q.denominator for q in qs])
     return [q.numerator * (den // q.denominator) for q in qs], den
 
 

@@ -197,7 +197,7 @@ def symbolic_greedy_decompose(table: SymbolicBettiTable) -> TranslatedDecomposit
         bound = max(bound, threshold)
         return candidates[index]
 
-    terms = _greedy_peel(dict(table.entries), PolynomialQ(), least)
+    terms = [(w / scale, s) for w, scale, s in _greedy_peel(dict(table.entries), PolynomialQ(), least)]
     # past every root bound the numeric tables share the symbolic support and
     # every min decision, so the numeric greedy runs in lockstep from there
     certified = max(table.valid_from, bound + 1)
@@ -212,9 +212,9 @@ def symbolic_chain_decompose(table: SymbolicBettiTable, chain: Chain) -> Transla
     ``valid_from`` because the identity is linear, with no sign decisions
     involved. NoSolution signals family support outside the chain window.
     """
-    coefficients = _peel_along_chain(dict(table.entries), chain.elements, PolynomialQ())
+    terms = _peel_along_chain(dict(table.entries), chain.elements, PolynomialQ())
     return TranslatedDecomposition(
-        tuple(zip(coefficients, chain.elements)), table.gen_degree, table.valid_from, chain.window
+        tuple((w / scale, s) for w, scale, s in terms), table.gen_degree, table.valid_from, chain.window
     )
 
 

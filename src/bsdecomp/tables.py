@@ -24,7 +24,7 @@ _ZERO = Fraction(0)
 # the one spelling of numbers read from text (.btt, JSON strings, the CLI);
 # int() and Fraction() would also take "1_0", non-ASCII digits, "0.5", "1e2"
 _INTEGER = re.compile(r"[-+]?[0-9]+")
-_RATIONAL = re.compile(r"[-+]?[0-9]+(/[0-9]+)?")
+_RATIONAL = re.compile(r"([-+]?[0-9]+)(?:/([0-9]+))?")
 
 
 @dataclass(frozen=True)
@@ -157,7 +157,7 @@ class BettiTable:
             pos = (_json_int(i), _json_int(j))
             if isinstance(value, (bool, float)):
                 raise TypeError(f"entry {value!r} at {pos} is not an exact rational")
-            q = Fraction(value)
+            q = value if type(value) is Fraction else Fraction(value)
             if q:
                 support[pos] = q
         if window is None:
@@ -276,11 +276,13 @@ def to_btt_text(table: BettiTable) -> str:
 
 
 def _text_rational(text: str) -> Fraction:
-    """A rational spelled ``[-+]?[0-9]+(/[0-9]+)?``; ValueError for any other
-    text, ZeroDivisionError for a zero denominator."""
-    if not _RATIONAL.fullmatch(text):
+    """A rational spelled ``[-+]?[0-9]+(/[0-9]+)?``, read as ints; ValueError
+    for any other text, ZeroDivisionError for a zero denominator."""
+    match = _RATIONAL.fullmatch(text)
+    if not match:
         raise ValueError("not an integer or a fraction n/d in ASCII digits")
-    return Fraction(text)
+    numerator, denominator = match.groups()
+    return Fraction(int(numerator), int(denominator)) if denominator else Fraction(int(numerator))
 
 
 def parse_btt_text(text: str) -> BettiTable:

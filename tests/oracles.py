@@ -8,8 +8,9 @@ Bareiss elimination over the integers, determinants from cofactor expansion,
 Hilbert-series numerators from Bigatti's pivot recursion on exponent
 tuples, which reaches ideals far past the Taylor oracle's dozen generators,
 polynomial arithmetic from plain lists of Fractions, the Boij-Soderberg
-order from plain tuples padded with +infinity, and sums of weighted pure
-diagrams from the closed-form entries of each diagram.
+order from plain tuples padded with +infinity, sums of weighted pure
+diagrams from the closed-form entries of each diagram, and the greedy
+decomposition from those sums, one Fraction at a time.
 """
 
 from __future__ import annotations
@@ -143,6 +144,34 @@ def pure_sum(terms) -> dict[tuple[int, int], Fraction]:
             denominator = math.prod(abs(e - d) for p, e in enumerate(degrees) if p != i)
             total[(i, d)] = total.get((i, d), Fraction(0)) + Fraction(c) / denominator
     return {pos: value for pos, value in total.items() if value}
+
+
+def greedy_oracle(entries) -> list[tuple[Fraction, tuple[int, ...]]] | None:
+    """The greedy decomposition of Eisenbud and Schreyer on a (column,
+    degree) -> value dict, in Fractions: take the least degree d_i of each
+    column, subtract the largest multiple of pi(d) that leaves every entry
+    nonnegative, and repeat until nothing is left. Returns the (coefficient,
+    degrees) terms, or None when an entry is negative, a column is empty
+    below a nonzero one, or the least degrees do not strictly increase."""
+    rest = {pos: Fraction(value) for pos, value in entries.items() if value}
+    if any(value < 0 for value in rest.values()):
+        return None
+    terms = []
+    while rest:
+        columns = sorted({i for i, _ in rest})
+        if columns != list(range(len(columns))):
+            return None
+        degrees = tuple(min(j for i, j in rest if i == column) for column in columns)
+        if any(a >= b for a, b in zip(degrees, degrees[1:])):
+            return None
+        diagram = pure_sum([(1, degrees)])
+        c = min(rest[pos] / value for pos, value in diagram.items())
+        for pos, value in diagram.items():
+            rest[pos] -= c * value
+            if not rest[pos]:
+                del rest[pos]
+        terms.append((c, degrees))
+    return terms
 
 
 def taylor_betti_entries(ideal: MonomialIdeal) -> dict[tuple[int, int], int]:

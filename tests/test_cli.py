@@ -255,6 +255,53 @@ class TestDecompose:
         assert capsys.readouterr().err.startswith(f"error: {path}: line 1: Exceeds the limit")
 
 
+class TestNumberSpellings:
+    """Entries are read from their digit groups: a sign, leading zeros and
+    -0 give the table their plain spelling gives, and a zero denominator is
+    refused with the message Fraction(1, 0) gives."""
+
+    @pytest.fixture
+    def btt(self, tmp_path):
+        def write(text, name):
+            path = tmp_path / name
+            path.write_text(text, encoding="utf-8")
+            return str(path)
+
+        return write
+
+    def test_signs_and_leading_zeros_read_as_plain_numbers(self, btt, tmp_path, capsys):
+        odd = btt("0 1 2\n+4 006 -0\n000 -0 +2\n", "odd.btt")
+        plain = btt("0 1 2\n4 6 0\n0 0 2\n", "plain.btt")
+        assert main(["decompose", "--table", odd]) == 0
+        out = capsys.readouterr().out
+        assert main(["decompose", "--table", plain]) == 0
+        assert capsys.readouterr().out == out
+        assert json.loads(out) == {"window": [0, 1, 2], "terms": [{"degrees": [0, 1, 3], "coefficient": "12"}]}
+        # 7/2 where 12 * pi(0, 1, 3) has 4
+        bumped = btt("0 1 2\n+007/002 006 -0\n000 -0 +2\n", "bumped.btt")
+        decomposition = tmp_path / "d.json"
+        decomposition.write_text(out, encoding="utf-8")
+        assert main(["verify", "--table", bumped, "--decomposition", str(decomposition)]) == 5
+        assert capsys.readouterr().out == "mismatch at column 0, degree 0: decomposition gives 4, table has 7/2\n"
+
+    def test_signed_fraction_with_leading_zeros(self, btt, tmp_path, capsys):
+        chain = tmp_path / "chain.json"
+        chain.write_text("[[0, 1], [0, 2], [1, 2], [1]]", encoding="utf-8")
+        outputs = []
+        for name, entry in (("odd.btt", "-007/003"), ("plain.btt", "-7/3")):
+            path = btt(f"0 1 1\n1 {entry}\n0 2\n", name)
+            assert main(["decompose", "--table", path, "--chain", str(chain)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        terms = json.loads(outputs[0])["terms"]
+        assert [t["coefficient"] for t in terms] == ["-7/3", "20/3", "-4/3", "4/3"]
+
+    def test_zero_denominator(self, btt, capsys):
+        path = btt("0 0 1\n1/0 1\n", "zero.btt")
+        assert main(["decompose", "--table", path]) == 2
+        assert capsys.readouterr().err == f"error: {path}: line 2: bad entry '1/0': Fraction(1, 0)\n"
+
+
 class TestChains:
     def test_streams_one_chain_per_line(self, capsys):
         assert main(["chains", "0", "1", "1"]) == 0

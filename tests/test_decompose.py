@@ -32,7 +32,7 @@ from bsdecomp import (
     verify,
 )
 from bsdecomp.decompose import _chain_through
-from oracles import bs_le, cramer_solve, dense_vector, pure_sum
+from oracles import bs_le, cramer_solve, dense_vector, greedy_oracle, pure_sum
 from reference_values import (
     GREEDY_TERM_COUNTS_SMALL,
     SMALL_TABLES,
@@ -64,6 +64,16 @@ def brute_force_covers(sequence, window, universe):
 def random_chain(rng, window):
     chains = list(enumerate_maximal_chains(window))
     return chains[rng.randrange(len(chains))]
+
+
+def random_walk(choose, window):
+    """The elements of a maximal chain of the window, walked up one cover at
+    a time with ``choose`` picking among the successors; for windows with
+    too many chains to list."""
+    path = [DegreeSequence(tuple(range(window.min_row, window.min_row + window.max_col + 1)))]
+    while successors := cover_successors(path[-1], window):
+        path.append(choose(successors))
+    return path
 
 
 def first_nonnegative_chain(table, window):
@@ -236,6 +246,39 @@ class TestGreedy:
                 (c, seq) for c, seq in zip(coefficients, chain.elements) if c
             )
             assert verify(decomposition, table)
+
+    def test_matches_the_fraction_oracle(self):
+        # rational tables on small windows, decomposable or not, and positive
+        # combinations along random maximal chains of the 5x6 window, 30
+        # terms each, over which the greedy's running scale reaches 48-84 digits
+        rng = random.Random(3303)
+        windows = ORACLE_WINDOWS + [Window(-1, 1, 2)]
+        seen = collections.Counter()
+        for n in range(540):
+            if n < 180:
+                window = rng.choice(windows)
+                entries = {
+                    (i, i + row): Fraction(rng.choice([0, rng.randint(1, 6)]), rng.randint(1, 4))
+                    for i in range(window.max_col + 1)
+                    for row in range(window.min_row, window.max_row + 1)
+                }
+            else:
+                window = rng.choice(windows) if n < 420 else Window(0, 4, 5)
+                path = random_walk(rng.choice, window)
+                least = 0 if n < 420 else 1
+                entries = pure_sum([(Fraction(rng.randint(least, 50), rng.randint(1, 7)), s.degrees) for s in path])
+                if n < 420 and entries and rng.random() < 0.5:
+                    entries[rng.choice(sorted(entries))] += Fraction(1, rng.randint(1, 6))
+            expected = greedy_oracle(entries)
+            try:
+                got = [(c, s.degrees) for c, s in greedy_decompose(BettiTable.from_entries(entries, window)).terms]
+            except NotDecomposableError:
+                got = None
+            assert got == expected
+            seen["refused" if got is None else "30 terms" if len(got) >= 30 else "decomposed"] += 1
+            seen["rational entries"] += any(v.denominator > 1 for v in entries.values())
+        assert seen["refused"] >= 100 and seen["decomposed"] >= 250 and seen["30 terms"] == 120
+        assert seen["rational entries"] >= 500
 
     def test_rejects_negative_entries(self):
         with pytest.raises(NotDecomposableError, match="negative"):
@@ -560,9 +603,7 @@ def decompositions(draw):
     columns 0-3."""
     min_row = draw(st.integers(-3, 3))
     window = Window(min_row, min_row + draw(st.integers(0, 2)), draw(st.integers(0, 3)))
-    path = [DegreeSequence(tuple(range(window.min_row, window.min_row + window.max_col + 1)))]
-    while successors := cover_successors(path[-1], window):
-        path.append(draw(st.sampled_from(successors)))
+    path = random_walk(lambda successors: draw(st.sampled_from(successors)), window)
     return Decomposition(tuple((draw(COEFFICIENTS), s) for s in path), window)
 
 

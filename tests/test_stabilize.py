@@ -11,6 +11,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bsdecomp.stabilize
 from bsdecomp import (
@@ -27,6 +29,7 @@ from bsdecomp import (
     NotStabilizedError,
     ParseError,
     PolynomialQ,
+    StabilizationReport,
     SymbolicBettiTable,
     TranslatedDecomposition,
     Window,
@@ -49,6 +52,7 @@ from bsdecomp import (
     symbolic_greedy_decompose,
 )
 from oracles import bareiss_rank
+from test_decompose import JSON_VALUES
 from reference_values import (
     ALTERNATE_CHAIN_OFFSETS,
     ALTERNATE_TERMS,
@@ -339,14 +343,28 @@ class TestEveryChainEveryPower:
 
     @pytest.mark.parametrize("n, k_max, chain_count", [(5, 8, 14), (6, 9, 42)])
     def test_path_ideals(self, n, k_max, chain_count):
-        ideal = path_ideal(n)
+        self.check_every_chain(path_ideal(n), k_max, chain_count)
+
+    def test_chains_ideal(self):
+        # every chain of its 4x3 offset window, where the chain peel runs on
+        # coefficients of both signs
+        gens = ("x1*x2*x3", "x2*x3*x4", "x1^3", "x4^3")
+        ideal = MonomialIdeal(4, tuple(parse_monomial(g, 4) for g in gens))
+        assert self.check_every_chain(ideal, 6, 462) == 1359
+
+    @staticmethod
+    def check_every_chain(ideal, k_max, chain_count):
+        """Check every chain from k0 to k_max; return how many of the chain
+        coefficients are eventually negative."""
         fit = detect_stabilization(ideal, 1, k_max).fit
         k0, r = fit.valid_from, fit.gen_degree
         tables = power_tables(ideal, k0, k_max)
         chains = list(enumerate_maximal_chains(fit.offset_window()))
         assert len(chains) == chain_count
+        negative = 0
         for chain in chains:
             expansion = symbolic_chain_decompose(fit, chain)
+            negative += sum(not eventually_nonnegative(w) for w, _ in expansion.terms)
             for k, table_k in tables.items():
                 numeric = expansion.evaluate(k)
                 assert numeric.terms == chain_decompose(table_k, chain.shift(r * k)).terms
@@ -355,6 +373,7 @@ class TestEveryChainEveryPower:
             nonzero = len(expansion.nonzero_terms())
             for k in range(max(k0, threshold + 1), k_max + 1):
                 assert len(expansion.evaluate(k).nonzero_terms()) == nonzero
+        return negative
 
 
 class TestPositiveFamilyChain:
@@ -876,3 +895,73 @@ class TestReportJson:
             if p5[key] != chains[key]:
                 with pytest.raises(ParseError, match="bad report JSON"):
                     report_from_json({**p5, key: chains[key]})
+
+
+@st.composite
+def equigenerated_ideals(draw):
+    """1-4 distinct generators of one degree 1-3 in 1-3 variables."""
+    n, d = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    exponent = st.lists(st.integers(0, d), min_size=n, max_size=n).filter(lambda e: sum(e) == d)
+    gens = draw(st.lists(exponent, min_size=1, max_size=4, unique_by=tuple))
+    return MonomialIdeal(n, tuple(Monomial(tuple(g)) for g in gens))
+
+
+# what report_to_json writes in each field, nearly, so that fuzzing gets past
+# the first field it reads
+SMALL_INTS = st.integers(-1, 6)
+DIGITS = st.text("0123456789-/", min_size=1, max_size=4)
+POLY = st.fixed_dictionaries(
+    {"coefficients": st.lists(DIGITS, max_size=4), "text": st.text("0123456789k+-*^/ ", max_size=8)}
+)
+NEAR_FIELDS = {
+    "ideal": st.fixed_dictionaries(
+        {"variables": st.integers(0, 6), "generators": st.lists(st.lists(st.integers(0, 3), max_size=5), max_size=5)}
+    ),
+    "r": SMALL_INTS,
+    "k0_observed": SMALL_INTS,
+    "fit": st.dictionaries(st.sampled_from(["(0,0)", "(1,0)", "(1,1)", "(2,1)", "(3,1)", "(0,-1)"]), POLY, max_size=6),
+    "positive_chain": st.lists(st.lists(st.integers(-1, 4), max_size=4), max_size=6),
+    "positive_decomposition": st.fixed_dictionaries({
+        "terms": st.lists(
+            st.fixed_dictionaries({"offsets": st.lists(st.integers(-1, 4), max_size=4), "coefficient_poly": POLY}),
+            max_size=5,
+        )
+    }),
+    "certified_from": SMALL_INTS,
+    "verified_k": st.lists(SMALL_INTS, max_size=7),
+    "notes": st.text(max_size=8),
+}
+
+
+@st.composite
+def near_reports(draw):
+    """The golden P5 report with up to three fields replaced, by a near miss
+    or by any JSON value, and perhaps one field dropped."""
+    obj = golden_report("stabilize-p5")
+    for key in draw(st.lists(st.sampled_from(sorted(NEAR_FIELDS)), max_size=3, unique=True)):
+        obj[key] = draw(NEAR_FIELDS[key] | JSON_VALUES)
+    if draw(st.booleans()):
+        del obj[draw(st.sampled_from(sorted(obj)))]
+    return obj
+
+
+class TestReportJsonFuzz:
+    @settings(max_examples=60)
+    @given(equigenerated_ideals(), st.integers(0, 4))
+    def test_json_round_trip(self, ideal, verified):
+        try:
+            report = detect_stabilization(ideal, 1, 6)
+        except NotStabilizedError:
+            return
+        first = report.certified_from
+        report = replace(report, verified_k=tuple(range(first, first + verified)))
+        assert report_from_json(json.loads(json.dumps(report_to_json(report)))) == report
+
+    @settings(max_examples=200)
+    @given(JSON_VALUES | near_reports())
+    def test_arbitrary_json_raises_only_parse_error(self, obj):
+        try:
+            report = report_from_json(obj)
+        except ParseError:
+            return
+        assert isinstance(report, StabilizationReport)
